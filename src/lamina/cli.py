@@ -28,7 +28,12 @@ from .checks import available_checks, run_check
 
 
 def _load(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, "input is not valid UTF-8") from None
     return parse_matroid(text)
 
 

@@ -1,6 +1,13 @@
 """Matroid constructors: parametric families and generic operations.
 
-Everything here produces a validated :class:`~lamina.core.Matroid`.
+Rank tables are validated only where the input is not known to define
+a matroid: :func:`matroid_from_circuits` (and so
+:func:`parallel_connection`) checks the rank axioms on every table it
+builds.  Every other constructor first checks its own input
+(laminarity, chain order, Z0-Z3, circuit-hyperplane) and then builds a
+table that is a matroid by theorem, named at each call, without
+re-checking the axioms.
+
 The module covers uniform and cycle matroids, laminar capacity systems,
 nested transversal presentations, truncation, direct sum, parallel
 connection, circuit-hyperplane relaxation, synthesis from a cyclic-flat
@@ -13,6 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import MAX_ELEMENTS, Matroid, MatroidError
 
@@ -29,7 +38,8 @@ def uniform(r: int, n: int, labels: Sequence[str] | None = None) -> Matroid:
     if labels is None:
         labels = tuple(f"e{i + 1}" for i in range(n))
     table = bytes(min(A.bit_count(), r) for A in range(1 << n))
-    return Matroid(labels, table)
+    # min(|A|, r) with 0 <= r <= n is the rank function of U_{r,n}
+    return Matroid(labels, table, validate=False)
 
 
 def circuit_matroid(m: int, prefix: str = "e") -> Matroid:
@@ -68,36 +78,26 @@ class Multigraph:
 def cycle_matroid(G: Multigraph) -> Matroid:
     """Cycle matroid of a multigraph.
 
-    rank(A) = (#vertices touched by A) - (#components of the subgraph
-    induced by A on touched vertices), computed per subset by union-find.
+    rank(A) = (#vertices) - (#components of the spanning subgraph with
+    edge set A).  The table is built one edge at a time, highest bit
+    last: ``lab[A]`` holds the component label of every vertex of the
+    subgraph A, so adding edge (u, v) to each subset A of the earlier
+    edges relabels u's component as v's and raises the rank exactly
+    when the two labels differed.
     """
     m = len(G.edges)
     if m > MAX_ELEMENTS:
         raise MatroidError(f"too many edges: {m} > {MAX_ELEMENTS}")
-    nv = G.vertex_count
-    edges = G.edges
-    table = bytearray(1 << m)
-    for A in range(1, 1 << m):
-        parent = list(range(nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        rank = 0
-        mset = A
-        while mset:
-            bit = mset & -mset
-            mset ^= bit
-            u, v = edges[bit.bit_length() - 1]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                rank += 1
-        table[A] = rank
-    return Matroid(G.labels, bytes(table))
+    # only the at most 2m endpoints matter, so labels fit in uint8
+    pos = {x: i for i, x in enumerate(sorted({x for e in G.edges for x in e}))}
+    lab = np.arange(len(pos), dtype=np.uint8)[None, :]
+    rank = np.zeros(1, dtype=np.uint8)
+    for u, v in G.edges:
+        lu, lv = lab[:, pos[u], None], lab[:, pos[v], None]
+        rank = np.concatenate((rank, rank + (lu[:, 0] != lv[:, 0])))
+        lab = np.concatenate((lab, np.where(lab == lu, lv, lab)))
+    # the forests of a graph are the independent sets of a matroid
+    return Matroid(G.labels, rank.tobytes(), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +142,9 @@ def laminar_matroid(system: LaminarCapacitySystem) -> Matroid:
     """Matroid M(E, family, c) of a laminar capacity system.
 
     rank(X) is the size of a maximum I ⊆ X respecting every capacity,
-    found greedily (valid because the feasible sets form a matroid); the
-    result is re-validated against the rank axioms.
+    found greedily (valid because the feasible sets form a matroid).
+    Only the family's laminarity is checked; the table is not
+    re-validated against the rank axioms.
     """
     system.check_laminar()
     n = len(system.labels)
@@ -168,7 +169,8 @@ def laminar_matroid(system: LaminarCapacitySystem) -> Matroid:
                         counts[idx] += 1
                 taken += 1
         table[X] = taken
-    return Matroid(system.labels, bytes(table))
+    # capacities on a laminar family define a matroid (laminar matroid)
+    return Matroid(system.labels, bytes(table), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +221,9 @@ def _matching_size(element_bits: list[int], blocks: tuple[int, ...]) -> int:
 def transversal_matroid(presentation: NestedPresentation) -> Matroid:
     """Nested transversal matroid of a chain presentation.
 
-    rank(X) is the maximum matching between X and the blocks; validated
-    post hoc against the rank axioms.
+    rank(X) is the maximum matching between X and the blocks.  Only the
+    chain order is checked; the table is not re-validated against the
+    rank axioms.
     """
     presentation.check_chain()
     n = len(presentation.labels)
@@ -234,7 +237,8 @@ def transversal_matroid(presentation: NestedPresentation) -> Matroid:
             m ^= bit
             bits.append(bit)
         table[X] = _matching_size(bits, blocks)
-    return Matroid(presentation.labels, bytes(table))
+    # partial transversals of a set system form a matroid (Edmonds-Fulkerson)
+    return Matroid(presentation.labels, bytes(table), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +250,8 @@ def truncate(M: Matroid, t: int) -> Matroid:
     if not 0 <= t <= M.full_rank():
         raise MatroidError(f"truncation rank {t} out of range [0, {M.full_rank()}]")
     table = bytes(min(M.rank_table[A], t) for A in range(M.E + 1))
-    return Matroid(M.labels, table)
+    # a truncation of a matroid is a matroid
+    return Matroid(M.labels, table, validate=False)
 
 
 def _disjoint_labels(first: Sequence[str], second: Sequence[str]) -> tuple[str, ...]:
@@ -272,7 +277,8 @@ def direct_sum(M1: Matroid, M2: Matroid) -> Matroid:
     table = bytes(
         M1.rank_table[A & mask1] + M2.rank_table[A >> M1.n] for A in range(1 << n)
     )
-    return Matroid(labels, table)
+    # a direct sum of matroids is a matroid
+    return Matroid(labels, table, validate=False)
 
 
 def matroid_from_circuits(
@@ -382,7 +388,8 @@ def relax_circuit_hyperplane(M: Matroid, X: int) -> Matroid:
         raise MatroidError(f"mask {X:#x} is not a hyperplane")
     table = bytearray(M.rank_table)
     table[X] = X.bit_count()
-    return Matroid(M.labels, bytes(table))
+    # relaxing a circuit-hyperplane yields a matroid
+    return Matroid(M.labels, bytes(table), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +506,8 @@ def from_cyclic_flats(family: CyclicFlatFamily) -> Matroid:
     """Synthesize the matroid whose cyclic flats are exactly ``family``.
 
     Validates Z0-Z3 first, then builds rank(X) = min over members (Z, r)
-    of r + |X - Z| and confirms both the rank axioms and the exact
-    round trip of cyclic flats (sets and ranks).
+    of r + |X - Z| and confirms the exact round trip of cyclic flats
+    (sets and ranks).  The rank axioms are not re-checked.
     """
     v = validate_z_axioms(family)
     if v is not None:
@@ -512,7 +519,9 @@ def from_cyclic_flats(family: CyclicFlatFamily) -> Matroid:
     table = bytearray(1 << n)
     for X in range(1 << n):
         table[X] = min(r + (X & ~Z).bit_count() for Z, r in entries)
-    M = Matroid(family.labels, bytes(table))
+    # a family satisfying Z0-Z3 is the cyclic-flat lattice of this matroid
+    # (Bonin and de Mier)
+    M = Matroid(family.labels, bytes(table), validate=False)
     if set(M.cyclic_flats()) != set(entries):
         raise MatroidError("synthesized matroid does not reproduce the family")
     return M
@@ -557,7 +566,8 @@ def _fano() -> Matroid:
             table[A] = 2 if A in line_masks else 3
         else:
             table[A] = 3
-    return Matroid(tuple(f"f{i + 1}" for i in range(7)), bytes(table))
+    # the lines of PG(2, 2) are the circuit-hyperplanes of F_7
+    return Matroid(tuple(f"f{i + 1}" for i in range(7)), bytes(table), validate=False)
 
 
 def _k23_graph() -> Multigraph:

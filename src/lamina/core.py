@@ -32,6 +32,9 @@ class AxiomViolation:
     axiom: str
     witness: tuple[int, ...]
 
+    def __str__(self) -> str:
+        return f"rank axiom {self.axiom} violated at masks {self.witness}"
+
 
 def subset_sizes(n: int) -> np.ndarray:
     """Popcount of every mask over ``n`` elements, as a numpy array."""
@@ -93,6 +96,11 @@ class Matroid:
     Derived structure (circuits, flats, ...) is computed lazily and
     cached; instances are safe to share since nothing mutates after
     construction.
+
+    The rank axioms are checked only where a table comes from outside
+    the library: by default here, when a caller supplies the table, and
+    in :func:`lamina.formats.parse_matroid`.  Library constructors whose
+    output is a matroid by theorem pass ``validate=False``.
     """
 
     __slots__ = ("labels", "n", "rank_table", "E", "_cache")
@@ -117,9 +125,7 @@ class Matroid:
         if validate:
             v = validate_rank_axioms(table, n)
             if v is not None:
-                raise MatroidError(
-                    f"rank axiom {v.axiom} violated at masks {v.witness}"
-                )
+                raise MatroidError(str(v))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rank_table", table)
@@ -302,7 +308,8 @@ class Matroid:
         E = self.E
         r = rt[E]
         table = bytes(A.bit_count() + rt[E ^ A] - r for A in range(E + 1))
-        return Matroid(self.labels, table)
+        # the dual of a matroid is a matroid
+        return Matroid(self.labels, table, validate=False)
 
     # -- identity ------------------------------------------------------
 

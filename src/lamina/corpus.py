@@ -38,6 +38,10 @@ DEFAULT_WEIGHTS = {
     "named_minor": 2,
 }
 
+# The smallest element cap every generator can meet: a sparse paving
+# matroid here has rank 2 <= r <= n - 1, so n >= 3.
+MIN_ELEMENTS = 3
+
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -52,6 +56,8 @@ class CorpusSpec:
     def __post_init__(self):
         if self.max_elements > MAX_ELEMENTS:
             raise MatroidError(f"max_elements > {MAX_ELEMENTS}")
+        if self.max_elements < MIN_ELEMENTS:
+            raise MatroidError(f"max_elements must be at least {MIN_ELEMENTS}")
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +198,9 @@ def _random_sparse_paving(rng: random.Random, max_elements: int) -> Matroid:
     table = bytearray(1 << n)
     for A in range(1 << n):
         table[A] = r - 1 if A in chosen_set else min(A.bit_count(), r)
-    return Matroid(labels, bytes(table))
+    # r-sets meeting pairwise in at most r - 2 elements are the
+    # circuit-hyperplanes of a sparse paving matroid
+    return Matroid(labels, bytes(table), validate=False)
 
 
 def _random_named_minor(rng: random.Random, max_elements: int) -> Matroid:

@@ -20,7 +20,7 @@ Bodies:
 
 from __future__ import annotations
 
-from .core import Matroid, MatroidError
+from .core import MAX_ELEMENTS, Matroid, MatroidError, validate_rank_axioms
 from .constructions import (
     CyclicFlatFamily,
     LaminarCapacitySystem,
@@ -87,8 +87,21 @@ def _one_set(lineno: int, text: str) -> list[str]:
     return sets[0]
 
 
+def _int(lineno: int, text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(lineno, f"invalid {what} {text!r}") from None
+
+
 def parse_matroid(text: str) -> Matroid:
-    """Parse the text format into a validated Matroid."""
+    """Parse the text format into a Matroid.
+
+    Parsed text is untrusted, so this is a trust boundary: the finished
+    rank table is checked against the rank axioms once, here, and any
+    failure (of the axioms or of a constructor's own input checks) is
+    raised as a :class:`ParseError` with a line number.
+    """
     lines = list(_logical_lines(text))
     pos = 0
 
@@ -109,12 +122,13 @@ def parse_matroid(text: str) -> Matroid:
     parts = decl.split()
     if parts[0] != "n" or len(parts) != 2:
         raise ParseError(lineno, "expected 'n <count>'")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(lineno, f"invalid element count {parts[1]!r}") from None
+    n = _int(lineno, parts[1], "element count")
     if n < 0:
         raise ParseError(lineno, "element count must be nonnegative")
+    if n > MAX_ELEMENTS:
+        # checked before the default labels are built, which a huge n would
+        # exhaust memory on
+        raise ParseError(lineno, f"ground set too large: {n} > {MAX_ELEMENTS}")
 
     labels = tuple(f"e{i + 1}" for i in range(n))
     lineno, decl = take()
@@ -133,6 +147,7 @@ def parse_matroid(text: str) -> Matroid:
         raise ParseError(lineno, f"unknown repr kind {kind!r}")
 
     body = lines[pos:]
+    first = body[0][0] if body else lineno
     index = {lab: i for i, lab in enumerate(labels)}
 
     def mask(lineno, names):
@@ -146,25 +161,25 @@ def parse_matroid(text: str) -> Matroid:
     try:
         if kind == "uniform":
             if len(body) != 1:
-                raise ParseError(
-                    body[0][0] if body else lineno, "uniform body is a single 'r <int>' line"
-                )
+                raise ParseError(first, "uniform body is a single 'r <int>' line")
             blineno, bline = body[0]
             bparts = bline.split()
             if bparts[0] != "r" or len(bparts) != 2:
                 raise ParseError(blineno, "expected 'r <int>'")
-            return uniform(int(bparts[1]), n, labels)
+            M = uniform(_int(blineno, bparts[1], "rank"), n, labels)
 
-        if kind == "circuits":
+        elif kind == "circuits":
             if len(body) > 1:
                 raise ParseError(body[1][0], "circuits body is a single line of sets")
             circs = []
             if body:
                 blineno, bline = body[0]
                 circs = [mask(blineno, s) for s in _parse_sets(blineno, bline)]
+            # a circuit family is not known to be matroidal, so this
+            # constructor checks the rank axioms itself
             return matroid_from_circuits(labels, circs)
 
-        if kind == "cyclic-flats":
+        elif kind == "cyclic-flats":
             entries = []
             for blineno, bline in body:
                 bparts = bline.split(None, 1)
@@ -174,21 +189,18 @@ def parse_matroid(text: str) -> Matroid:
                 if "rank" not in rest:
                     raise ParseError(blineno, "missing 'rank <int>'")
                 set_text, rank_text = rest.rsplit("rank", 1)
-                try:
-                    r = int(rank_text.strip())
-                except ValueError:
-                    raise ParseError(blineno, f"invalid rank {rank_text.strip()!r}") from None
+                r = _int(blineno, rank_text.strip(), "rank")
                 entries.append((mask(blineno, _one_set(blineno, set_text)), r))
-            return from_cyclic_flats(CyclicFlatFamily(labels, tuple(entries)))
+            M = from_cyclic_flats(CyclicFlatFamily(labels, tuple(entries)))
 
-        if kind == "graph":
+        elif kind == "graph":
             if not body:
                 raise ParseError(lineno, "graph body needs a 'vertices <int>' line")
             blineno, bline = body[0]
             bparts = bline.split()
             if bparts[0] != "vertices" or len(bparts) != 2:
                 raise ParseError(blineno, "expected 'vertices <int>'")
-            nv = int(bparts[1])
+            nv = _int(blineno, bparts[1], "vertex count")
             edges = []
             edge_labels = []
             for blineno, bline in body[1:]:
@@ -196,19 +208,19 @@ def parse_matroid(text: str) -> Matroid:
                 if bparts[0] != "edge" or len(bparts) != 4:
                     raise ParseError(blineno, "expected 'edge <label> <u> <v>'")
                 edge_labels.append(bparts[1])
-                edges.append((int(bparts[2]), int(bparts[3])))
+                edges.append((_int(blineno, bparts[2], "endpoint"),
+                              _int(blineno, bparts[3], "endpoint")))
             if len(edges) != n:
-                raise ParseError(blineno if body[1:] else blineno,
-                                 f"expected {n} edges, got {len(edges)}")
+                raise ParseError(blineno, f"expected {n} edges, got {len(edges)}")
             if tuple(edge_labels) != labels:
                 # edges define their own labels; they must match the declared order
                 if sorted(edge_labels) != sorted(labels):
                     raise ParseError(blineno, "edge labels do not match declared labels")
                 order = {lab: i for i, lab in enumerate(edge_labels)}
                 edges = [edges[order[lab]] for lab in labels]
-            return cycle_matroid(Multigraph(nv, tuple(edges), labels))
+            M = cycle_matroid(Multigraph(nv, tuple(edges), labels))
 
-        if kind == "laminar":
+        elif kind == "laminar":
             fam = []
             caps = []
             for blineno, bline in body:
@@ -217,27 +229,26 @@ def parse_matroid(text: str) -> Matroid:
                     raise ParseError(blineno, "expected 'cap {..} <int>'")
                 set_text, _, cap_text = bparts[1].rpartition("}")
                 set_text += "}"
-                try:
-                    cap = int(cap_text.strip())
-                except ValueError:
-                    raise ParseError(blineno, f"invalid capacity {cap_text.strip()!r}") from None
+                cap = _int(blineno, cap_text.strip(), "capacity")
                 fam.append(mask(blineno, _one_set(blineno, set_text)))
                 caps.append(cap)
-            return laminar_matroid(LaminarCapacitySystem(labels, tuple(fam), tuple(caps)))
+            M = laminar_matroid(LaminarCapacitySystem(labels, tuple(fam), tuple(caps)))
 
-        if kind == "transversal":
+        else:  # transversal
             blocks = []
             for blineno, bline in body:
                 bparts = bline.split(None, 1)
                 if bparts[0] != "block" or len(bparts) != 2:
                     raise ParseError(blineno, "expected 'block {..}'")
                 blocks.append(mask(blineno, _one_set(blineno, bparts[1])))
-            return transversal_matroid(NestedPresentation(labels, tuple(blocks)))
+            M = transversal_matroid(NestedPresentation(labels, tuple(blocks)))
     except MatroidError as exc:
-        first = body[0][0] if body else lineno
         raise ParseError(first, str(exc)) from exc
 
-    raise ParseError(lineno, f"unhandled repr kind {kind!r}")  # pragma: no cover
+    v = validate_rank_axioms(M.rank_table, M.n)
+    if v is not None:
+        raise ParseError(first, str(v))
+    return M
 
 
 def serialize_matroid(M: Matroid) -> str:

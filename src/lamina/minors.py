@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .core import Matroid, MatroidError
 from .constructions import uniform, named_matroid
 from .laminar import (
@@ -36,38 +38,36 @@ class MinorSpec:
             raise MatroidError("delete and contract sets must be disjoint")
 
 
-def _subset_matroid(M: Matroid, keep: list[int], table_fn, validate: bool) -> Matroid:
-    labels = tuple(M.labels[i] for i in keep)
-    size = 1 << len(keep)
-    table = bytearray(size)
-    for A in range(size):
-        full = 0
-        m = A
-        while m:
-            bit = m & -m
-            m ^= bit
-            full |= 1 << keep[bit.bit_length() - 1]
-        table[A] = table_fn(full)
-    return Matroid(labels, bytes(table), validate=validate)
+def _gather(M: Matroid, drop: int, C: int) -> Matroid:
+    """Minor on the positions outside ``drop``: r'(A) = r(A ∪ C) - r(C),
+    with ``C ⊆ drop`` contracted and the rest of ``drop`` deleted.
+
+    ``idx[A]`` is the mask over M's ground set of the subset whose mask
+    over the kept positions is ``A``; it is built by doubling, one kept
+    position at a time, so the new table is a single gather.
+    """
+    idx = np.zeros(1, dtype=np.intp)
+    for p in range(M.n):
+        if not drop >> p & 1:
+            idx = np.concatenate((idx, idx | (1 << p)))
+    rt = np.frombuffer(M.rank_table, dtype=np.uint8)
+    labels = tuple(M.labels[p] for p in range(M.n) if not drop >> p & 1)
+    # deletions and contractions of a matroid are matroids
+    return Matroid(labels, (rt[idx | C] - rt[C]).tobytes(), validate=False)
 
 
-def delete(M: Matroid, D: int, validate: bool = True) -> Matroid:
+def delete(M: Matroid, D: int) -> Matroid:
     """Delete the elements of mask ``D``."""
     if D & ~M.E:
         raise MatroidError(f"mask {D:#x} not within ground set")
-    keep = [i for i in range(M.n) if not D >> i & 1]
-    rt = M.rank_table
-    return _subset_matroid(M, keep, lambda A: rt[A], validate)
+    return _gather(M, D, 0)
 
 
-def contract(M: Matroid, C: int, validate: bool = True) -> Matroid:
+def contract(M: Matroid, C: int) -> Matroid:
     """Contract the elements of mask ``C``: r'(A) = r(A ∪ C) - r(C)."""
     if C & ~M.E:
         raise MatroidError(f"mask {C:#x} not within ground set")
-    keep = [i for i in range(M.n) if not C >> i & 1]
-    rt = M.rank_table
-    rC = rt[C]
-    return _subset_matroid(M, keep, lambda A: rt[A | C] - rC, validate)
+    return _gather(M, C, C)
 
 
 def minor(M: Matroid, spec: MinorSpec) -> Matroid:
@@ -184,12 +184,12 @@ def has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
     for C in range(M.E + 1):
         if C.bit_count() != dr or rt[C] != dr:
             continue
-        MC = contract(M, C, validate=False)
+        MC = contract(M, C)
         rest = MC.E
         for D in range(rest + 1):
             if D.bit_count() != del_size:
                 continue
-            cand = delete(MC, D, validate=False)
+            cand = delete(MC, D)
             if _global_invariants(cand) != inv_N:
                 continue
             if find_isomorphism(cand, N) is not None:
@@ -206,11 +206,9 @@ _K_LAMINAR_RE = re.compile(r"^(\d+)-laminar$")
 _K_CLOSURE_RE = re.compile(r"^(\d+)-closure-laminar$")
 
 _U24 = uniform(2, 4)
-_TERNARY_EXCLUDED = ("U25", "U35", "F7", "F7star")
-
-
-def _ternary_targets():
-    return (uniform(2, 5), uniform(3, 5), named_matroid("f7"), named_matroid("f7star"))
+_TERNARY_TARGETS = (
+    uniform(2, 5), uniform(3, 5), named_matroid("f7"), named_matroid("f7star"),
+)
 
 
 def is_binary(M: Matroid) -> bool:
@@ -220,7 +218,7 @@ def is_binary(M: Matroid) -> bool:
 
 def is_ternary(M: Matroid) -> bool:
     """Ternary = no minor among U_{2,5}, U_{3,5}, F_7, F_7*."""
-    return all(has_minor(M, N) is None for N in _ternary_targets())
+    return all(has_minor(M, N) is None for N in _TERNARY_TARGETS)
 
 
 def class_predicate(name: str) -> Callable[[Matroid], bool]:

@@ -56,6 +56,19 @@ class TestAnalyze:
         assert main(["analyze", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body,line", [
+        (b"%matroid v1\nn 1\nrepr graph\nvertices two\nedge e1 0 1\n", 4),
+        (b"%matroid v1\nn 1\nrepr graph\nvertices 2\nedge e1 0 x\n", 5),
+        (b"%matroid v1\nn 2\nrepr uniform\nr 1.5\n", 4),
+        (b"%matroid v1\nn 2\nlabels a \xff\nrepr uniform\nr 1\n", 3),
+        (b"%matroid v1\nn 17\nrepr uniform\nr 1\n", 2),
+    ], ids=["vertices", "endpoint", "uniform-r", "not-utf8", "too-many"])
+    def test_malformed_input_is_a_parse_error(self, tmp_path, capsys, body, line):
+        p = tmp_path / "bad.matroid"
+        p.write_bytes(body)
+        assert main(["analyze", str(p)]) == 2
+        assert f"error: line {line}:" in capsys.readouterr().err
+
 
 class TestMinorIso:
     def test_minor_found(self, mk23_file, tmp_path, capsys):
@@ -121,3 +134,11 @@ class TestCorpus:
         assert files
         for f in files:
             parse_matroid(f.read_text())
+
+    @pytest.mark.parametrize("cap", ["0", "1", "2"])
+    def test_too_small_element_cap_is_usage_error(self, tmp_path, capsys, cap):
+        out_dir = tmp_path / "corpus"
+        assert main(["corpus", "--seed", "0", "--count", "5",
+                     "--max-elements", cap, "-o", str(out_dir)]) == 2
+        assert "max_elements must be at least 3" in capsys.readouterr().err
+        assert not out_dir.exists()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from lamina import core, formats
 from lamina.constructions import named_matroid, uniform, cycle_matroid, Multigraph
 from lamina.corpus import catalog_matroids
 from lamina.formats import ParseError, parse_matroid, serialize_matroid
@@ -84,6 +85,28 @@ class TestParseErrors:
     def test_truncated_input(self):
         with pytest.raises(ParseError):
             parse_matroid("%matroid v1\n")
+
+    def test_rank_axioms_checked_once_at_the_boundary(self, monkeypatch):
+        calls = []
+        real = formats.validate_rank_axioms
+
+        def counting(table, n):
+            calls.append(n)
+            return real(table, n)
+
+        monkeypatch.setattr(core, "validate_rank_axioms", counting)
+        monkeypatch.setattr(formats, "validate_rank_axioms", counting)
+        assert parse_matroid(serialize_matroid(named_matroid("mk23"))) \
+            == named_matroid("mk23")
+        assert calls == [6]
+
+    def test_bad_table_from_a_trusted_constructor_is_caught(self, monkeypatch):
+        # stands in for a constructor bug: a table failing R2
+        monkeypatch.setattr(formats, "uniform", lambda r, n, labels: core.Matroid(
+            labels, bytes([0, 1, 1, 0]), validate=False))
+        with pytest.raises(ParseError, match="rank axiom R2") as exc:
+            parse_matroid("%matroid v1\nn 2\nrepr uniform\nr 1\n")
+        assert exc.value.line == 4
 
     def test_invalid_matroid_reported_as_parse_error(self):
         # a cyclic-flat family violating the lattice axioms
