@@ -17,7 +17,6 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import Matroid, MatroidError
 from .constructions import (
@@ -71,16 +70,14 @@ def _sub_seed(check_id: str, seed: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared corpora and cached minor searches
+# corpora and cached minor searches
 
 
-@lru_cache(maxsize=4)
 def _sweep_corpus(seed: int) -> tuple[Matroid, ...]:
     """Small corpus for pointwise predicate sweeps."""
     return tuple(generate_corpus(CorpusSpec(seed=seed, count=80, max_elements=7)))
 
 
-@lru_cache(maxsize=4)
 def _big_corpus(seed: int) -> tuple[Matroid, ...]:
     """Corpus of >= 1000 matroids on <= 8 elements for minor-based sweeps."""
     return tuple(generate_corpus(CorpusSpec(seed=seed, count=1000, max_elements=8)))
@@ -223,7 +220,6 @@ def _cycle_with_chords(nv: int, edges: tuple[tuple[int, int], ...],
     return False
 
 
-@lru_cache(maxsize=4)
 def _graph_pool(seed: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """All simple 2-connected graphs on 3..5 vertices plus >= 500 seeded
     6-vertex samples."""
@@ -334,20 +330,33 @@ def _check_sec1_pc_example(seed):
     return True, None
 
 
+def _unnested_meets(M: Matroid) -> list[tuple[int, int]]:
+    """(C1 ∩ C2, cl C1 ∩ cl C2) over all circuit pairs, spanning circuits
+    included, with neither circuit inside the other's closure."""
+    circs = M.circuits()
+    pairs = itertools.combinations([(C, M.closure(C)) for C in circs], 2)
+    return [(C1 & C2, F1 & F2) for (C1, F1), (C2, F2) in pairs
+            if C1 & ~F2 and C2 & ~F1]
+
+
 def _check_prop_baby(seed):
     for i, M in enumerate(_sweep_corpus(seed)):
         r = M.full_rank()
         lam = [bool(is_k_laminar(M, k)) for k in range(r + 2)]
         cl = [bool(is_k_closure_laminar(M, k)) for k in range(r + 2)]
+        # the predicates scan nonspanning circuits only; (iv) and (v) say
+        # that the scan over every circuit gives the same verdicts
+        meets = _unnested_meets(M)
+        rt = M.rank_table
         for k in range(r + 2):
             if cl[k] and not lam[k]:
                 return False, _witness(M, f"corpus[{i}]: (i) fails at k={k}")
             if k and (cl[k - 1] and not cl[k] or lam[k - 1] and not lam[k]):
                 return False, _witness(M, f"corpus[{i}]: monotonicity fails at k={k}")
-            if bool(is_k_laminar(M, k, nonspanning_only=True)) != lam[k]:
+            if all(C.bit_count() < k for C, _ in meets) != lam[k]:
                 return False, _witness(M, f"corpus[{i}]: (v) fails at k={k}")
-            ns = bool(is_k_closure_laminar_circuit_form(M, k, nonspanning_only=True))
-            if ns != cl[k]:
+            scan = all(rt[F] < k for _, F in meets)
+            if not (scan == bool(is_k_closure_laminar_circuit_form(M, k)) == cl[k]):
                 return False, _witness(M, f"corpus[{i}]: (iv) fails at k={k}")
         if len(M.nonspanning_circuits()) <= 1 and not (all(lam) and all(cl)):
             return False, _witness(M, f"corpus[{i}]: (vi) fails")
@@ -501,43 +510,25 @@ def _check_lem_obvious(seed):
     return True, None
 
 
-@lru_cache(maxsize=4)
-def _em2_discrepancies(seed):
-    """Shared sweep for the two excluded-minor coverage checks."""
-    lam_targets = ("mk23minus", "m42", "m52", "n52")
-    cl_targets = ("mk23minus", "m42", "m52", "p42")
-    bad_lam = bad_cl = None
-    count = 0
-    for i, M in enumerate(_big_corpus(seed)):
-        count += 1
-        if bad_lam is None:
-            if bool(is_k_laminar(M, 2)) == any(_has_named_minor(M, t) for t in lam_targets):
-                bad_lam = (i, M)
-        if bad_cl is None:
-            if bool(is_k_closure_laminar(M, 2)) == any(
-                    _has_named_minor(M, t) for t in cl_targets):
-                bad_cl = (i, M)
-        if bad_lam and bad_cl:
-            break
-    return count, bad_lam, bad_cl
+def _em2_check(seed, predicate, targets, name):
+    """Excluded-minor coverage: over the big corpus, ``predicate`` holds
+    exactly when no listed minor is present."""
+    corpus = _big_corpus(seed)
+    for i, M in enumerate(corpus):
+        if bool(predicate(M)) == any(_has_named_minor(M, t) for t in targets):
+            return False, _witness(M, f"corpus[{i}] of {len(corpus)}: {name} status "
+                                      "does not match excluded-minor containment")
+    return True, None
 
 
 def _check_thm_em2lm(seed):
-    count, bad_lam, _ = _em2_discrepancies(seed)
-    if bad_lam is not None:
-        i, M = bad_lam
-        return False, _witness(M, f"corpus[{i}] of {count}: 2-laminar status does "
-                                  "not match excluded-minor containment")
-    return True, None
+    return _em2_check(seed, lambda M: is_k_laminar(M, 2),
+                      ("mk23minus", "m42", "m52", "n52"), "2-laminar")
 
 
 def _check_thm_em2lcm(seed):
-    count, _, bad_cl = _em2_discrepancies(seed)
-    if bad_cl is not None:
-        i, M = bad_cl
-        return False, _witness(M, f"corpus[{i}] of {count}: 2-closure-laminar status "
-                                  "does not match excluded-minor containment")
-    return True, None
+    return _em2_check(seed, lambda M: is_k_closure_laminar(M, 2),
+                      ("mk23minus", "m42", "m52", "p42"), "2-closure-laminar")
 
 
 def _check_prop_rank_k1(seed):

@@ -17,13 +17,15 @@ and the k-closure-laminar counterexample families).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_ELEMENTS, Matroid, MatroidError
+from .core import MAX_ELEMENTS, Matroid, MatroidError, subset_sizes
 
 # ---------------------------------------------------------------------------
 # uniform
@@ -141,36 +143,30 @@ class LaminarCapacitySystem:
 def laminar_matroid(system: LaminarCapacitySystem) -> Matroid:
     """Matroid M(E, family, c) of a laminar capacity system.
 
-    rank(X) is the size of a maximum I ⊆ X respecting every capacity,
-    found greedily (valid because the feasible sets form a matroid).
-    Only the family's laminarity is checked; the table is not
-    re-validated against the rank axioms.
+    rank(X) is the size of a maximum I ⊆ X respecting every capacity.
+    Members are taken by ascending size, each replacing the roots of the
+    forest built so far that lie inside it: a member A with roots R_i
+    inside it has r_A(X) = min(c(A), |X ∩ (A - ∪ R_i)| + Σ r_{R_i}(X)),
+    and rank(X) = Σ r_R(X) over the final roots + |X - ∪ roots|.  Only
+    the family's laminarity is checked; the table is not re-validated
+    against the rank axioms.
     """
     system.check_laminar()
     n = len(system.labels)
-    fam = system.family
-    caps = system.capacities
-    table = bytearray(1 << n)
-    for X in range(1, 1 << n):
-        counts = [0] * len(fam)
-        taken = 0
-        m = X
-        while m:
-            bit = m & -m
-            m ^= bit
-            ok = True
-            for idx, A in enumerate(fam):
-                if A & bit and counts[idx] + 1 > caps[idx]:
-                    ok = False
-                    break
-            if ok:
-                for idx, A in enumerate(fam):
-                    if A & bit:
-                        counts[idx] += 1
-                taken += 1
-        table[X] = taken
+    sizes = subset_sizes(n)
+    X = np.arange(1 << n)
+    roots: dict[int, np.ndarray] = {}
+    members = zip(system.family, system.capacities)
+    for A, c in sorted(members, key=lambda m: m[0].bit_count()):
+        inner = [R for R in roots if R & ~A == 0]
+        free = A & ~functools.reduce(operator.or_, inner, 0)
+        value = sizes[X & free] + sum(roots.pop(R) for R in inner)
+        # r_A(X) <= |A|, so a larger capacity never binds
+        roots[A] = np.minimum(value, min(c, A.bit_count()))
+    covered = functools.reduce(operator.or_, roots, 0)
+    table = sizes[X & ~covered] + sum(roots.values())
     # capacities on a laminar family define a matroid (laminar matroid)
-    return Matroid(system.labels, bytes(table), validate=False)
+    return Matroid(system.labels, table.astype(np.uint8).tobytes(), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -198,47 +194,28 @@ class NestedPresentation:
                 raise MatroidError("blocks do not form a chain B_1 ⊆ ... ⊆ B_m")
 
 
-def _matching_size(element_bits: list[int], blocks: tuple[int, ...]) -> int:
-    """Max bipartite matching between elements and blocks (x ~ B iff x ∈ B)."""
-    match_block = [-1] * len(blocks)
-
-    def augment(bit: int, seen: list[bool]) -> bool:
-        for bi, B in enumerate(blocks):
-            if B & bit and not seen[bi]:
-                seen[bi] = True
-                if match_block[bi] == -1 or augment(match_block[bi], seen):
-                    match_block[bi] = bit
-                    return True
-        return False
-
-    size = 0
-    for bit in element_bits:
-        if augment(bit, [False] * len(blocks)):
-            size += 1
-    return size
-
-
 def transversal_matroid(presentation: NestedPresentation) -> Matroid:
     """Nested transversal matroid of a chain presentation.
 
-    rank(X) is the maximum matching between X and the blocks.  Only the
-    chain order is checked; the table is not re-validated against the
-    rank axioms.
+    rank(X) is the maximum matching between X and the blocks.  For a
+    chain B_1 ⊆ ... ⊆ B_m a minimum vertex cover takes the blocks above
+    some B_j and the elements of X in B_j (König), so
+    rank(X) = min over j = 0..m of |X ∩ B_j| + m - j, with B_0 = ∅.
+    Only the chain order is checked; the table is not re-validated
+    against the rank axioms.
     """
     presentation.check_chain()
     n = len(presentation.labels)
     blocks = presentation.blocks
-    table = bytearray(1 << n)
-    for X in range(1, 1 << n):
-        bits = []
-        m = X
-        while m:
-            bit = m & -m
-            m ^= bit
-            bits.append(bit)
-        table[X] = _matching_size(bits, blocks)
+    m = len(blocks)
+    sizes = subset_sizes(n)
+    X = np.arange(1 << n)
+    # rank(X) <= |X ∩ B_m| <= n, so a term m - j above n never binds
+    table = np.full(1 << n, min(m, n), dtype=np.int16)
+    for j, B in enumerate(blocks, 1):
+        np.minimum(table, sizes[X & B] + min(m - j, n), out=table)
     # partial transversals of a set system form a matroid (Edmonds-Fulkerson)
-    return Matroid(presentation.labels, bytes(table), validate=False)
+    return Matroid(presentation.labels, table.astype(np.uint8).tobytes(), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +493,12 @@ def from_cyclic_flats(family: CyclicFlatFamily) -> Matroid:
     if n > MAX_ELEMENTS:
         raise MatroidError(f"ground set too large: {n} > {MAX_ELEMENTS}")
     entries = family.entries
-    table = bytearray(1 << n)
-    for X in range(1 << n):
-        table[X] = min(r + (X & ~Z).bit_count() for Z, r in entries)
+    sizes = subset_sizes(n)
+    X = np.arange(1 << n)
+    table = np.min([sizes[X & ~Z] + r for Z, r in entries], axis=0)
     # a family satisfying Z0-Z3 is the cyclic-flat lattice of this matroid
     # (Bonin and de Mier)
-    M = Matroid(family.labels, bytes(table), validate=False)
+    M = Matroid(family.labels, table.astype(np.uint8).tobytes(), validate=False)
     if set(M.cyclic_flats()) != set(entries):
         raise MatroidError("synthesized matroid does not reproduce the family")
     return M

@@ -149,6 +149,8 @@ class Matroid:
         return self.rank_table[self.E]
 
     def is_independent(self, A: int) -> bool:
+        if A & ~self.E:
+            raise MatroidError(f"mask {A:#x} not within ground set")
         return self.rank_table[A] == A.bit_count()
 
     def closure(self, A: int) -> int:
@@ -174,6 +176,8 @@ class Matroid:
         return self.closure(A) == A
 
     def is_circuit(self, A: int) -> bool:
+        if A & ~self.E:
+            raise MatroidError(f"mask {A:#x} not within ground set")
         rt = self.rank_table
         pc = A.bit_count()
         if A == 0 or rt[A] != pc - 1:

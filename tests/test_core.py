@@ -16,7 +16,13 @@ from lamina.core import (
     MatroidError,
     validate_rank_axioms,
 )
-from lamina.constructions import cycle_matroid, named_matroid, uniform, Multigraph
+from lamina.constructions import (
+    Multigraph,
+    cycle_matroid,
+    named_matroid,
+    relax_circuit_hyperplane,
+    uniform,
+)
 
 
 def brute_circuits(M):
@@ -191,6 +197,21 @@ class TestDerivedStructure:
         M = uniform(1, 2)
         with pytest.raises(MatroidError):
             M.rank(0b100)
+
+    def test_independence_bounds_check(self):
+        # -1 would read rank_table[-1], the rank of E
+        M = uniform(1, 2)
+        with pytest.raises(MatroidError):
+            M.is_independent(-1)
+        with pytest.raises(MatroidError):
+            M.is_independent(0b100)
+
+    def test_circuit_bounds_check(self):
+        M = named_matroid("mk23")
+        with pytest.raises(MatroidError):
+            M.is_circuit(1 << 20)
+        with pytest.raises(MatroidError):
+            relax_circuit_hyperplane(M, 1 << 20)
 
 
 class TestEmptyAndDegenerate:

@@ -1,11 +1,16 @@
-"""Vectorised rank-table kernels versus the per-subset reference scans.
+"""Closed forms and vectorised kernels versus the reference scans they replaced.
 
-The graphic-rank DP in ``cycle_matroid`` and the gather kernel behind
-``delete``/``contract`` must give byte-identical tables to the plain
-loops they replaced, which are kept here as oracles.  The constructors
-that no longer re-check the rank axioms are checked here instead: each
-must still return a table for which ``validate_rank_axioms`` is None.
+The graphic-rank DP in ``cycle_matroid``, the gather kernel behind
+``delete``/``contract``, the rank formulas of ``laminar_matroid``,
+``transversal_matroid`` and ``from_cyclic_flats``, and the pair
+generators behind the laminar predicates must agree exactly with the
+plain loops they replaced, which are kept here as oracles.  The
+constructors that no longer re-check the rank axioms are checked here
+instead: each must still return a table for which
+``validate_rank_axioms`` is None.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,16 +18,28 @@ from hypothesis import given, settings, strategies as st
 from lamina.core import Matroid, validate_rank_axioms
 from lamina.constructions import (
     CyclicFlatFamily,
+    LaminarCapacitySystem,
     Multigraph,
+    NestedPresentation,
     cycle_matroid,
     direct_sum,
     from_cyclic_flats,
+    laminar_matroid,
     named_matroid,
     relax_circuit_hyperplane,
+    transversal_matroid,
     truncate,
     uniform,
 )
 from lamina.corpus import CorpusSpec, generate_corpus
+from lamina.laminar import (
+    is_k_closure_laminar,
+    is_k_closure_laminar_circuit_form,
+    is_k_laminar,
+    is_nested,
+    min_closure_laminar_k,
+    min_laminar_k,
+)
 from lamina.minors import contract, delete
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -66,6 +83,108 @@ def reference_minor(M: Matroid, drop: int, C: int) -> tuple[tuple[str, ...], byt
     return tuple(M.labels[i] for i in keep), bytes(table)
 
 
+def reference_laminar_table(system: LaminarCapacitySystem) -> bytes:
+    """Greedy maximum capacity-respecting subset of every X, element by element."""
+    fam, caps = system.family, system.capacities
+    table = bytearray(1 << len(system.labels))
+    for X in range(1, len(table)):
+        counts = [0] * len(fam)
+        m = X
+        while m:
+            bit = m & -m
+            m ^= bit
+            hit = [i for i, A in enumerate(fam) if A & bit]
+            if all(counts[i] < caps[i] for i in hit):
+                for i in hit:
+                    counts[i] += 1
+                table[X] += 1
+    return bytes(table)
+
+
+def reference_transversal_table(presentation: NestedPresentation) -> bytes:
+    """Augmenting-path maximum matching of every X into the blocks."""
+    blocks = presentation.blocks
+    table = bytearray(1 << len(presentation.labels))
+    for X in range(1, len(table)):
+        match = [0] * len(blocks)
+
+        def augment(bit, seen):
+            for b, B in enumerate(blocks):
+                if B & bit and not seen[b]:
+                    seen[b] = True
+                    if not match[b] or augment(match[b], seen):
+                        match[b] = bit
+                        return True
+            return False
+
+        m = X
+        while m:
+            bit = m & -m
+            m ^= bit
+            table[X] += augment(bit, [False] * len(blocks))
+    return bytes(table)
+
+
+def reference_cyclic_flat_table(family: CyclicFlatFamily) -> bytes:
+    """min over members (Z, r) of r + |X - Z|, one subset at a time."""
+    return bytes(min(r + (X & ~Z).bit_count() for Z, r in family.entries)
+                 for X in range(1 << len(family.labels)))
+
+
+def _all_unnested_pairs(M: Matroid):
+    """Unnested circuit pairs over every circuit, spanning ones included."""
+    circs = M.circuits()
+    cls = [M.closure(C) for C in circs]
+    for i in range(len(circs)):
+        for j in range(i + 1, len(circs)):
+            if circs[i] & ~cls[j] and circs[j] & ~cls[i]:
+                yield circs[i], circs[j], cls[i], cls[j]
+
+
+def reference_k_laminar(M: Matroid, k: int):
+    """First unnested pair over all circuits meeting in >= k elements."""
+    return next(((C1, C2) for C1, C2, _, _ in _all_unnested_pairs(M)
+                 if (C1 & C2).bit_count() >= k), None)
+
+
+def reference_circuit_form(M: Matroid, k: int):
+    """First unnested pair over all circuits with r(cl C1 ∩ cl C2) >= k."""
+    return next(((C1, C2) for C1, C2, F1, F2 in _all_unnested_pairs(M)
+                 if M.rank_table[F1 & F2] >= k), None)
+
+
+def _first_incomparable(flats):
+    for i in range(len(flats)):
+        for j in range(i + 1, len(flats)):
+            if flats[i] & ~flats[j] and flats[j] & ~flats[i]:
+                return flats[i], flats[j]
+    return None
+
+
+def reference_nested(M: Matroid):
+    pair = _first_incomparable(M.hamiltonian_flats())
+    return None if pair is None else (0, *pair)
+
+
+def reference_chain_form(M: Matroid, k: int):
+    """First independent k-set X, in mask order, whose Hamiltonian flats
+    are not a chain, with the first incomparable pair containing it."""
+    for X in range(M.E + 1):
+        if X.bit_count() == k and M.rank_table[X] == k:
+            pair = _first_incomparable([F for F in M.hamiltonian_flats() if F & X == X])
+            if pair is not None:
+                return (X, *pair)
+    return None
+
+
+def reference_min_k(witness, M: Matroid) -> int:
+    """Count k up from 0 until the reference scan finds no violation."""
+    k = 0
+    while witness(M, k) is not None:
+        k += 1
+    return k
+
+
 @st.composite
 def multigraphs(draw):
     """Loops, parallel edges, isolated vertices and the empty edge set."""
@@ -73,6 +192,35 @@ def multigraphs(draw):
     vertex = st.integers(0, nv - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
     return Multigraph(nv, tuple(edges))
+
+
+@st.composite
+def laminar_systems(draw):
+    """Members cut from E or from earlier members, kept when laminar with
+    all earlier ones: duplicates, empty members, capacities 0 and above
+    |A|, and elements in no member all occur."""
+    n = draw(st.integers(0, 12))
+    full = (1 << n) - 1
+    family = []
+    for p, cut in draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, full)),
+                                max_size=7)):
+        parents = [full, *family]
+        A = parents[p % len(parents)] & cut
+        if all(not A & B or not A & ~B or not B & ~A for B in family):
+            family.append(A)
+    caps = draw(st.lists(st.integers(0, 14), min_size=len(family),
+                         max_size=len(family)))
+    return LaminarCapacitySystem([f"e{i}" for i in range(n)], family, caps)
+
+
+@st.composite
+def nested_presentations(draw):
+    """B_j = B_{j-1} | d_j, so empty and repeated blocks occur, and m = 0."""
+    n = draw(st.integers(0, 12))
+    adds = draw(st.lists(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)),
+                         max_size=6))
+    blocks = list(itertools.accumulate(adds, lambda B, d: B | d))
+    return NestedPresentation([f"e{i}" for i in range(n)], blocks)
 
 
 _CORPUS = generate_corpus(CorpusSpec(seed=21, count=120, max_elements=8))
@@ -151,3 +299,63 @@ class TestTheoremBackedConstructors:
             for r in range(n + 1):
                 M = uniform(r, n)
                 assert validate_rank_axioms(M.rank_table, n) is None
+
+
+class TestPresentationRankFormulas:
+    @PROPERTY
+    @given(laminar_systems())
+    def test_laminar_matches_greedy(self, system):
+        assert laminar_matroid(system).rank_table == reference_laminar_table(system)
+
+    @PROPERTY
+    @given(nested_presentations())
+    def test_transversal_matches_matching(self, presentation):
+        got = transversal_matroid(presentation).rank_table
+        assert got == reference_transversal_table(presentation)
+
+    @PROPERTY
+    @given(st.sampled_from(_CORPUS))
+    def test_cyclic_flats_match_subset_scan(self, M):
+        family = CyclicFlatFamily(M.labels, M.cyclic_flats())
+        assert from_cyclic_flats(family).rank_table == reference_cyclic_flat_table(family)
+
+    def test_degenerate_presentations(self):
+        # no members, no blocks, and the empty ground set
+        for n in (0, 3):
+            labels = [f"e{i + 1}" for i in range(n)]
+            assert laminar_matroid(LaminarCapacitySystem(labels, (), ())) == uniform(n, n)
+            assert transversal_matroid(NestedPresentation(labels, ())) == uniform(0, n)
+
+    def test_values_beyond_the_table_dtype(self):
+        # capacities and block counts come from files unbounded
+        labels = ("e1", "e2", "e3")
+        system = LaminarCapacitySystem(labels, (0b111, 0b011), (10**6, 40000))
+        assert laminar_matroid(system) == uniform(3, 3)
+        chain = NestedPresentation(labels, (0b111,) * 40000)
+        assert transversal_matroid(chain) == uniform(3, 3)
+
+
+class TestPairScans:
+    """The predicates scan nonspanning circuits through one pair generator;
+    the oracles scan every circuit pair and count k up one at a time."""
+
+    @PROPERTY
+    @given(st.sampled_from(_CORPUS))
+    def test_verdicts_witnesses_and_min_k(self, M):
+        for k in range(M.full_rank() + 2):
+            assert is_k_laminar(M, k).witness == reference_k_laminar(M, k)
+            got = is_k_closure_laminar_circuit_form(M, k).witness
+            assert got == reference_circuit_form(M, k)
+            assert is_k_closure_laminar(M, k).witness == reference_chain_form(M, k)
+        assert is_nested(M).witness == reference_nested(M)
+        assert min_laminar_k(M) == reference_min_k(reference_k_laminar, M)
+        assert min_closure_laminar_k(M) == reference_min_k(reference_chain_form, M)
+
+    @pytest.mark.parametrize("name", ["mk23", "mk23minus", "f7", "f7star", "mk4"])
+    def test_catalog(self, name):
+        M = named_matroid(name)
+        for k in range(M.full_rank() + 2):
+            assert is_k_laminar(M, k).witness == reference_k_laminar(M, k)
+            assert is_k_closure_laminar(M, k).witness == reference_chain_form(M, k)
+        assert min_laminar_k(M) == reference_min_k(reference_k_laminar, M)
+        assert min_closure_laminar_k(M) == reference_min_k(reference_chain_form, M)
