@@ -39,9 +39,9 @@ def uniform(r: int, n: int, labels: Sequence[str] | None = None) -> Matroid:
         raise MatroidError(f"ground set too large: {n} > {MAX_ELEMENTS}")
     if labels is None:
         labels = tuple(f"e{i + 1}" for i in range(n))
-    table = bytes(min(A.bit_count(), r) for A in range(1 << n))
+    table = np.minimum(subset_sizes(n), r).astype(np.uint8)
     # min(|A|, r) with 0 <= r <= n is the rank function of U_{r,n}
-    return Matroid(labels, table, validate=False)
+    return Matroid(labels, table.tobytes(), validate=False)
 
 
 def circuit_matroid(m: int, prefix: str = "e") -> Matroid:
@@ -226,9 +226,9 @@ def truncate(M: Matroid, t: int) -> Matroid:
     """Cap the rank function at ``t``."""
     if not 0 <= t <= M.full_rank():
         raise MatroidError(f"truncation rank {t} out of range [0, {M.full_rank()}]")
-    table = bytes(min(M.rank_table[A], t) for A in range(M.E + 1))
+    table = np.minimum(np.frombuffer(M.rank_table, dtype=np.uint8), t)
     # a truncation of a matroid is a matroid
-    return Matroid(M.labels, table, validate=False)
+    return Matroid(M.labels, table.tobytes(), validate=False)
 
 
 def _disjoint_labels(first: Sequence[str], second: Sequence[str]) -> tuple[str, ...]:
@@ -250,12 +250,12 @@ def direct_sum(M1: Matroid, M2: Matroid) -> Matroid:
     if n > MAX_ELEMENTS:
         raise MatroidError(f"direct sum too large: {n} > {MAX_ELEMENTS}")
     labels = M1.labels + _disjoint_labels(M1.labels, M2.labels)
-    mask1 = M1.E
-    table = bytes(
-        M1.rank_table[A & mask1] + M2.rank_table[A >> M1.n] for A in range(1 << n)
-    )
+    r1 = np.frombuffer(M1.rank_table, dtype=np.uint8)
+    r2 = np.frombuffer(M2.rank_table, dtype=np.uint8)
+    # mask A = (A >> n1) * 2**n1 + (A & E1), so row A >> n1, column A & E1
+    table = r2[:, None] + r1[None, :]
     # a direct sum of matroids is a matroid
-    return Matroid(labels, table, validate=False)
+    return Matroid(labels, table.tobytes(), validate=False)
 
 
 def matroid_from_circuits(

@@ -38,10 +38,10 @@ class AxiomViolation:
 
 def subset_sizes(n: int) -> np.ndarray:
     """Popcount of every mask over ``n`` elements, as a numpy array."""
-    masks = np.arange(1 << n, dtype=np.uint32)
-    sizes = np.zeros(1 << n, dtype=np.int16)
-    for i in range(n):
-        sizes += ((masks >> i) & 1).astype(np.int16)
+    sizes = np.zeros(1, dtype=np.int16)
+    # the masks with bit i set are those without it, plus one element
+    for _ in range(n):
+        sizes = np.concatenate((sizes, sizes + 1))
     return sizes
 
 
@@ -308,12 +308,11 @@ class Matroid:
 
     def dual(self) -> "Matroid":
         """Dual matroid: r*(A) = |A| + r(E-A) - r(E)."""
-        rt = self.rank_table
-        E = self.E
-        r = rt[E]
-        table = bytes(A.bit_count() + rt[E ^ A] - r for A in range(E + 1))
+        rt = np.frombuffer(self.rank_table, dtype=np.uint8)
+        # E - A is the mask E ^ A, so r(E - A) is the table reversed
+        table = (subset_sizes(self.n) + rt[::-1] - rt[-1]).astype(np.uint8)
         # the dual of a matroid is a matroid
-        return Matroid(self.labels, table, validate=False)
+        return Matroid(self.labels, table.tobytes(), validate=False)
 
     # -- identity ------------------------------------------------------
 

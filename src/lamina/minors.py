@@ -2,9 +2,15 @@
 
 Minor search follows the standard reduction: any minor can be obtained
 by contracting an independent set of size r(M) - r(N) and then deleting
-down to |E(N)| elements, so only those candidates are enumerated.
-Witnesses are always the first found under ascending mask order, which
-keeps reports deterministic.
+down to |E(N)| elements, so only those candidates are enumerated.  The
+rank tables of many (contraction, deletion) candidates are gathered at
+once, and every candidate whose multiset of (|A|, r(A)) (the
+rank-generating function, an isomorphism invariant) differs from the
+target's is rejected in that batch; only the survivors are built as
+matroids and tested for isomorphism, in order.  Since the filter never
+rejects an isomorphic candidate, witnesses are the same as an exhaustive
+scan's: the first found under ascending mask order, which keeps reports
+deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Matroid, MatroidError
+from .core import Matroid, MatroidError, subset_sizes
 from .constructions import uniform, named_matroid
 from .laminar import (
     is_k_closure_laminar,
@@ -38,20 +44,36 @@ class MinorSpec:
             raise MatroidError("delete and contract sets must be disjoint")
 
 
+# Cells of one candidate batch in has_minor: its int64 masks and keys
+# take under 2 MiB; larger batches raise peak memory and are no faster.
+_BATCH_CELLS = 1 << 15
+
+
+def _subset_index(bits: np.ndarray) -> np.ndarray:
+    """``out[..., A]`` is the union of ``bits[..., j]`` over the bits j of
+    ``A``: the mask, over a larger ground set, of the subset whose mask
+    over the chosen positions is ``A``.  Built by doubling, one position
+    (last axis of ``bits``) at a time, so a minor's table is one gather.
+    """
+    idx = np.zeros(bits.shape[:-1] + (1,), dtype=np.intp)
+    for j in range(bits.shape[-1]):
+        idx = np.concatenate((idx, idx | bits[..., j:j + 1]), axis=-1)
+    return idx
+
+
+def _bit_positions(masks: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Positions of the ``k`` set bits among the low ``n`` bits of each
+    mask, ascending, as a ``(len(masks), k)`` array."""
+    return np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(len(masks), k)
+
+
 def _gather(M: Matroid, drop: int, C: int) -> Matroid:
     """Minor on the positions outside ``drop``: r'(A) = r(A ∪ C) - r(C),
-    with ``C ⊆ drop`` contracted and the rest of ``drop`` deleted.
-
-    ``idx[A]`` is the mask over M's ground set of the subset whose mask
-    over the kept positions is ``A``; it is built by doubling, one kept
-    position at a time, so the new table is a single gather.
-    """
-    idx = np.zeros(1, dtype=np.intp)
-    for p in range(M.n):
-        if not drop >> p & 1:
-            idx = np.concatenate((idx, idx | (1 << p)))
+    with ``C ⊆ drop`` contracted and the rest of ``drop`` deleted."""
+    keep = [p for p in range(M.n) if not drop >> p & 1]
+    idx = _subset_index(np.array([1 << p for p in keep], dtype=np.intp))
     rt = np.frombuffer(M.rank_table, dtype=np.uint8)
-    labels = tuple(M.labels[p] for p in range(M.n) if not drop >> p & 1)
+    labels = tuple(M.labels[p] for p in keep)
     # deletions and contractions of a matroid are matroids
     return Matroid(labels, (rt[idx | C] - rt[C]).tobytes(), validate=False)
 
@@ -72,6 +94,9 @@ def contract(M: Matroid, C: int) -> Matroid:
 
 def minor(M: Matroid, spec: MinorSpec) -> Matroid:
     """Apply a MinorSpec (deletion first; the operations commute)."""
+    if (spec.delete | spec.contract) & ~M.E:
+        raise MatroidError(
+            f"minor spec {spec.delete:#x}/{spec.contract:#x} not within ground set")
     M2 = delete(M, spec.delete)
     return contract(M2, M2.mask(M.names(spec.contract)))
 
@@ -171,31 +196,50 @@ def has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
     """First MinorSpec (ascending contract mask, then delete mask) whose
     minor of M is isomorphic to N, or None.
 
-    Contract sets range over independent sets of size r(M) - r(N) only,
-    which loses no minors.
+    Contract sets C range over independent sets of size r(M) - r(N) only,
+    which loses no minors.  The tables of the candidates M / C \\ D are
+    gathered many rows at a time, ``rt[idx | C] - rt[C]``, and a
+    candidate goes on to the exact isomorphism test only if its multiset
+    of (|A|, r(A)) equals N's.  Isomorphic matroids have equal
+    multisets, so no minor is lost and the witness is the one an
+    exhaustive scan in (C, D) order would return.
     """
     dr = M.full_rank() - N.full_rank()
     dn = M.n - N.n
     if dr < 0 or dn < dr:
         return None
-    del_size = dn - dr
-    rt = M.rank_table
-    inv_N = _global_invariants(N)
-    for C in range(M.E + 1):
-        if C.bit_count() != dr or rt[C] != dr:
-            continue
-        MC = contract(M, C)
-        rest = MC.E
-        for D in range(rest + 1):
-            if D.bit_count() != del_size:
-                continue
-            cand = delete(MC, D)
-            if _global_invariants(cand) != inv_N:
-                continue
-            if find_isomorphism(cand, N) is not None:
-                # express D in the original ground set
-                d_names = MC.names(D)
-                return MinorSpec(M.mask(d_names), C)
+    m = N.n
+    # (|A|, r(A)) as one key in [0, width), both at most m
+    width = (m + 1) ** 2
+    keys = subset_sizes(m).astype(np.intp) * (m + 1)
+    target = np.bincount(keys + np.frombuffer(N.rank_table, dtype=np.uint8),
+                         minlength=width)
+    rt = np.frombuffer(M.rank_table, dtype=np.uint8)
+    Cs = np.flatnonzero((subset_sizes(M.n) == dr) & (rt == dr))
+    # bits of the n - dr positions outside each C, ascending
+    free = M.n - dr
+    outside = 1 << _bit_positions(~Cs, M.n, free)
+    # deletion sets as ascending masks over those positions, and the
+    # positions each one keeps
+    D_local = np.flatnonzero(subset_sizes(free) == dn - dr)
+    kept = _bit_positions(~D_local, free, m)
+    # candidate row c * len(D_local) + d is (Cs[c], D_local[d]): (C, D) order
+    total = len(Cs) * len(D_local)
+    rows = max(1, _BATCH_CELLS >> m)
+    for start in range(0, total, rows):
+        c, d = np.divmod(np.arange(start, min(start + rows, total)), len(D_local))
+        idx = _subset_index(outside[c[:, None], kept[d]])
+        C = Cs[c, None]
+        # r(A ∪ C) >= r(C), so the uint8 difference does not wrap; each
+        # row gets its own band of keys
+        band = width * np.arange(len(idx))[:, None]
+        flat = (keys + (rt[idx | C] - rt[C]) + band).ravel()
+        hist = np.bincount(flat, minlength=len(idx) * width).reshape(-1, width)
+        for i in np.flatnonzero((hist == target).all(axis=1)).tolist():
+            # idx[i, -1] is the mask of every kept element
+            spec = MinorSpec(M.E & ~int(idx[i, -1]) & ~int(C[i, 0]), int(C[i, 0]))
+            if find_isomorphism(minor(M, spec), N) is not None:
+                return spec
     return None
 
 

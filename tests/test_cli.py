@@ -1,11 +1,16 @@
 """CLI behavior: subcommands, exit codes, JSON modes."""
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lamina.cli import main
 from lamina.constructions import named_matroid, uniform
+from lamina.corpus import CorpusSpec, generate_corpus
 from lamina.formats import parse_matroid, serialize_matroid
 
 
@@ -68,6 +73,59 @@ class TestAnalyze:
         p.write_bytes(body)
         assert main(["analyze", str(p)]) == 2
         assert f"error: line {line}:" in capsys.readouterr().err
+
+
+_WELL_FORMED = [
+    "%matroid v1\nn 4\nrepr uniform\nr 2\n",
+    "%matroid v1\nn 4\nrepr circuits\n{e1 e2} {e3 e4}\n",
+    "%matroid v1\nn 3\nlabels a b c\nrepr graph\nvertices 3\n"
+    "edge a 0 1\nedge b 1 2\nedge c 2 0\n",
+    "%matroid v1\nn 4\nrepr laminar\ncap {e1 e2 e3 e4} 2\ncap {e1 e2} 1\n",
+    "%matroid v1\nn 3\nrepr transversal\nblock {e1}\nblock {e1 e2 e3}\n",
+    "# comment\n%matroid v1\nn 2  # two\n\nrepr uniform\nr 1\n",
+    serialize_matroid(named_matroid("mk23")),
+    *(serialize_matroid(M) for M in generate_corpus(CorpusSpec(seed=9, count=4))[-4:]),
+]
+_BAD_INTEGERS = ["x", "-5", "-1", "1.5", "", "99999999999999999999", "0x10", "1e3"]
+
+
+@st.composite
+def mutated_texts(draw):
+    """A well-formed text with lines dropped, duplicated or garbled, or an
+    integer replaced by a bad one."""
+    lines = draw(st.sampled_from(_WELL_FORMED)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "garble", "integer"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "garble":
+            lines[i] = draw(st.text(st.sampled_from("e1 2{}#-.xrnsetvk%\u00e9"), max_size=20))
+        else:
+            bad = draw(st.sampled_from(_BAD_INTEGERS))
+            lines[i] = re.sub(r"\d+", lambda _: bad, lines[i], count=1)
+    return "\n".join(lines) + "\n"
+
+
+class TestMalformedInputFuzz:
+    """Every malformed text ends in exit 2 with a line number; a mutation
+    that leaves a valid matroid may exit 0.  A traceback fails the test."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(mutated_texts())
+    def test_analyze_never_raises(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("fuzz") / "m.matroid"
+        p.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["analyze", str(p)])
+        assert rc in (0, 2)
+        if rc == 2:
+            assert re.fullmatch(r"error: line \d+(, column \d+)?: .+\n", err.getvalue())
 
 
 class TestMinorIso:

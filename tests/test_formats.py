@@ -1,10 +1,11 @@
 """Text format: all repr kinds, error reporting, serialize round trips."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lamina import core, formats
 from lamina.constructions import named_matroid, uniform, cycle_matroid, Multigraph
-from lamina.corpus import catalog_matroids
+from lamina.corpus import CorpusSpec, catalog_matroids, generate_corpus
 from lamina.formats import ParseError, parse_matroid, serialize_matroid
 
 
@@ -120,6 +121,11 @@ class TestRoundTrip:
     @pytest.mark.parametrize("name,M", catalog_matroids(8),
                              ids=[name for name, _ in catalog_matroids(8)])
     def test_catalog_round_trip(self, name, M):
+        assert parse_matroid(serialize_matroid(M)) == M
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(generate_corpus(CorpusSpec(seed=5, count=300, max_elements=10))))
+    def test_seeded_corpus_round_trip(self, M):
         assert parse_matroid(serialize_matroid(M)) == M
 
     def test_empty_matroid_round_trip(self):

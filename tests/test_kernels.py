@@ -1,10 +1,12 @@
 """Closed forms and vectorised kernels versus the reference scans they replaced.
 
 The graphic-rank DP in ``cycle_matroid``, the gather kernel behind
-``delete``/``contract``, the rank formulas of ``laminar_matroid``,
-``transversal_matroid`` and ``from_cyclic_flats``, and the pair
-generators behind the laminar predicates must agree exactly with the
-plain loops they replaced, which are kept here as oracles.  The
+``delete``/``contract``, the one-expression tables of ``uniform``,
+``truncate``, ``direct_sum`` and ``Matroid.dual``, the rank formulas of
+``laminar_matroid``, ``transversal_matroid`` and ``from_cyclic_flats``,
+the pair generators behind the laminar predicates and the batched
+candidate filter of ``has_minor`` must agree exactly with the plain
+loops they replaced, which are kept here as oracles.  The
 constructors that no longer re-check the rank axioms are checked here
 instead: each must still return a table for which
 ``validate_rank_axioms`` is None.
@@ -12,10 +14,12 @@ instead: each must still return a table for which
 
 import itertools
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamina.core import Matroid, validate_rank_axioms
+from lamina.core import Matroid, subset_sizes, validate_rank_axioms
 from lamina.constructions import (
     CyclicFlatFamily,
     LaminarCapacitySystem,
@@ -25,6 +29,7 @@ from lamina.constructions import (
     direct_sum,
     from_cyclic_flats,
     laminar_matroid,
+    mn_family,
     named_matroid,
     relax_circuit_hyperplane,
     transversal_matroid,
@@ -40,7 +45,16 @@ from lamina.laminar import (
     min_closure_laminar_k,
     min_laminar_k,
 )
-from lamina.minors import contract, delete
+from lamina import minors
+from lamina.minors import (
+    _global_invariants,
+    MinorSpec,
+    contract,
+    delete,
+    find_isomorphism,
+    has_minor,
+    minor,
+)
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
 
@@ -81,6 +95,65 @@ def reference_minor(M: Matroid, drop: int, C: int) -> tuple[tuple[str, ...], byt
                 full |= 1 << i
         table[A] = rt[full | C] - rt[C]
     return tuple(M.labels[i] for i in keep), bytes(table)
+
+
+def reference_subset_sizes(n: int) -> np.ndarray:
+    masks = np.arange(1 << n, dtype=np.uint32)
+    sizes = np.zeros(1 << n, dtype=np.int16)
+    for i in range(n):
+        sizes += ((masks >> i) & 1).astype(np.int16)
+    return sizes
+
+
+def reference_uniform_table(r: int, n: int) -> bytes:
+    return bytes(min(A.bit_count(), r) for A in range(1 << n))
+
+
+def reference_truncate_table(M: Matroid, t: int) -> bytes:
+    return bytes(min(M.rank_table[A], t) for A in range(M.E + 1))
+
+
+def reference_direct_sum_table(M1: Matroid, M2: Matroid) -> bytes:
+    mask1 = M1.E
+    return bytes(
+        M1.rank_table[A & mask1] + M2.rank_table[A >> M1.n]
+        for A in range(1 << (M1.n + M2.n))
+    )
+
+
+def reference_dual_table(M: Matroid) -> bytes:
+    rt = M.rank_table
+    E = M.E
+    r = rt[E]
+    return bytes(A.bit_count() + rt[E ^ A] - r for A in range(E + 1))
+
+
+def reference_has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
+    """Every (C, D) candidate built as a Matroid, then compared by
+    circuit sizes and flats per rank before the isomorphism test."""
+    dr = M.full_rank() - N.full_rank()
+    dn = M.n - N.n
+    if dr < 0 or dn < dr:
+        return None
+    del_size = dn - dr
+    rt = M.rank_table
+    inv_N = _global_invariants(N)
+    for C in range(M.E + 1):
+        if C.bit_count() != dr or rt[C] != dr:
+            continue
+        MC = contract(M, C)
+        rest = MC.E
+        for D in range(rest + 1):
+            if D.bit_count() != del_size:
+                continue
+            cand = delete(MC, D)
+            if _global_invariants(cand) != inv_N:
+                continue
+            if find_isomorphism(cand, N) is not None:
+                # express D in the original ground set
+                d_names = MC.names(D)
+                return MinorSpec(M.mask(d_names), C)
+    return None
 
 
 def reference_laminar_table(system: LaminarCapacitySystem) -> bytes:
@@ -226,6 +299,13 @@ def nested_presentations(draw):
 _CORPUS = generate_corpus(CorpusSpec(seed=21, count=120, max_elements=8))
 
 
+def small_matroids():
+    """Matroids on 0..12 elements: laminar, graphic and seeded-corpus ones."""
+    return st.one_of(laminar_systems().map(laminar_matroid),
+                     multigraphs().map(cycle_matroid),
+                     st.sampled_from(_CORPUS))
+
+
 class TestCycleMatroidKernel:
     @PROPERTY
     @given(multigraphs())
@@ -359,3 +439,132 @@ class TestPairScans:
             assert is_k_closure_laminar(M, k).witness == reference_chain_form(M, k)
         assert min_laminar_k(M) == reference_min_k(reference_k_laminar, M)
         assert min_closure_laminar_k(M) == reference_min_k(reference_chain_form, M)
+
+
+class TestOneExpressionTables:
+    def test_subset_sizes(self):
+        for n in range(17):
+            got = subset_sizes(n)
+            assert got.dtype == np.int16 and got.tobytes() == reference_subset_sizes(n).tobytes()
+
+    def test_uniform(self):
+        for n in range(13):
+            for r in range(n + 1):
+                assert uniform(r, n).rank_table == reference_uniform_table(r, n)
+
+    @PROPERTY
+    @given(small_matroids())
+    def test_truncate_and_dual(self, M):
+        for t in range(M.full_rank() + 1):
+            assert truncate(M, t).rank_table == reference_truncate_table(M, t)
+        assert M.dual().rank_table == reference_dual_table(M)
+
+    @PROPERTY
+    @given(small_matroids(), small_matroids())
+    def test_direct_sum(self, M1, M2):
+        # at most 12 elements in all, so the oracle stays quick
+        M2 = delete(M2, M2.E & ~((1 << max(0, 12 - M1.n)) - 1))
+        assert direct_sum(M1, M2).rank_table == reference_direct_sum_table(M1, M2)
+
+
+def _rank_histogram(M: Matroid) -> np.ndarray:
+    """Counts of (|A|, r(A)) over all subsets A."""
+    keys = subset_sizes(M.n).astype(np.intp) * (M.n + 1)
+    return np.bincount(keys + np.frombuffer(M.rank_table, dtype=np.uint8),
+                       minlength=(M.n + 1) ** 2)
+
+
+def _loops_and_coloops(M: Matroid) -> Matroid:
+    return direct_sum(M, direct_sum(uniform(0, 2), uniform(1, 1)))
+
+
+def _seed0_tutte_twins() -> tuple[Matroid, Matroid]:
+    """Members 7 and 990 of the seed-0, 1000-member, 8-element corpus:
+    rank 4, 7 elements, 17 circuits each, equal (|A|, r(A)) counts, not
+    isomorphic (two 4-element circuit-hyperplanes meeting in one element
+    versus in two)."""
+    a = CyclicFlatFamily(("p1", "x1", "x2", "x3", "y1", "y2", "y3"),
+                         ((0, 0), (0b0001111, 3), (0b1110001, 3), (0b1111111, 4)))
+    b = CyclicFlatFamily(tuple(f"e{i + 1}" for i in range(7)),
+                         ((0, 0), (0b0111001, 3), (0b1100101, 3), (0b1111111, 4)))
+    return from_cyclic_flats(a), from_cyclic_flats(b)
+
+
+class TestMinorSearch:
+    """has_minor rejects candidates by one batched (|A|, r(A)) histogram;
+    the oracle builds every candidate and compares circuits and flats."""
+
+    @PROPERTY
+    @given(st.sampled_from(_CORPUS), st.sampled_from(_CORPUS))
+    def test_corpus_pairs_match_candidate_scan(self, M, N):
+        assert has_minor(M, N) == reference_has_minor(M, N)
+
+    @PROPERTY
+    @given(st.sampled_from(_CORPUS), st.integers(0, (1 << 16) - 1),
+           st.integers(0, (1 << 16) - 1))
+    def test_minors_of_the_host_are_found(self, M, d, c):
+        D = d & M.E
+        N = minor(M, MinorSpec(D, c & M.E & ~D))
+        spec = has_minor(M, N)
+        assert spec == reference_has_minor(M, N)
+        assert find_isomorphism(minor(M, spec), N) is not None
+
+    @pytest.mark.parametrize("M,N,found", [
+        (named_matroid("f7"), uniform(0, 0), True),
+        (_loops_and_coloops(uniform(2, 3)), uniform(0, 0), True),
+        (uniform(0, 0), uniform(0, 0), True),
+        (uniform(2, 5), uniform(2, 4), True),
+        (named_matroid("f7"), uniform(3, 6), False),
+        (uniform(3, 5), uniform(1, 3), True),
+        (named_matroid("f7"), uniform(1, 5), False),
+        (_loops_and_coloops(named_matroid("mk23")), uniform(2, 4), False),
+        (_loops_and_coloops(uniform(2, 4)), uniform(2, 4), True),
+        (_loops_and_coloops(uniform(2, 4)), direct_sum(uniform(0, 1), uniform(1, 1)), True),
+        (uniform(2, 4), uniform(2, 5), False),
+        (uniform(1, 3), uniform(2, 4), False),
+        (uniform(0, 0), uniform(0, 1), False),
+    ], ids=["empty-target", "empty-target-loops", "both-empty", "equal-rank",
+            "equal-rank-absent", "no-deletions", "no-deletions-absent",
+            "loops-coloops-absent", "loops-coloops", "loop-coloop-target",
+            "larger-target", "larger-target-rank", "larger-than-empty"])
+    def test_edge_cases(self, M, N, found):
+        spec = has_minor(M, N)
+        assert spec == reference_has_minor(M, N)
+        assert (spec is not None) == found
+
+    @pytest.mark.parametrize("cells", [1, 40, 1 << 10])
+    def test_batch_boundaries(self, monkeypatch, cells):
+        # many small batches must give the same first witness as one
+        monkeypatch.setattr(minors, "_BATCH_CELLS", cells)
+        for M in _CORPUS[::12]:
+            for N in (uniform(1, 2), uniform(2, 3), _CORPUS[5], minor(M, MinorSpec(0b101, 0b10))):
+                assert has_minor(M, N) == reference_has_minor(M, N)
+
+    def test_tutte_equivalent_candidate_is_rejected(self, monkeypatch):
+        M, N = _seed0_tutte_twins()
+        assert (_rank_histogram(M) == _rank_histogram(N)).all()
+        assert len(M.circuits()) == len(N.circuits()) == 17
+        calls = []
+
+        def counting(M1, M2):
+            calls.append(M1)
+            return find_isomorphism(M1, M2)
+
+        monkeypatch.setattr(minors, "find_isomorphism", counting)
+        # the one candidate (M itself) passes the histogram
+        assert has_minor(M, N) is None and len(calls) == 1
+        assert has_minor(N, M) is None and len(calls) == 2
+        assert reference_has_minor(M, N) is None
+
+    def test_m72_has_no_m42_minor(self, monkeypatch):
+        N = mn_family(4, 2)
+        tested = []
+
+        def recording(M1, M2):
+            tested.append(M1)
+            return find_isomorphism(M1, M2)
+
+        monkeypatch.setattr(minors, "find_isomorphism", recording)
+        assert has_minor(mn_family(7, 2), N) is None
+        # only candidates with N's (|A|, r(A)) counts reach the exact test
+        assert all((_rank_histogram(M) == _rank_histogram(N)).all() for M in tested)

@@ -62,6 +62,16 @@ class TestDeleteContract:
         with pytest.raises(MatroidError):
             delete(uniform(1, 2), 0b100)
 
+    @pytest.mark.parametrize("spec", [
+        MinorSpec(0, 1 << 9), MinorSpec(1 << 4, 0), MinorSpec(0b1, 0b10000),
+        MinorSpec(-1, 0), MinorSpec(0, -2),
+    ], ids=["contract-far", "delete-next", "contract-next", "negative-delete",
+            "negative-contract"])
+    def test_minor_spec_bounds(self, spec):
+        # a contract bit outside E(M) used to be dropped without a word
+        with pytest.raises(MatroidError):
+            minor(uniform(2, 4), spec)
+
 
 class TestIsomorphism:
     def test_identity(self):
