@@ -114,13 +114,13 @@ def test_acceptance_excluded_minor_battery(capsys):
 
 
 def test_acceptance_em2_corpus(capsys):
-    from lamina.checks import _big_corpus, _sub_seed
+    from lamina.checks import CHECKS, _sub_seed
 
-    # the corpora the two checks sweep under seed 0
+    # the corpora the two checks sweep under seed 0, read from their entries
     sizes = []
     ok = True
     for cid in ("thm-em2lm", "thm-em2lcm"):
-        corpus = _big_corpus(_sub_seed(cid, 0))
+        corpus = CHECKS[cid].corpus(_sub_seed(cid, 0))
         sizes.append(len(corpus))
         ok = ok and len(corpus) >= 1000 and all(M.n <= 8 for M in corpus)
     r1 = run_check("thm-em2lm")
