@@ -1,12 +1,11 @@
 """Matroid constructors: parametric families and generic operations.
 
 Rank tables are validated only where the input is not known to define
-a matroid: :func:`matroid_from_circuits` (and so
-:func:`parallel_connection`) checks the rank axioms on every table it
-builds.  Every other constructor first checks its own input
-(laminarity, chain order, Z0-Z3, circuit-hyperplane) and then builds a
-table that is a matroid by theorem, named at each call, without
-re-checking the axioms.
+a matroid: :func:`matroid_from_circuits` checks the rank axioms on
+every table it builds.  Every other constructor first checks its own
+input (laminarity, chain order, Z0-Z3, circuit-hyperplane, basepoint)
+and then builds its table as a numpy formula that is a matroid by
+theorem, named at each call, without re-checking the axioms.
 
 The module covers uniform and cycle matroids, laminar capacity systems,
 nested transversal presentations, truncation, direct sum, parallel
@@ -25,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_ELEMENTS, Matroid, MatroidError, subset_sizes
+from .core import MAX_ELEMENTS, Matroid, MatroidError, subset_index, subset_sizes
 
 # ---------------------------------------------------------------------------
 # uniform
@@ -258,15 +257,14 @@ def direct_sum(M1: Matroid, M2: Matroid) -> Matroid:
     return Matroid(labels, table.tobytes(), validate=False)
 
 
-def matroid_from_circuits(
-    labels: Sequence[str], circuits: Iterable[int], exact: bool = True
-) -> Matroid:
+def matroid_from_circuits(labels: Sequence[str], circuits: Iterable[int]) -> Matroid:
     """Build a matroid whose circuits are exactly the given masks.
 
-    Independence is "contains no listed circuit"; the rank table comes
-    from the DP r(A) = max_e r(A - e) on dependent sets.  Raises if the
-    family is not an antichain, if the table fails the rank axioms, or
-    (with ``exact``) if the result's circuits differ from the input.
+    Independence is "contains no listed circuit": an OR pass over
+    subsets, one element at a time, marks the sets that contain one, and
+    a max pass then gives r(A) = the largest independent subset of A.
+    Raises if the family is not an antichain, if the table fails the
+    rank axioms, or if the result's circuits differ from the input.
     """
     labels = tuple(labels)
     n = len(labels)
@@ -277,28 +275,24 @@ def matroid_from_circuits(
     for C in circs:
         if C == 0 or C & ~full:
             raise MatroidError(f"invalid circuit mask {C:#x}")
-    for a, b in itertools.combinations(circs, 2):
-        if a & ~b == 0 or b & ~a == 0:
-            raise MatroidError("circuit family is not an antichain")
 
-    circ_set = set(circs)
-    dep = bytearray(1 << n)
-    table = bytearray(1 << n)
-    for A in range(1, 1 << n):
-        d = A in circ_set
-        r = 0
-        m = A
-        while m:
-            bit = m & -m
-            m ^= bit
-            sub = A ^ bit
-            d = d or dep[sub]
-            if table[sub] > r:
-                r = table[sub]
-        dep[A] = 1 if d else 0
-        table[A] = r if d else A.bit_count()
-    M = Matroid(labels, bytes(table))
-    if exact and list(M.circuits()) != circs:
+    def up(table, op):
+        # the masks with bit i set follow, in blocks, those without it
+        for i in range(n):
+            pair = table.reshape(-1, 2, 1 << i)
+            op(pair[:, 1], pair[:, 0], out=pair[:, 1])
+        return table
+
+    dep = np.zeros(1 << n, dtype=bool)
+    dep[circs] = True
+    up(dep, np.logical_or)
+    # a listed circuit contains another exactly when some C - e is dependent
+    C = np.array(circs, dtype=np.intp)
+    if any(dep[C[C >> i & 1 == 1] ^ 1 << i].any() for i in range(n)):
+        raise MatroidError("circuit family is not an antichain")
+    table = up(np.where(dep, 0, subset_sizes(n)).astype(np.uint8), np.maximum)
+    M = Matroid(labels, table.tobytes())
+    if list(M.circuits()) != circs:
         raise MatroidError("given family is not the circuit set of a matroid")
     return M
 
@@ -306,9 +300,10 @@ def matroid_from_circuits(
 def parallel_connection(M1: Matroid, p1: str, M2: Matroid, p2: str) -> Matroid:
     """Parallel connection of (M1, p1) and (M2, p2) at a shared basepoint.
 
-    The basepoint keeps M1's label; remaining M2 labels are renamed on
-    clash.  Circuits are C(M1) ∪ C(M2) ∪ {(C1-p1) ∪ (C2-p2)} over
-    basepoint circuits, and the rank table is rebuilt from them.
+    The basepoint keeps M1's label; M2's other elements follow M1's, in
+    order, renamed on clash.  With X1 and X2 the parts of X in E1 and E2,
+    the basepoint p in both when p ∈ X,
+    r(X) = r1(X1) + r2(X2) - [p ∈ cl1(X1) and p ∈ cl2(X2)].
     """
     i1 = M1.labels.index(p1) if p1 in M1.labels else -1
     i2 = M2.labels.index(p2) if p2 in M2.labels else -1
@@ -327,34 +322,18 @@ def parallel_connection(M1: Matroid, p1: str, M2: Matroid, p2: str) -> Matroid:
         raise MatroidError(f"parallel connection too large: {n} > {MAX_ELEMENTS}")
 
     rest2 = [i for i in range(M2.n) if i != i2]
-    labels2 = _disjoint_labels(M1.labels, tuple(M2.labels[i] for i in rest2))
-    labels = M1.labels + labels2
-    # position maps into the glued ground set
-    map2 = {}
-    for pos, i in enumerate(rest2):
-        map2[i] = M1.n + pos
-    map2[i2] = i1
-
-    def lift2(C: int) -> int:
-        out = 0
-        m = C
-        while m:
-            bit = m & -m
-            m ^= bit
-            out |= 1 << map2[bit.bit_length() - 1]
-        return out
-
-    p_bit = 1 << i1
-    c1 = list(M1.circuits())
-    c2 = [lift2(C) for C in M2.circuits()]
-    cross = [
-        (a ^ p_bit) | (b ^ p_bit)
-        for a in c1
-        if a & p_bit
-        for b in c2
-        if b & p_bit
-    ]
-    return matroid_from_circuits(labels, c1 + c2 + cross)
+    labels = M1.labels + _disjoint_labels(M1.labels, tuple(M2.labels[i] for i in rest2))
+    rt1 = np.frombuffer(M1.rank_table, dtype=np.uint8)
+    rt2 = np.frombuffer(M2.rank_table, dtype=np.uint8)
+    # r2(X2) - [p ∈ cl2(X2)] is the same with p taken out of X2, so row
+    # X >> n1 reads M2 at X2 - p and column X & E1 reads M1 at X1
+    X2 = subset_index(np.array([1 << i for i in rest2], dtype=np.intp))
+    in_cl1 = rt1[np.arange(1 << M1.n) | 1 << i1] == rt1
+    in_cl2 = rt2[X2 | 1 << i2] == rt2[X2]
+    # p is no loop, so r1(X1) >= 1 wherever p ∈ cl1(X1)
+    table = rt2[X2, None] + rt1 - (in_cl2[:, None] & in_cl1)
+    # the rank function of a parallel connection (Oxley, Matroid Theory, §7.1)
+    return Matroid(labels, table.tobytes(), validate=False)
 
 
 def relax_circuit_hyperplane(M: Matroid, X: int) -> Matroid:
@@ -531,20 +510,20 @@ def circuits_from_cyclic_flats(family: CyclicFlatFamily) -> tuple[int, ...]:
 # named catalog
 
 
+def _sparse_paving(labels: Sequence[str], r: int, hyperplanes: Iterable[int]) -> Matroid:
+    """U_{r,n} with the given r-sets lowered to rank r - 1.  Callers pass
+    r-sets that meet pairwise in at most r - 2 elements."""
+    table = np.minimum(subset_sizes(len(labels)), r).astype(np.uint8)
+    table[list(hyperplanes)] = r - 1
+    # such r-sets are the circuit-hyperplanes of a sparse paving matroid
+    return Matroid(labels, table.tobytes(), validate=False)
+
+
 def _fano() -> Matroid:
     lines = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
-    line_masks = {sum(1 << i for i in line) for line in lines}
-    table = bytearray(1 << 7)
-    for A in range(1 << 7):
-        pc = A.bit_count()
-        if pc <= 2:
-            table[A] = pc
-        elif pc == 3:
-            table[A] = 2 if A in line_masks else 3
-        else:
-            table[A] = 3
-    # the lines of PG(2, 2) are the circuit-hyperplanes of F_7
-    return Matroid(tuple(f"f{i + 1}" for i in range(7)), bytes(table), validate=False)
+    # the lines of PG(2, 2) meet pairwise in one point
+    return _sparse_paving(tuple(f"f{i + 1}" for i in range(7)), 3,
+                          (sum(1 << i for i in line) for line in lines))
 
 
 def _k23_graph() -> Multigraph:

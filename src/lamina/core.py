@@ -45,6 +45,19 @@ def subset_sizes(n: int) -> np.ndarray:
     return sizes
 
 
+def subset_index(bits: np.ndarray) -> np.ndarray:
+    """``out[..., A]`` is the union of ``bits[..., j]`` over the bits j of
+    ``A``: the mask, over a larger ground set, of the subset whose mask
+    over the chosen positions is ``A``.  Built by doubling, one position
+    (last axis of ``bits``) at a time, so a table over the chosen
+    positions is one gather from the larger table.
+    """
+    idx = np.zeros(bits.shape[:-1] + (1,), dtype=np.intp)
+    for j in range(bits.shape[-1]):
+        idx = np.concatenate((idx, idx | bits[..., j:j + 1]), axis=-1)
+    return idx
+
+
 def validate_rank_axioms(table: Sequence[int], n: int) -> AxiomViolation | None:
     """Check the rank axioms R1-R3 on a candidate rank table.
 

@@ -27,6 +27,7 @@ from .constructions import (
     sec1_pc_example,
     transversal_matroid,
     NAMED_FIXED,
+    _sparse_paving,
 )
 from .minors import contract, delete
 
@@ -61,16 +62,7 @@ class CorpusSpec:
 
 
 @lru_cache(maxsize=None)
-def _catalog_cached(max_elements: int) -> tuple[tuple[str, Matroid], ...]:
-    return tuple(_build_catalog(max_elements))
-
-
-def catalog_matroids(max_elements: int) -> list[tuple[str, Matroid]]:
-    """All named catalog matroids with at most ``max_elements`` elements."""
-    return list(_catalog_cached(max_elements))
-
-
-def _build_catalog(max_elements: int) -> list[tuple[str, Matroid]]:
+def catalog_matroids(max_elements: int) -> tuple[tuple[str, Matroid], ...]:
     """All named catalog matroids with at most ``max_elements`` elements."""
     out: list[tuple[str, Matroid]] = []
     for name in NAMED_FIXED:
@@ -99,7 +91,7 @@ def _build_catalog(max_elements: int) -> list[tuple[str, Matroid]]:
                 # lattice axioms, so the constructor always raises; the
                 # catalog simply omits it
                 continue
-    return out
+    return tuple(out)
 
 
 def catalog_with_minors(max_elements: int) -> list[tuple[str, Matroid]]:
@@ -194,13 +186,7 @@ def _random_sparse_paving(rng: random.Random, max_elements: int) -> Matroid:
             chosen.append(S)
         if len(chosen) >= rng.randint(1, 1 + n):
             break
-    chosen_set = set(chosen)
-    table = bytearray(1 << n)
-    for A in range(1 << n):
-        table[A] = r - 1 if A in chosen_set else min(A.bit_count(), r)
-    # r-sets meeting pairwise in at most r - 2 elements are the
-    # circuit-hyperplanes of a sparse paving matroid
-    return Matroid(labels, bytes(table), validate=False)
+    return _sparse_paving(labels, r, chosen)
 
 
 def _random_named_minor(rng: random.Random, max_elements: int) -> Matroid:

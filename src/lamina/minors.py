@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Matroid, MatroidError, subset_sizes
+from .core import Matroid, MatroidError, subset_index, subset_sizes
 from .constructions import uniform, named_matroid
 from .laminar import (
     is_k_closure_laminar,
@@ -49,18 +49,6 @@ class MinorSpec:
 _BATCH_CELLS = 1 << 15
 
 
-def _subset_index(bits: np.ndarray) -> np.ndarray:
-    """``out[..., A]`` is the union of ``bits[..., j]`` over the bits j of
-    ``A``: the mask, over a larger ground set, of the subset whose mask
-    over the chosen positions is ``A``.  Built by doubling, one position
-    (last axis of ``bits``) at a time, so a minor's table is one gather.
-    """
-    idx = np.zeros(bits.shape[:-1] + (1,), dtype=np.intp)
-    for j in range(bits.shape[-1]):
-        idx = np.concatenate((idx, idx | bits[..., j:j + 1]), axis=-1)
-    return idx
-
-
 def _bit_positions(masks: np.ndarray, n: int, k: int) -> np.ndarray:
     """Positions of the ``k`` set bits among the low ``n`` bits of each
     mask, ascending, as a ``(len(masks), k)`` array."""
@@ -71,7 +59,7 @@ def _gather(M: Matroid, drop: int, C: int) -> Matroid:
     """Minor on the positions outside ``drop``: r'(A) = r(A ∪ C) - r(C),
     with ``C ⊆ drop`` contracted and the rest of ``drop`` deleted."""
     keep = [p for p in range(M.n) if not drop >> p & 1]
-    idx = _subset_index(np.array([1 << p for p in keep], dtype=np.intp))
+    idx = subset_index(np.array([1 << p for p in keep], dtype=np.intp))
     rt = np.frombuffer(M.rank_table, dtype=np.uint8)
     labels = tuple(M.labels[p] for p in keep)
     # deletions and contractions of a matroid are matroids
@@ -93,12 +81,11 @@ def contract(M: Matroid, C: int) -> Matroid:
 
 
 def minor(M: Matroid, spec: MinorSpec) -> Matroid:
-    """Apply a MinorSpec (deletion first; the operations commute)."""
+    """M \\ delete / contract, gathered in one step from M's table."""
     if (spec.delete | spec.contract) & ~M.E:
         raise MatroidError(
             f"minor spec {spec.delete:#x}/{spec.contract:#x} not within ground set")
-    M2 = delete(M, spec.delete)
-    return contract(M2, M2.mask(M.names(spec.contract)))
+    return _gather(M, spec.delete | spec.contract, spec.contract)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +215,7 @@ def has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
     rows = max(1, _BATCH_CELLS >> m)
     for start in range(0, total, rows):
         c, d = np.divmod(np.arange(start, min(start + rows, total)), len(D_local))
-        idx = _subset_index(outside[c[:, None], kept[d]])
+        idx = subset_index(outside[c[:, None], kept[d]])
         C = Cs[c, None]
         # r(A ∪ C) >= r(C), so the uint8 difference does not wrap; each
         # row gets its own band of keys

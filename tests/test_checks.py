@@ -69,6 +69,28 @@ def test_every_excluded_minor_claim_is_registered():
     assert len(EXCLUDED_MINOR_CHECKS) == 8
 
 
+def test_minor_cache_is_bounded(monkeypatch):
+    """With the cap set small, the containment cache drops its oldest
+    answers, never holds more than the cap, and no verdict changes."""
+    # the two sweeps of the 1000-member corpus are left out for time
+    ids = [cid for cid in EXCLUDED_MINOR_CHECKS if CHECKS[cid].corpus is not checks._big_corpus]
+    want = {(cid, s): run_check(cid, s) for cid in ids for s in (0, 1, 2)}
+    cap = 64
+    sizes = []
+
+    class Bounded(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(checks, "_MINOR_CACHE_SIZE", cap)
+    monkeypatch.setattr(checks, "_MINOR_CACHE", Bounded())
+    for (cid, s), res in want.items():
+        got = run_check(cid, s)
+        assert (got.status, got.witness) == (res.status, res.witness)
+    assert max(sizes) == cap and len(sizes) > 10 * cap
+
+
 def _flip_on(monkeypatch, name, member):
     """Negate ``lamina.checks.<name>`` on ``member`` only."""
     real = getattr(checks, name)

@@ -1,42 +1,52 @@
 """Closed forms and vectorised kernels versus the reference scans they replaced.
 
 The graphic-rank DP in ``cycle_matroid``, the gather kernel behind
-``delete``/``contract``, the one-expression tables of ``uniform``,
-``truncate``, ``direct_sum`` and ``Matroid.dual``, the rank formulas of
-``laminar_matroid``, ``transversal_matroid`` and ``from_cyclic_flats``,
-the pair generators behind the laminar predicates and the batched
-candidate filter of ``has_minor`` must agree exactly with the plain
-loops they replaced, which are kept here as oracles.  The
+``delete``/``contract``/``minor``, the one-expression tables of
+``uniform``, ``truncate``, ``direct_sum`` and ``Matroid.dual``, the rank
+formulas of ``laminar_matroid``, ``transversal_matroid``,
+``from_cyclic_flats`` and ``parallel_connection``, the two subset passes
+of ``matroid_from_circuits``, the sparse paving tables of the Fano plane
+and the corpus, the pair generators behind the laminar predicates and
+the batched candidate filter of ``has_minor`` must agree exactly with
+the plain loops they replaced, which are kept here as oracles.  The
 constructors that no longer re-check the rank axioms are checked here
 instead: each must still return a table for which
 ``validate_rank_axioms`` is None.
 """
 
 import itertools
+import random
+import re
 
 import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lamina import core, corpus, formats
 from lamina.core import Matroid, subset_sizes, validate_rank_axioms
 from lamina.constructions import (
     CyclicFlatFamily,
     LaminarCapacitySystem,
     Multigraph,
     NestedPresentation,
+    _disjoint_labels,
+    circuit_matroid,
     cycle_matroid,
     direct_sum,
     from_cyclic_flats,
     laminar_matroid,
+    matroid_from_circuits,
     mn_family,
     named_matroid,
+    parallel_connection,
     relax_circuit_hyperplane,
     transversal_matroid,
     truncate,
     uniform,
 )
-from lamina.corpus import CorpusSpec, generate_corpus
+from lamina.corpus import CorpusSpec, catalog_matroids, generate_corpus
+from lamina.formats import parse_matroid
 from lamina.laminar import (
     is_k_closure_laminar,
     is_k_closure_laminar_circuit_form,
@@ -204,6 +214,93 @@ def reference_cyclic_flat_table(family: CyclicFlatFamily) -> bytes:
                  for X in range(1 << len(family.labels)))
 
 
+def reference_circuit_table(n: int, circuits) -> bytes:
+    """r(A) = |A| when A contains no listed circuit, else the largest
+    r(A - e), one subset at a time."""
+    circ_set = set(circuits)
+    dep = bytearray(1 << n)
+    table = bytearray(1 << n)
+    for A in range(1, 1 << n):
+        d = A in circ_set
+        r = 0
+        m = A
+        while m:
+            bit = m & -m
+            m ^= bit
+            sub = A ^ bit
+            d = d or dep[sub]
+            if table[sub] > r:
+                r = table[sub]
+        dep[A] = 1 if d else 0
+        table[A] = r if d else A.bit_count()
+    return bytes(table)
+
+
+def reference_parallel_connection(M1: Matroid, p1: str, M2: Matroid, p2: str) -> Matroid:
+    """Circuits C(M1) ∪ C(M2) ∪ {(C1 - p) ∪ (C2 - p)} over pairs of
+    basepoint circuits, the table rebuilt from them by the circuit DP."""
+    i1, i2 = M1.labels.index(p1), M2.labels.index(p2)
+    rest2 = [i for i in range(M2.n) if i != i2]
+    labels = M1.labels + _disjoint_labels(M1.labels, tuple(M2.labels[i] for i in rest2))
+    map2 = {i: M1.n + pos for pos, i in enumerate(rest2)}
+    map2[i2] = i1
+    c1 = list(M1.circuits())
+    c2 = [sum(1 << map2[i] for i in range(M2.n) if C >> i & 1) for C in M2.circuits()]
+    p = 1 << i1
+    cross = [(a ^ p) | (b ^ p) for a in c1 if a & p for b in c2 if b & p]
+    return Matroid(labels, reference_circuit_table(len(labels), c1 + c2 + cross))
+
+
+def reference_glued_catalog(name: str) -> Matroid:
+    """N_n(k), P_n(k) and the Section 1 example, glued by the reference."""
+    pc = reference_parallel_connection
+    m = re.fullmatch(r"sec1pc\(k=(\d+)\)", name)
+    if m:
+        k = int(m.group(1))
+        out = pc(circuit_matroid(k + 1, "d"), "d1", circuit_matroid(3, "t"), "t1")
+        return pc(out, "d2", circuit_matroid(3, "s"), "s1")
+    family, n, k = re.fullmatch(r"(nn|pn)\(n=(\d+),k=(\d+)\)", name).groups()
+    n, k = int(n), int(k)
+    central, arm = (k + 2, n - k) if family == "nn" else (k + 1, n - k + 1)
+    out = pc(circuit_matroid(central, "c"), "c1", circuit_matroid(arm, "u"), "u1")
+    return truncate(pc(out, "c2", circuit_matroid(arm, "v"), "v1"), n)
+
+
+def reference_fano_table() -> bytes:
+    lines = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    line_masks = {sum(1 << i for i in line) for line in lines}
+    table = bytearray(1 << 7)
+    for A in range(1 << 7):
+        pc = A.bit_count()
+        if pc <= 2:
+            table[A] = pc
+        elif pc == 3:
+            table[A] = 2 if A in line_masks else 3
+        else:
+            table[A] = 3
+    return bytes(table)
+
+
+def reference_random_sparse_paving(rng: random.Random, max_elements: int) -> Matroid:
+    """The corpus generator's draws, its table filled one subset at a time."""
+    n = rng.randint(3, max_elements)
+    r = rng.randint(2, n - 1)
+    labels = tuple(f"e{i + 1}" for i in range(n))
+    all_rsets = [sum(1 << i for i in c) for c in itertools.combinations(range(n), r)]
+    rng.shuffle(all_rsets)
+    chosen: list[int] = []
+    for S in all_rsets:
+        if all((S & T).bit_count() <= r - 2 for T in chosen):
+            chosen.append(S)
+        if len(chosen) >= rng.randint(1, 1 + n):
+            break
+    chosen_set = set(chosen)
+    table = bytearray(1 << n)
+    for A in range(1 << n):
+        table[A] = r - 1 if A in chosen_set else min(A.bit_count(), r)
+    return Matroid(labels, bytes(table))
+
+
 def _all_unnested_pairs(M: Matroid):
     """Unnested circuit pairs over every circuit, spanning ones included."""
     circs = M.circuits()
@@ -306,6 +403,32 @@ def small_matroids():
                      st.sampled_from(_CORPUS))
 
 
+def _basepoints(M: Matroid) -> list[str]:
+    """Labels of the elements that are neither loops nor coloops."""
+    rt = M.rank_table
+    return [M.labels[i] for i in range(M.n)
+            if rt[1 << i] and rt[M.E ^ 1 << i] == M.full_rank()]
+
+
+_GLUEABLE = [M for M in _CORPUS if _basepoints(M)]
+
+
+@st.composite
+def basepointed_pairs(draw):
+    """Two corpus members and basepoints, at most 12 elements once
+    glued; most members are labelled e1, e2, ..., so labels clash."""
+    M1 = draw(st.sampled_from(_GLUEABLE))
+    M2 = draw(st.sampled_from([M for M in _GLUEABLE if M1.n + M.n <= 13]))
+    return M1, draw(st.sampled_from(_basepoints(M1))), M2, draw(st.sampled_from(_basepoints(M2)))
+
+
+@st.composite
+def circuit_families(draw):
+    """Random masks over 1..8 elements: antichains or not, matroidal or not."""
+    n = draw(st.integers(1, 8))
+    return n, draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6))
+
+
 class TestCycleMatroidKernel:
     @PROPERTY
     @given(multigraphs())
@@ -328,7 +451,8 @@ class TestMinorKernel:
            st.integers(0, (1 << 16) - 1))
     def test_delete_and_contract_match_subset_scan(self, M, d, c):
         D, C = d & M.E, c & M.E
-        for drop, con, got in ((D, 0, delete(M, D)), (C, C, contract(M, C))):
+        for drop, con, got in ((D, 0, delete(M, D)), (C, C, contract(M, C)),
+                               (D | C, C, minor(M, MinorSpec(D & ~C, C)))):
             assert (got.labels, got.rank_table) == reference_minor(M, drop, con)
 
     def test_empty_and_full_masks(self):
@@ -465,6 +589,107 @@ class TestOneExpressionTables:
         # at most 12 elements in all, so the oracle stays quick
         M2 = delete(M2, M2.E & ~((1 << max(0, 12 - M1.n)) - 1))
         assert direct_sum(M1, M2).rank_table == reference_direct_sum_table(M1, M2)
+
+
+_GLUED_CATALOG = [(name, M) for name, M in catalog_matroids(16)
+                  if name.startswith(("nn", "pn", "sec1pc"))]
+
+
+class TestCircuitFreeConstructors:
+    """Parallel connection by its rank formula and the circuit table by
+    two subset passes, against the circuit lists and per-subset DP they
+    replaced; the sparse paving tables against their subset loops."""
+
+    @PROPERTY
+    @given(basepointed_pairs())
+    def test_parallel_connection_matches_circuit_gluing(self, pair):
+        got = parallel_connection(*pair)
+        want = reference_parallel_connection(*pair)
+        assert (got.labels, got.rank_table) == (want.labels, want.rank_table)
+
+    def test_sixteen_element_gluing(self):
+        pair = (uniform(7, 8), "e8", uniform(8, 9), "e1")
+        got = parallel_connection(*pair)
+        want = reference_parallel_connection(*pair)
+        assert got.n == 16
+        assert (got.labels, got.rank_table) == (want.labels, want.rank_table)
+
+    @pytest.mark.parametrize("name,M", _GLUED_CATALOG,
+                             ids=[name for name, _ in _GLUED_CATALOG])
+    def test_glued_catalog(self, name, M):
+        want = reference_glued_catalog(name)
+        assert (M.labels, M.rank_table) == (want.labels, want.rank_table)
+
+    @PROPERTY
+    @given(st.sampled_from(_CORPUS))
+    def test_circuit_table_of_corpus_members(self, M):
+        got = matroid_from_circuits(M.labels, M.circuits())
+        assert got.rank_table == reference_circuit_table(M.n, M.circuits()) == M.rank_table
+
+    @pytest.mark.parametrize("M", [uniform(4, 16), mn_family(8, 0)], ids=["u4_16", "m8_0"])
+    def test_circuit_table_on_sixteen_elements(self, M):
+        got = matroid_from_circuits(M.labels, M.circuits())
+        assert got.rank_table == reference_circuit_table(M.n, M.circuits()) == M.rank_table
+
+    @PROPERTY
+    @given(circuit_families())
+    def test_circuit_families_accepted_exactly_when_matroidal(self, family):
+        n, masks = family
+        labels = [f"e{i}" for i in range(n)]
+        circs = sorted(set(masks), key=lambda c: (c.bit_count(), c))
+        antichain = all(a & ~b and b & ~a for a, b in itertools.combinations(circs, 2))
+        table = reference_circuit_table(n, circs)
+        matroidal = (antichain and validate_rank_axioms(table, n) is None
+                     and list(Matroid(labels, table).circuits()) == circs)
+        try:
+            got = matroid_from_circuits(labels, masks)
+        except core.MatroidError as exc:
+            assert not matroidal
+            assert ("antichain" in str(exc)) == (not antichain)
+        else:
+            assert matroidal and got.rank_table == table
+
+    def test_fano(self):
+        assert named_matroid("f7").rank_table == reference_fano_table()
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 12))
+    def test_random_sparse_paving(self, seed, max_elements):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = corpus._random_sparse_paving(rng, max_elements)
+        want = reference_random_sparse_paving(ref_rng, max_elements)
+        assert (got.labels, got.rank_table) == (want.labels, want.rank_table)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+class TestTrustBoundary:
+    """The rank axioms are checked where a table comes from outside the
+    library, and nowhere a theorem already guarantees them."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        real = core.validate_rank_axioms
+
+        def counting(table, n):
+            calls.append(n)
+            return real(table, n)
+
+        monkeypatch.setattr(core, "validate_rank_axioms", counting)
+        monkeypatch.setattr(formats, "validate_rank_axioms", counting)
+        return calls
+
+    def test_glued_catalog_is_not_revalidated(self, validations):
+        named_matroid("nn", 8, 2)
+        named_matroid("pn", 8, 2)
+        named_matroid("sec1pc", k=11)
+        assert validations == []
+        catalog_matroids.__wrapped__(16)
+        assert validations == []
+
+    def test_parsed_circuit_files_are_validated(self, validations):
+        parse_matroid("%matroid v1\nn 4\nrepr circuits\n{e1 e2} {e3 e4}\n")
+        assert 4 in validations
 
 
 def _rank_histogram(M: Matroid) -> np.ndarray:
