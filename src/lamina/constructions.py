@@ -397,7 +397,10 @@ class CyclicFlatFamily:
         idx = {lab: i for i, lab in enumerate(self.labels)}
         out = 0
         for name in names:
-            out |= 1 << idx[name]
+            try:
+                out |= 1 << idx[name]
+            except KeyError:
+                raise MatroidError(f"unknown element label {name!r}") from None
         return out
 
 

@@ -36,13 +36,18 @@ class AxiomViolation:
         return f"rank axiom {self.axiom} violated at masks {self.witness}"
 
 
+# popcount of every mask over MAX_ELEMENTS elements: the masks with bit
+# i set are those without it, plus one element
+_POPCOUNTS = np.zeros(1, dtype=np.int16)
+for _ in range(MAX_ELEMENTS):
+    _POPCOUNTS = np.concatenate((_POPCOUNTS, _POPCOUNTS + 1))
+_POPCOUNTS.flags.writeable = False
+
+
 def subset_sizes(n: int) -> np.ndarray:
-    """Popcount of every mask over ``n`` elements, as a numpy array."""
-    sizes = np.zeros(1, dtype=np.int16)
-    # the masks with bit i set are those without it, plus one element
-    for _ in range(n):
-        sizes = np.concatenate((sizes, sizes + 1))
-    return sizes
+    """Popcount of every mask over ``n`` elements, as a read-only numpy
+    array: a prefix of one table built at import."""
+    return _POPCOUNTS[:1 << n]
 
 
 def subset_index(bits: np.ndarray) -> np.ndarray:

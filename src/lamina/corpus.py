@@ -55,6 +55,8 @@ class CorpusSpec:
     include_catalog: bool = True
 
     def __post_init__(self):
+        if self.count < 0:
+            raise MatroidError("count must be nonnegative")
         if self.max_elements > MAX_ELEMENTS:
             raise MatroidError(f"max_elements > {MAX_ELEMENTS}")
         if self.max_elements < MIN_ELEMENTS:

@@ -1,16 +1,16 @@
 """Minor operations, isomorphism, minor containment, excluded minors.
 
-Minor search follows the standard reduction: any minor can be obtained
-by contracting an independent set of size r(M) - r(N) and then deleting
-down to |E(N)| elements, so only those candidates are enumerated.  The
-rank tables of many (contraction, deletion) candidates are gathered at
-once, and every candidate whose multiset of (|A|, r(A)) (the
-rank-generating function, an isomorphism invariant) differs from the
-target's is rejected in that batch; only the survivors are built as
-matroids and tested for isomorphism, in order.  Since the filter never
-rejects an isomorphic candidate, witnesses are the same as an exhaustive
-scan's: the first found under ascending mask order, which keeps reports
-deterministic.
+Both searches read only rank tables, and prune by one invariant: counts
+of (|A|, r(A)) over all subsets A (the rank-generating function) or over
+those through one element.  Minor search contracts an independent set of
+size r(M) - r(N) and deletes down to |E(N)| elements, which loses no
+minor; many such candidate tables are gathered at once, and only those
+with the target's counts are built and tested for isomorphism, in order.
+Isomorphism assigns M1's elements in order to elements of M2 with equal
+counts, keeping the images of all subsets of the assigned prefix in one
+array, so each assignment is one gather from M2's table.  The filters
+never reject an isomorphic candidate, so witnesses are an exhaustive
+scan's: the first in ascending mask (or image) order.
 """
 
 from __future__ import annotations
@@ -55,6 +55,12 @@ def _bit_positions(masks: np.ndarray, n: int, k: int) -> np.ndarray:
     return np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(len(masks), k)
 
 
+def _rank_keys(n: int, ranks: np.ndarray) -> np.ndarray:
+    """(|A|, r(A)) as one key in [0, (n + 1) ** 2), for the subsets A of
+    ``n`` positions in mask order along the last axis of ``ranks``."""
+    return subset_sizes(n) * (n + 1) + ranks
+
+
 def _gather(M: Matroid, drop: int, C: int) -> Matroid:
     """Minor on the positions outside ``drop``: r'(A) = r(A ∪ C) - r(C),
     with ``C ⊆ drop`` contracted and the rest of ``drop`` deleted."""
@@ -92,83 +98,56 @@ def minor(M: Matroid, spec: MinorSpec) -> Matroid:
 # isomorphism
 
 
-def _global_invariants(M: Matroid):
-    circ_sizes = tuple(sorted(C.bit_count() for C in M.circuits()))
-    flats_per_rank = [0] * (M.full_rank() + 1)
-    rt = M.rank_table
-    for F in M.flats():
-        flats_per_rank[rt[F]] += 1
-    return (M.n, M.full_rank(), circ_sizes, tuple(flats_per_rank))
-
-
-def _element_fingerprints(M: Matroid):
-    rt = M.rank_table
-    prints = []
-    for i in range(M.n):
-        bit = 1 << i
-        through = tuple(sorted(C.bit_count() for C in M.circuits() if C & bit))
-        prints.append((rt[bit], through))
-    return prints
+def _element_histograms(M: Matroid) -> list[bytes]:
+    """Per position i, the counts of (|A|, r(A)) over the sets A that
+    contain i: an invariant of i under every isomorphism."""
+    n = M.n
+    keys = _rank_keys(n, np.frombuffer(M.rank_table, dtype=np.uint8))
+    # the masks holding bit i are the upper halves of the blocks of 2 << i
+    return [np.bincount(keys.reshape(-1, 2, 1 << i)[:, 1].ravel(),
+                        minlength=(n + 1) ** 2).tobytes() for i in range(n)]
 
 
 def find_isomorphism(M1: Matroid, M2: Matroid) -> tuple[int, ...] | None:
     """Ground-set bijection carrying M1's rank table onto M2's, or None.
 
-    Backtracking over element images, pruned by global invariants and
-    per-element fingerprints (multiset of circuit sizes through the
-    element).  The returned mapping sends position i of M1 to position
-    ``mapping[i]`` of M2 and is the lexicographically first found.
+    Positions of M1 are assigned in order 0..n-1, each to an unused
+    position of M2 with the same element histogram, in ascending order.
+    ``img`` holds the image of every subset of the assigned prefix, so
+    i -> j is accepted exactly when r2 at ``img | 1 << j`` equals r1 on
+    the sets A + i, A within the prefix, and the prefix then grows by
+    ``img | 1 << j``.  The returned mapping sends position i of M1 to
+    position ``mapping[i]`` of M2 and is the lexicographically first.
     """
-    if _global_invariants(M1) != _global_invariants(M2):
-        return None
     n = M1.n
-    fp1 = _element_fingerprints(M1)
-    fp2 = _element_fingerprints(M2)
-    candidates = [
-        [j for j in range(n) if fp2[j] == fp1[i]] for i in range(n)
-    ]
-    if any(not c for c in candidates):
+    if M2.n != n:
         return None
-    rt1, rt2 = M1.rank_table, M2.rank_table
+    h1, h2 = _element_histograms(M1), _element_histograms(M2)
+    # these rows also fix the (|A|, r(A)) counts of the whole table
+    if sorted(h1) != sorted(h2):
+        return None
+    candidates = [[j for j in range(n) if h2[j] == h] for h in h1]
+    r1 = M1.rank_table
+    r2 = np.frombuffer(M2.rank_table, dtype=np.uint8)
 
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i: int, assigned1: int) -> bool:
+    def extend(img: np.ndarray) -> np.ndarray | None:
+        i = len(img).bit_length() - 1
         if i == n:
-            return True
-        bit1 = 1 << i
+            return img
+        want = r1[1 << i:2 << i]
+        # img[-1] is the image of the whole prefix: the positions in use
+        used = int(img[-1])
         for j in candidates[i]:
-            if used[j]:
-                continue
-            mapping[i] = j
-            used[j] = True
-            # verify ranks of every subset of assigned elements containing i
-            ok = True
-            sub = assigned1
-            while True:
-                A1 = sub | bit1
-                A2 = 0
-                m = A1
-                while m:
-                    b = m & -m
-                    m ^= b
-                    A2 |= 1 << mapping[b.bit_length() - 1]
-                if rt1[A1] != rt2[A2]:
-                    ok = False
-                    break
-                if sub == 0:
-                    break
-                sub = (sub - 1) & assigned1
-            if ok and extend(i + 1, assigned1 | bit1):
-                return True
-            used[j] = False
-            mapping[i] = -1
-        return False
+            if not used >> j & 1 and r2[img | 1 << j].tobytes() == want:
+                found = extend(np.concatenate((img, img | 1 << j)))
+                if found is not None:
+                    return found
+        return None
 
-    if extend(0, 0):
-        return tuple(mapping)
-    return None
+    img = extend(np.zeros(1, dtype=np.intp))
+    if img is None:
+        return None
+    return tuple(int(img[1 << i]).bit_length() - 1 for i in range(n))
 
 
 def is_isomorphic(M1: Matroid, M2: Matroid) -> bool:
@@ -196,10 +175,8 @@ def has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
     if dr < 0 or dn < dr:
         return None
     m = N.n
-    # (|A|, r(A)) as one key in [0, width), both at most m
     width = (m + 1) ** 2
-    keys = subset_sizes(m).astype(np.intp) * (m + 1)
-    target = np.bincount(keys + np.frombuffer(N.rank_table, dtype=np.uint8),
+    target = np.bincount(_rank_keys(m, np.frombuffer(N.rank_table, dtype=np.uint8)),
                          minlength=width)
     rt = np.frombuffer(M.rank_table, dtype=np.uint8)
     Cs = np.flatnonzero((subset_sizes(M.n) == dr) & (rt == dr))
@@ -220,7 +197,7 @@ def has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
         # r(A ∪ C) >= r(C), so the uint8 difference does not wrap; each
         # row gets its own band of keys
         band = width * np.arange(len(idx))[:, None]
-        flat = (keys + (rt[idx | C] - rt[C]) + band).ravel()
+        flat = (_rank_keys(m, rt[idx | C] - rt[C]) + band).ravel()
         hist = np.bincount(flat, minlength=len(idx) * width).reshape(-1, width)
         for i in np.flatnonzero((hist == target).all(axis=1)).tolist():
             # idx[i, -1] is the mask of every kept element

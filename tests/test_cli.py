@@ -193,10 +193,15 @@ class TestCorpus:
         for f in files:
             parse_matroid(f.read_text())
 
-    @pytest.mark.parametrize("cap", ["0", "1", "2"])
-    def test_too_small_element_cap_is_usage_error(self, tmp_path, capsys, cap):
+    @pytest.mark.parametrize("count,cap,message", [
+        ("5", "0", "max_elements must be at least 3"),
+        ("5", "1", "max_elements must be at least 3"),
+        ("5", "2", "max_elements must be at least 3"),
+        ("-3", "8", "count must be nonnegative"),
+    ], ids=["cap-0", "cap-1", "cap-2", "negative-count"])
+    def test_invalid_corpus_spec_is_usage_error(self, tmp_path, capsys, count, cap, message):
         out_dir = tmp_path / "corpus"
-        assert main(["corpus", "--seed", "0", "--count", "5",
+        assert main(["corpus", "--seed", "0", "--count", count,
                      "--max-elements", cap, "-o", str(out_dir)]) == 2
-        assert "max_elements must be at least 3" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()

@@ -262,6 +262,12 @@ class TestCyclicFlatSynthesis:
         family = CyclicFlatFamily(M.labels, M.cyclic_flats())
         assert circuits_from_cyclic_flats(family) == M.circuits()
 
+    def test_mask_of_unknown_label_is_matroid_error(self):
+        family = CyclicFlatFamily(("a", "b"), ((0, 0), (0b11, 1)))
+        assert family.mask(["b"]) == 0b10
+        with pytest.raises(MatroidError, match="unknown element label 'z'"):
+            family.mask(["a", "z"])
+
     def test_z_axiom_rejections(self):
         # Z1: bottom has positive rank
         fam = CyclicFlatFamily(("a", "b"), ((0, 1), (0b11, 2)))

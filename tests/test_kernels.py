@@ -6,9 +6,10 @@ The graphic-rank DP in ``cycle_matroid``, the gather kernel behind
 formulas of ``laminar_matroid``, ``transversal_matroid``,
 ``from_cyclic_flats`` and ``parallel_connection``, the two subset passes
 of ``matroid_from_circuits``, the sparse paving tables of the Fano plane
-and the corpus, the pair generators behind the laminar predicates and
-the batched candidate filter of ``has_minor`` must agree exactly with
-the plain loops they replaced, which are kept here as oracles.  The
+and the corpus, the pair generators behind the laminar predicates,
+the batched candidate filter of ``has_minor`` and the prefix image
+search of ``find_isomorphism`` must agree exactly with the plain loops
+they replaced, which are kept here as oracles.  The
 constructors that no longer re-check the rank axioms are checked here
 instead: each must still return a table for which
 ``validate_rank_axioms`` is None.
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamina import core, corpus, formats
-from lamina.core import Matroid, subset_sizes, validate_rank_axioms
+from lamina.core import Matroid, subset_index, subset_sizes, validate_rank_axioms
 from lamina.constructions import (
     CyclicFlatFamily,
     LaminarCapacitySystem,
@@ -57,7 +58,6 @@ from lamina.laminar import (
 )
 from lamina import minors
 from lamina.minors import (
-    _global_invariants,
     MinorSpec,
     contract,
     delete,
@@ -138,6 +138,81 @@ def reference_dual_table(M: Matroid) -> bytes:
     return bytes(A.bit_count() + rt[E ^ A] - r for A in range(E + 1))
 
 
+def _global_invariants(M: Matroid):
+    circ_sizes = tuple(sorted(C.bit_count() for C in M.circuits()))
+    flats_per_rank = [0] * (M.full_rank() + 1)
+    rt = M.rank_table
+    for F in M.flats():
+        flats_per_rank[rt[F]] += 1
+    return (M.n, M.full_rank(), circ_sizes, tuple(flats_per_rank))
+
+
+def _element_fingerprints(M: Matroid):
+    rt = M.rank_table
+    prints = []
+    for i in range(M.n):
+        bit = 1 << i
+        through = tuple(sorted(C.bit_count() for C in M.circuits() if C & bit))
+        prints.append((rt[bit], through))
+    return prints
+
+
+def reference_find_isomorphism(M1: Matroid, M2: Matroid) -> tuple[int, ...] | None:
+    """Backtracking over element images, pruned by circuit sizes and
+    flats per rank, and by the circuit sizes through each element; every
+    image mask is rebuilt bit by bit."""
+    if _global_invariants(M1) != _global_invariants(M2):
+        return None
+    n = M1.n
+    fp1 = _element_fingerprints(M1)
+    fp2 = _element_fingerprints(M2)
+    candidates = [
+        [j for j in range(n) if fp2[j] == fp1[i]] for i in range(n)
+    ]
+    if any(not c for c in candidates):
+        return None
+    rt1, rt2 = M1.rank_table, M2.rank_table
+
+    mapping = [-1] * n
+    used = [False] * n
+
+    def extend(i: int, assigned1: int) -> bool:
+        if i == n:
+            return True
+        bit1 = 1 << i
+        for j in candidates[i]:
+            if used[j]:
+                continue
+            mapping[i] = j
+            used[j] = True
+            # verify ranks of every subset of assigned elements containing i
+            ok = True
+            sub = assigned1
+            while True:
+                A1 = sub | bit1
+                A2 = 0
+                m = A1
+                while m:
+                    b = m & -m
+                    m ^= b
+                    A2 |= 1 << mapping[b.bit_length() - 1]
+                if rt1[A1] != rt2[A2]:
+                    ok = False
+                    break
+                if sub == 0:
+                    break
+                sub = (sub - 1) & assigned1
+            if ok and extend(i + 1, assigned1 | bit1):
+                return True
+            used[j] = False
+            mapping[i] = -1
+        return False
+
+    if extend(0, 0):
+        return tuple(mapping)
+    return None
+
+
 def reference_has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
     """Every (C, D) candidate built as a Matroid, then compared by
     circuit sizes and flats per rank before the isomorphism test."""
@@ -159,7 +234,7 @@ def reference_has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
             cand = delete(MC, D)
             if _global_invariants(cand) != inv_N:
                 continue
-            if find_isomorphism(cand, N) is not None:
+            if reference_find_isomorphism(cand, N) is not None:
                 # express D in the original ground set
                 d_names = MC.names(D)
                 return MinorSpec(M.mask(d_names), C)
@@ -570,6 +645,8 @@ class TestOneExpressionTables:
         for n in range(17):
             got = subset_sizes(n)
             assert got.dtype == np.int16 and got.tobytes() == reference_subset_sizes(n).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1
 
     def test_uniform(self):
         for n in range(13):
@@ -793,3 +870,102 @@ class TestMinorSearch:
         assert has_minor(mn_family(7, 2), N) is None
         # only candidates with N's (|A|, r(A)) counts reach the exact test
         assert all((_rank_histogram(M) == _rank_histogram(N)).all() for M in tested)
+
+
+def _relabel(M: Matroid, perm) -> Matroid:
+    """M with position p of the result carrying position perm[p] of M."""
+    idx = subset_index(np.array([1 << q for q in perm], dtype=np.intp))
+    rt = np.frombuffer(M.rank_table, dtype=np.uint8)
+    return Matroid(tuple(M.labels[q] for q in perm), rt[idx].tobytes(), validate=False)
+
+
+_TINY = [uniform(0, 0), uniform(0, 1), uniform(1, 1), uniform(1, 2), uniform(2, 2)]
+
+
+@st.composite
+def relabelled_members(draw):
+    """A corpus member (or a matroid on at most 2 elements) with up to
+    two loops and two coloops added, 0..9 elements in all, and a random
+    relabelling of it."""
+    M = draw(st.sampled_from(_TINY + _CORPUS))
+    loops = draw(st.integers(0, min(2, 9 - M.n)))
+    coloops = draw(st.integers(0, min(2, 9 - M.n - loops)))
+    M = direct_sum(M, direct_sum(uniform(0, loops), uniform(coloops, coloops)))
+    return M, _relabel(M, draw(st.permutations(range(M.n))))
+
+
+class TestIsomorphismSearch:
+    """find_isomorphism extends a prefix image array and prunes by
+    element histograms; the oracle backtracks over circuit fingerprints.
+    Both return the lexicographically first isomorphism."""
+
+    @PROPERTY
+    @given(relabelled_members())
+    def test_relabelled_members_match_oracle(self, pair):
+        M, R = pair
+        got = find_isomorphism(R, M)
+        assert got is not None and got == reference_find_isomorphism(R, M)
+        assert _relabel(M, got).rank_table == R.rank_table
+
+    @PROPERTY
+    @given(st.sampled_from(_TINY + _CORPUS), st.sampled_from(_TINY + _CORPUS))
+    def test_corpus_pairs_match_oracle(self, M1, M2):
+        assert find_isomorphism(M1, M2) == reference_find_isomorphism(M1, M2)
+
+    @pytest.mark.parametrize("M1,M2", [
+        (uniform(2, 4), uniform(2, 5)),
+        (uniform(0, 0), uniform(0, 1)),
+        (named_matroid("f7"), uniform(3, 8)),
+        (direct_sum(uniform(1, 1), uniform(0, 1)), uniform(1, 1)),
+    ])
+    def test_different_sizes(self, M1, M2):
+        assert find_isomorphism(M1, M2) is None and find_isomorphism(M2, M1) is None
+        assert reference_find_isomorphism(M1, M2) is None
+
+    def test_tutte_twins(self):
+        a, b = _seed0_tutte_twins()
+        assert find_isomorphism(a, b) is None and reference_find_isomorphism(a, b) is None
+        rng = random.Random(7)
+        for M in (a, b):
+            for _ in range(5):
+                perm = rng.sample(range(M.n), M.n)
+                R = _relabel(M, perm)
+                assert find_isomorphism(M, R) == reference_find_isomorphism(M, R)
+                assert find_isomorphism(R, b if M is a else a) is None
+
+    @PROPERTY
+    @given(st.sampled_from(_TINY + _CORPUS))
+    def test_element_histograms_count_the_sets_through_each_element(self, M):
+        rt = M.rank_table
+        width = (M.n + 1) ** 2
+        for i, row in enumerate(minors._element_histograms(M)):
+            want = np.zeros(width, dtype=np.intp)
+            for A in range(1 << M.n):
+                if A >> i & 1:
+                    want[A.bit_count() * (M.n + 1) + rt[A]] += 1
+            assert row == want.tobytes()
+
+    def test_candidates_are_the_equal_histograms(self, monkeypatch):
+        # U_{2,4} maps onto itself in every order, so the histograms alone
+        # decide which bijection comes first
+        M1, M2 = uniform(2, 4), uniform(2, 4, ("w", "x", "y", "z"))
+        assert find_isomorphism(M1, M2) == (0, 1, 2, 3)
+        rows = {"e1": [b"a", b"b", b"c", b"d"], "w": [b"d", b"c", b"b", b"a"]}
+        monkeypatch.setattr(minors, "_element_histograms", lambda M: rows[M.labels[0]])
+        assert find_isomorphism(M1, M2) == (3, 2, 1, 0)
+        rows["w"] = [b"a", b"b", b"c", b"c"]
+        assert find_isomorphism(M1, M2) is None
+
+    def test_searches_read_only_the_table(self, monkeypatch):
+        pairs = [(named_matroid("f7"), uniform(2, 4)), (mn_family(5, 1), uniform(2, 4)),
+                 (mn_family(5, 2), mn_family(4, 2)), _seed0_tutte_twins()]
+        pairs += [(M, _relabel(M, range(M.n)[::-1])) for M in _CORPUS[:20]]
+        want = [(reference_has_minor(M, N), reference_find_isomorphism(M, N))
+                for M, N in pairs]
+
+        def forbidden(self, *args):
+            raise AssertionError("derived family computed during a search")
+
+        for name in ("circuits", "flats", "cyclic_flats"):
+            monkeypatch.setattr(Matroid, name, forbidden)
+        assert [(has_minor(M, N), find_isomorphism(M, N)) for M, N in pairs] == want
