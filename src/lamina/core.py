@@ -43,6 +43,14 @@ for _ in range(MAX_ELEMENTS):
     _POPCOUNTS = np.concatenate((_POPCOUNTS, _POPCOUNTS + 1))
 _POPCOUNTS.flags.writeable = False
 
+# every mask and every single-element mask over MAX_ELEMENTS elements:
+# prefixes give ``masks | bit`` and ``masks & ~bit`` for all bits at
+# once, built per call rather than cached per n to keep peak memory down
+_MASKS = np.arange(1 << MAX_ELEMENTS, dtype=np.uint16)
+_BITS = (1 << np.arange(MAX_ELEMENTS)).astype(np.uint16)
+_MASKS.flags.writeable = False
+_BITS.flags.writeable = False
+
 
 def subset_sizes(n: int) -> np.ndarray:
     """Popcount of every mask over ``n`` elements, as a read-only numpy
@@ -232,56 +240,56 @@ class Matroid:
 
     # -- derived families ----------------------------------------------
 
+    def _unchanged(self) -> np.ndarray:
+        """``out[A]``: removing any one element of ``A`` keeps its rank."""
+        r = np.frombuffer(self.rank_table, dtype=np.uint8)
+        return (r[_MASKS[:1 << self.n] & ~_BITS[:self.n, None]] == r).all(0)
+
+    def _closed(self) -> np.ndarray:
+        """``out[A]``: adding any one element outside ``A`` raises its rank,
+        i.e. exactly the |A| elements of ``A`` leave it unchanged."""
+        r = np.frombuffer(self.rank_table, dtype=np.uint8)
+        same = (r[_MASKS[:1 << self.n] | _BITS[:self.n, None]] == r).sum(0)
+        return same == subset_sizes(self.n)
+
+    def _by_size(self, found: np.ndarray) -> np.ndarray:
+        """The masks where ``found`` holds, in (size, mask) order."""
+        masks = np.flatnonzero(found)
+        return masks[np.argsort(subset_sizes(self.n)[masks], kind="stable")]
+
     def circuits(self) -> tuple[int, ...]:
         """All minimal dependent subsets, ordered by (size, mask)."""
         out = self._cache.get("circuits")
         if out is None:
-            rt = self.rank_table
-            found = []
-            for A in range(1, self.E + 1):
-                pc = A.bit_count()
-                if rt[A] != pc - 1:
-                    continue
-                m = A
-                minimal = True
-                while m:
-                    bit = m & -m
-                    m ^= bit
-                    if rt[A ^ bit] != pc - 1:
-                        minimal = False
-                        break
-                if minimal:
-                    found.append(A)
-            found.sort(key=lambda c: (c.bit_count(), c))
-            out = tuple(found)
+            r = np.frombuffer(self.rank_table, dtype=np.uint8)
+            dependent = r == subset_sizes(self.n) - 1
+            out = tuple(self._by_size(dependent & self._unchanged()).tolist())
             self._cache["circuits"] = out
         return out
 
     def nonspanning_circuits(self) -> tuple[int, ...]:
-        r = self.full_rank()
-        rt = self.rank_table
-        return tuple(C for C in self.circuits() if rt[C] < r)
+        """Circuits of rank below r(E), in :meth:`circuits` order."""
+        out = self._cache.get("nonspanning")
+        if out is None:
+            r = self.full_rank()
+            rt = self.rank_table
+            out = tuple(C for C in self.circuits() if rt[C] < r)
+            self._cache["nonspanning"] = out
+        return out
+
+    def nonspanning_closures(self) -> tuple[int, ...]:
+        """``cl C`` for each of :meth:`nonspanning_circuits`, in its order."""
+        out = self._cache.get("nonspanning_closures")
+        if out is None:
+            out = tuple(self.closure(C) for C in self.nonspanning_circuits())
+            self._cache["nonspanning_closures"] = out
+        return out
 
     def flats(self) -> tuple[int, ...]:
         """All closure-closed subsets, ordered by (size, mask)."""
         out = self._cache.get("flats")
         if out is None:
-            rt = self.rank_table
-            found = []
-            for A in range(self.E + 1):
-                rA = rt[A]
-                rest = self.E & ~A
-                flat = True
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    if rt[A | bit] == rA:
-                        flat = False
-                        break
-                if flat:
-                    found.append(A)
-            found.sort(key=lambda f: (f.bit_count(), f))
-            out = tuple(found)
+            out = tuple(self._by_size(self._closed()).tolist())
             self._cache["flats"] = out
         return out
 
@@ -289,21 +297,9 @@ class Matroid:
         """All coloop-free flats as (mask, rank) pairs, (size, mask) order."""
         out = self._cache.get("cyclic_flats")
         if out is None:
-            rt = self.rank_table
-            found = []
-            for F in self.flats():
-                rF = rt[F]
-                m = F
-                cyclic = True
-                while m:
-                    bit = m & -m
-                    m ^= bit
-                    if rt[F ^ bit] != rF:
-                        cyclic = False
-                        break
-                if cyclic:
-                    found.append((F, rF))
-            out = tuple(found)
+            found = self._by_size(self._closed() & self._unchanged())
+            r = np.frombuffer(self.rank_table, dtype=np.uint8)
+            out = tuple(zip(found.tolist(), r[found].tolist()))
             self._cache["cyclic_flats"] = out
         return out
 
@@ -311,6 +307,9 @@ class Matroid:
         """Flats that contain a spanning circuit, i.e. circuit closures."""
         out = self._cache.get("ham_flats")
         if out is None:
+            # one Python closure per circuit: a numpy gather over all
+            # circuits at once costs more in per-call overhead than it
+            # saves on the small matroids most checks sweep
             seen = {self.closure(C) for C in self.circuits()}
             out = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
             self._cache["ham_flats"] = out

@@ -48,8 +48,7 @@ def _unnested_pairs(M: Matroid) -> Iterator[tuple[int, int, int, int]]:
     """``(C1, C2, cl C1, cl C2)`` for every circuit pair, in (i, j) order
     over the nonspanning circuits, with neither circuit inside the
     other's closure."""
-    circs = M.nonspanning_circuits()
-    closures = [M.closure(C) for C in circs]
+    circs, closures = M.nonspanning_circuits(), M.nonspanning_closures()
     for i, (C1, F1) in enumerate(zip(circs, closures)):
         for C2, F2 in zip(circs[i + 1:], closures[i + 1:]):
             if C1 & ~F2 and C2 & ~F1:

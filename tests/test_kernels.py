@@ -7,9 +7,10 @@ formulas of ``laminar_matroid``, ``transversal_matroid``,
 ``from_cyclic_flats`` and ``parallel_connection``, the two subset passes
 of ``matroid_from_circuits``, the sparse paving tables of the Fano plane
 and the corpus, the pair generators behind the laminar predicates,
-the batched candidate filter of ``has_minor`` and the prefix image
-search of ``find_isomorphism`` must agree exactly with the plain loops
-they replaced, which are kept here as oracles.  The
+the batched candidate filter of ``has_minor``, the prefix image
+search of ``find_isomorphism`` and the two boolean scans behind
+``circuits``, ``flats`` and ``cyclic_flats`` must agree exactly with the
+plain loops they replaced, which are kept here as oracles.  The
 constructors that no longer re-check the rank axioms are checked here
 instead: each must still return a table for which
 ``validate_rank_axioms`` is None.
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamina import core, corpus, formats
+from lamina import cli, core, corpus, formats
 from lamina.core import Matroid, subset_index, subset_sizes, validate_rank_axioms
 from lamina.constructions import (
     CyclicFlatFamily,
@@ -428,6 +429,68 @@ def reference_min_k(witness, M: Matroid) -> int:
     while witness(M, k) is not None:
         k += 1
     return k
+
+
+def reference_circuits(M: Matroid) -> tuple[int, ...]:
+    """Every mask, one bit at a time: rank |A| - 1 and every A - x
+    independent."""
+    rt = M.rank_table
+    found = []
+    for A in range(1, M.E + 1):
+        pc = A.bit_count()
+        if rt[A] != pc - 1:
+            continue
+        m = A
+        minimal = True
+        while m:
+            bit = m & -m
+            m ^= bit
+            if rt[A ^ bit] != pc - 1:
+                minimal = False
+                break
+        if minimal:
+            found.append(A)
+    found.sort(key=lambda c: (c.bit_count(), c))
+    return tuple(found)
+
+
+def reference_flats(M: Matroid) -> tuple[int, ...]:
+    """Every mask, one bit at a time: no element outside keeps the rank."""
+    rt = M.rank_table
+    found = []
+    for A in range(M.E + 1):
+        rA = rt[A]
+        rest = M.E & ~A
+        flat = True
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if rt[A | bit] == rA:
+                flat = False
+                break
+        if flat:
+            found.append(A)
+    found.sort(key=lambda f: (f.bit_count(), f))
+    return tuple(found)
+
+
+def reference_cyclic_flats(M: Matroid) -> tuple[tuple[int, int], ...]:
+    """The flats, one bit at a time: no element inside lowers the rank."""
+    rt = M.rank_table
+    found = []
+    for F in reference_flats(M):
+        rF = rt[F]
+        m = F
+        cyclic = True
+        while m:
+            bit = m & -m
+            m ^= bit
+            if rt[F ^ bit] != rF:
+                cyclic = False
+                break
+        if cyclic:
+            found.append((F, rF))
+    return tuple(found)
 
 
 @st.composite
@@ -969,3 +1032,71 @@ class TestIsomorphismSearch:
         for name in ("circuits", "flats", "cyclic_flats"):
             monkeypatch.setattr(Matroid, name, forbidden)
         assert [(has_minor(M, N), find_isomorphism(M, N)) for M, N in pairs] == want
+
+
+def _assert_families_match_loops(M: Matroid) -> None:
+    got = (M.circuits(), M.flats(), M.cyclic_flats())
+    assert got == (reference_circuits(M), reference_flats(M), reference_cyclic_flats(M))
+    # numpy integers would pass the comparison but not json.dumps
+    values = [*got[0], *got[1], *itertools.chain.from_iterable(got[2])]
+    assert all(type(v) is int for v in values)
+
+
+_FIXED_TABLES = {
+    "n0": Matroid((), b"\x00"),
+    "u0_1": uniform(0, 1),
+    "u1_1": uniform(1, 1),
+    "loops_coloops": _loops_and_coloops(named_matroid("f7")),
+    "u0_16": uniform(0, 16),
+    "u8_16": uniform(8, 16),
+    "u16_16": uniform(16, 16),
+    "m8_0": mn_family(8, 0),
+}
+
+
+@st.composite
+def wide_matroids(draw):
+    """13..16 elements: a small matroid summed with a uniform one."""
+    M = draw(small_matroids())
+    m = draw(st.integers(max(13, M.n), 16)) - M.n
+    return direct_sum(M, uniform(draw(st.integers(0, m)), m))
+
+
+class TestFamilyScans:
+    """Circuits, flats and cyclic flats come from two boolean scans over
+    the rank table; the oracles visit every mask one bit at a time."""
+
+    @PROPERTY
+    @given(small_matroids())
+    def test_match_loops(self, M):
+        _assert_families_match_loops(M)
+
+    # the oracles visit up to 2^16 masks in Python, hence fewer examples
+    @settings(PROPERTY, max_examples=60)
+    @given(wide_matroids())
+    def test_match_loops_on_wide_matroids(self, M):
+        assert 13 <= M.n <= 16
+        _assert_families_match_loops(M)
+
+    @pytest.mark.parametrize("M", list(_FIXED_TABLES.values()), ids=list(_FIXED_TABLES))
+    def test_fixed_tables(self, M):
+        _assert_families_match_loops(M)
+
+    @PROPERTY
+    @given(st.sampled_from(_CORPUS))
+    def test_nonspanning_closures_are_cached(self, M):
+        circs = M.nonspanning_circuits()
+        assert circs == tuple(C for C in M.circuits() if M.rank(C) < M.full_rank())
+        assert M.nonspanning_closures() == tuple(M.closure(C) for C in circs)
+        assert M.nonspanning_circuits() is circs
+        assert M.nonspanning_closures() is M.nonspanning_closures()
+
+    def test_serializing_needs_no_flats(self, monkeypatch, tmp_path):
+        def forbidden(self):
+            raise AssertionError("flats() computed while serializing")
+
+        monkeypatch.setattr(Matroid, "flats", forbidden)
+        assert parse_matroid(formats.serialize_matroid(mn_family(5, 1))) == mn_family(5, 1)
+        out = tmp_path / "corpus"
+        assert cli.main(["corpus", "--seed", "3", "--count", "20", "-o", str(out)]) == 0
+        assert len(list(out.iterdir())) > 20
