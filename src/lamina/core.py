@@ -71,6 +71,12 @@ def subset_index(bits: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _spread(k: int, i: int) -> int:
+    """``k`` with a zero bit inserted at position ``i``."""
+    low = k & ((1 << i) - 1)
+    return (k ^ low) << 1 | low
+
+
 def validate_rank_axioms(table: Sequence[int], n: int) -> AxiomViolation | None:
     """Check the rank axioms R1-R3 on a candidate rank table.
 
@@ -78,39 +84,47 @@ def validate_rank_axioms(table: Sequence[int], n: int) -> AxiomViolation | None:
     local forms (``r(A) <= r(A+x)`` and
     ``r(A+x) + r(A+y) >= r(A+x+y) + r(A)``), which together with the R1
     bounds are equivalent to the full axioms.  Returns ``None`` for a
-    valid table, otherwise the first violation in (R1, R2, R3) order.
+    valid table, otherwise the first violation in (R1, R2, R3) order:
+    i then j ascending, and the least base mask within each.
     """
+    if not 0 <= n <= MAX_ELEMENTS:
+        raise ValueError(f"element count must be in 0..{MAX_ELEMENTS}, got {n}")
     size = 1 << n
     if len(table) != size:
         raise ValueError(f"rank table must have {size} entries, got {len(table)}")
-    r = np.asarray(bytearray(bytes(table)), dtype=np.int16) if isinstance(
+    # no fixed dtype for a list, so an entry too large for any table
+    # is an R1 violation rather than an OverflowError
+    r = np.frombuffer(table, dtype=np.uint8) if isinstance(
         table, (bytes, bytearray)
-    ) else np.asarray(table, dtype=np.int16)
+    ) else np.asarray(table)
 
-    sizes = subset_sizes(n)
-    bad = (r < 0) | (r > sizes)
+    bad = (r < 0) | (r > subset_sizes(n))
     if bad.any():
-        a = int(np.argmax(bad))
-        return AxiomViolation("R1", (a,))
+        return AxiomViolation("R1", (int(np.argmax(bad)),))
 
-    masks = np.arange(size, dtype=np.int64)
+    # axis n-1-i of the cube is bit i, so a view with some bits fixed
+    # lists the masks of the remaining bits in ascending order; gain_i[A]
+    # is r(A+i) - r(A) over the masks A without bit i
+    cube = r.astype(np.int8).reshape((2,) * n)
+    gains = []
     for i in range(n):
-        bit = 1 << i
-        base = masks[(masks & bit) == 0]
-        viol = r[base] > r[base | bit]
+        at = (slice(None),) * (n - 1 - i)
+        gain = cube[at + (1,)] - cube[at + (0,)]
+        viol = gain < 0
         if viol.any():
-            a = int(base[int(np.argmax(viol))])
-            return AxiomViolation("R2", (a, a | bit))
+            a = _spread(int(np.argmax(viol)), i)
+            return AxiomViolation("R2", (a, a | 1 << i))
+        gains.append(gain)
 
-    for i in range(n):
-        bi = 1 << i
+    # submodularity: gain_i does not grow along bit j > i, whose axis
+    # comes before bit i's and so keeps its place in gain_i
+    for i, gain in enumerate(gains):
         for j in range(i + 1, n):
-            bj = 1 << j
-            base = masks[(masks & (bi | bj)) == 0]
-            viol = r[base | bi] + r[base | bj] < r[base | bi | bj] + r[base]
+            at = (slice(None),) * (n - 1 - j)
+            viol = gain[at + (1,)] > gain[at + (0,)]
             if viol.any():
-                a = int(base[int(np.argmax(viol))])
-                return AxiomViolation("R3", (a | bi, a | bj))
+                a = _spread(_spread(int(np.argmax(viol)), i), j)
+                return AxiomViolation("R3", (a | 1 << i, a | 1 << j))
     return None
 
 
@@ -307,10 +321,11 @@ class Matroid:
         """Flats that contain a spanning circuit, i.e. circuit closures."""
         out = self._cache.get("ham_flats")
         if out is None:
-            # one Python closure per circuit: a numpy gather over all
-            # circuits at once costs more in per-call overhead than it
-            # saves on the small matroids most checks sweep
-            seen = {self.closure(C) for C in self.circuits()}
+            # a spanning circuit closes to E and no nonspanning one does,
+            # so the cached nonspanning closures are all the other flats
+            seen = set(self.nonspanning_closures())
+            if len(self.nonspanning_circuits()) < len(self.circuits()):
+                seen.add(self.E)
             out = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
             self._cache["ham_flats"] = out
         return out

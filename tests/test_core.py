@@ -94,6 +94,18 @@ class TestAxiomValidation:
         v = validate_rank_axioms(bytes(table), 4)
         assert v is not None and v.witness
 
+    def test_negative_element_count_names_the_range(self):
+        with pytest.raises(ValueError, match=r"0\.\.16"):
+            validate_rank_axioms(b"\x00", -1)
+
+    def test_too_many_elements_names_the_range(self):
+        with pytest.raises(ValueError, match=r"0\.\.16"):
+            validate_rank_axioms(bytes(1 << (MAX_ELEMENTS + 1)), MAX_ELEMENTS + 1)
+
+    def test_entry_beyond_int16_is_r1(self):
+        v = validate_rank_axioms([0, 1, 70000, 2], 2)
+        assert v is not None and (v.axiom, v.witness) == ("R1", (2,))
+
     def test_constructor_rejects_invalid(self):
         with pytest.raises(MatroidError):
             Matroid(("a", "b"), bytes([0, 1, 1, 3]))

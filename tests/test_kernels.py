@@ -8,9 +8,10 @@ formulas of ``laminar_matroid``, ``transversal_matroid``,
 of ``matroid_from_circuits``, the sparse paving tables of the Fano plane
 and the corpus, the pair generators behind the laminar predicates,
 the batched candidate filter of ``has_minor``, the prefix image
-search of ``find_isomorphism`` and the two boolean scans behind
-``circuits``, ``flats`` and ``cyclic_flats`` must agree exactly with the
-plain loops they replaced, which are kept here as oracles.  The
+search of ``find_isomorphism``, the two boolean scans behind
+``circuits``, ``flats`` and ``cyclic_flats`` and the cube-view gains of
+``validate_rank_axioms`` must agree exactly with the plain loops and
+gathers they replaced, which are kept here as oracles.  The
 constructors that no longer re-check the rank axioms are checked here
 instead: each must still return a table for which
 ``validate_rank_axioms`` is None.
@@ -26,7 +27,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamina import cli, core, corpus, formats
-from lamina.core import Matroid, subset_index, subset_sizes, validate_rank_axioms
+from lamina.core import (
+    AxiomViolation,
+    Matroid,
+    subset_index,
+    subset_sizes,
+    validate_rank_axioms,
+)
 from lamina.constructions import (
     CyclicFlatFamily,
     LaminarCapacitySystem,
@@ -491,6 +498,43 @@ def reference_cyclic_flats(M: Matroid) -> tuple[tuple[int, int], ...]:
         if cyclic:
             found.append((F, rF))
     return tuple(found)
+
+
+def reference_validate_rank_axioms(table, n: int) -> AxiomViolation | None:
+    """R1, then R2 per bit and R3 per pair of bits, each over a mask array
+    of the bases filtered per call and four gathers from the table."""
+    size = 1 << n
+    if len(table) != size:
+        raise ValueError(f"rank table must have {size} entries, got {len(table)}")
+    r = np.asarray(bytearray(bytes(table)), dtype=np.int16) if isinstance(
+        table, (bytes, bytearray)
+    ) else np.asarray(table, dtype=np.int16)
+
+    sizes = subset_sizes(n)
+    bad = (r < 0) | (r > sizes)
+    if bad.any():
+        a = int(np.argmax(bad))
+        return AxiomViolation("R1", (a,))
+
+    masks = np.arange(size, dtype=np.int64)
+    for i in range(n):
+        bit = 1 << i
+        base = masks[(masks & bit) == 0]
+        viol = r[base] > r[base | bit]
+        if viol.any():
+            a = int(base[int(np.argmax(viol))])
+            return AxiomViolation("R2", (a, a | bit))
+
+    for i in range(n):
+        bi = 1 << i
+        for j in range(i + 1, n):
+            bj = 1 << j
+            base = masks[(masks & (bi | bj)) == 0]
+            viol = r[base | bi] + r[base | bj] < r[base | bi | bj] + r[base]
+            if viol.any():
+                a = int(base[int(np.argmax(viol))])
+                return AxiomViolation("R3", (a | bi, a | bj))
+    return None
 
 
 @st.composite
@@ -1100,3 +1144,79 @@ class TestFamilyScans:
         out = tmp_path / "corpus"
         assert cli.main(["corpus", "--seed", "3", "--count", "20", "-o", str(out)]) == 0
         assert len(list(out.iterdir())) > 20
+
+
+@st.composite
+def edited_tables(draw, matroids):
+    """A member's table untouched, with a few entries nudged by +-1 or +-2,
+    with two entries of one size swapped, or raised by 1 on every
+    superset of one mask, which keeps R2 and, when that mask is
+    dependent, R1; bytes when every entry fits, else a list that may
+    hold negatives."""
+    M = draw(matroids)
+    t = list(M.rank_table)
+    index = st.integers(0, len(t) - 1)
+    edit = draw(st.sampled_from(["none", "nudge", "swap", "lift"]))
+    if edit == "nudge":
+        for a, d in draw(st.lists(st.tuples(index, st.sampled_from([-2, -1, 1, 2])),
+                                  min_size=1, max_size=3)):
+            t[a] += d
+    elif edit == "swap":
+        a = draw(index)
+        b = draw(st.sampled_from(np.flatnonzero(subset_sizes(M.n) == a.bit_count()).tolist()))
+        t[a], t[b] = t[b], t[a]
+    elif edit == "lift":
+        a = draw(index)
+        t = [v + (X & a == a) for X, v in enumerate(t)]
+    return (bytes(t) if min(t) >= 0 else t), M.n
+
+
+def _top_pair_table() -> bytes:
+    """16 elements, r(A) = |A - {14, 15}| + [{14, 15} within A]: the
+    only R3 break is at bits 14 and 15."""
+    sizes = subset_sizes(16)
+    masks = np.arange(1 << 16)
+    return (sizes[masks & 0x3FFF] + (masks >> 14 == 3)).astype(np.uint8).tobytes()
+
+
+def _top_bit_drop_table() -> bytes:
+    """16 elements, r(A) = |A - {15}| except r(E) = 14: the only R2 break
+    is adding bit 15 to the other 15 elements."""
+    t = subset_sizes(16)[np.arange(1 << 16) & 0x7FFF].astype(np.uint8)
+    t[-1] = 14
+    return t.tobytes()
+
+
+# name: (table, n, first violation)
+_FIXED_AXIOM_TABLES = {
+    "n0": (b"\x00", 0, None),
+    "n0_r1": (b"\x01", 0, AxiomViolation("R1", (0,))),
+    "n1": (b"\x00\x01", 1, None),
+    "n1_r1": (b"\x00\x02", 1, AxiomViolation("R1", (1,))),
+    "n2_r2": (b"\x00\x01\x01\x00", 2, AxiomViolation("R2", (2, 3))),
+    "n2_r3": (b"\x00\x00\x00\x01", 2, AxiomViolation("R3", (1, 2))),
+    "u8_16": (uniform(8, 16).rank_table, 16, None),
+    "r3_bits_14_15": (_top_pair_table(), 16, AxiomViolation("R3", (1 << 14, 1 << 15))),
+    "r2_top_bit": (_top_bit_drop_table(), 16, AxiomViolation("R2", (0x7FFF, 0xFFFF))),
+}
+
+
+class TestAxiomGains:
+    """R2 and R3 are read as gains on a (2,)*n view of the table; the
+    oracle gathers every base mask per bit and per pair of bits."""
+
+    @PROPERTY
+    @given(edited_tables(small_matroids()))
+    def test_match_gathers(self, case):
+        assert validate_rank_axioms(*case) == reference_validate_rank_axioms(*case)
+
+    # the oracle takes ~35 ms per 16-element table, hence fewer examples
+    @settings(PROPERTY, max_examples=100)
+    @given(edited_tables(wide_matroids()))
+    def test_match_gathers_on_wide_matroids(self, case):
+        assert validate_rank_axioms(*case) == reference_validate_rank_axioms(*case)
+
+    @pytest.mark.parametrize("table, n, want", list(_FIXED_AXIOM_TABLES.values()),
+                             ids=list(_FIXED_AXIOM_TABLES))
+    def test_fixed_tables(self, table, n, want):
+        assert validate_rank_axioms(table, n) == reference_validate_rank_axioms(table, n) == want
