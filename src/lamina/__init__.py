@@ -33,7 +33,6 @@ from .constructions import (
     NestedPresentation,
     ZAxiomError,
     ZViolation,
-    circuits_from_cyclic_flats,
     cycle_matroid,
     direct_sum,
     from_cyclic_flats,
@@ -85,7 +84,6 @@ __all__ = [
     "NestedPresentation",
     "ZAxiomError",
     "ZViolation",
-    "circuits_from_cyclic_flats",
     "cycle_matroid",
     "direct_sum",
     "from_cyclic_flats",

@@ -31,13 +31,13 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import Matroid, MatroidError
+from .core import Matroid, MatroidError, prime_circuits
 from .constructions import (
     CyclicFlatFamily,
     LaminarCapacitySystem,
     Multigraph,
     ZAxiomError,
-    cycle_matroid,
+    cycle_matroids,
     direct_sum,
     from_cyclic_flats,
     laminar_matroid,
@@ -59,7 +59,8 @@ from .laminar import (
     is_nested,
     is_paving,
 )
-from .minors import contract, delete, has_minor, is_binary, is_ternary, is_excluded_minor
+from .minors import (
+    contract, has_minor, is_binary, is_ternary, is_excluded_minor, single_element_minors)
 from .formats import serialize_matroid
 from .corpus import CorpusSpec, generate_corpus
 
@@ -103,7 +104,9 @@ class Sweep:
     label: str = "corpus"
 
     def __call__(self, seed: int) -> tuple[bool, dict | None]:
-        for i, M in enumerate(self.corpus(seed)):
+        members = self.corpus(seed)
+        prime_circuits(members)
+        for i, M in enumerate(members):
             failure = self.claim(M)
             if failure is not None:
                 note, *sets = failure
@@ -182,16 +185,17 @@ def _graphic_corpus(seed: int) -> list[Matroid]:
     for name in ("mk23", "mk4", "wheel4rimdel"):
         M = named_matroid(name)
         out.append(M)
-        out.extend(op(M, 1 << e) for e in range(M.n) for op in (delete, contract))
+        out.extend(single_element_minors(M))
     rng = random.Random(seed)
+    graphs = []
     for _ in range(150):
         nv = rng.randint(2, 5)
         m = rng.randint(1, 8)
         edges = tuple(
             (u, v) for u, v in
             ((rng.randrange(nv), rng.randrange(nv)) for _ in range(m)))
-        out.append(cycle_matroid(Multigraph(nv, edges)))
-    return out
+        graphs.append(Multigraph(nv, edges))
+    return out + cycle_matroids(graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +292,29 @@ def _graph_pool(seed: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...
     return tuple(pool)
 
 
+# Pool graphs built and primed together; their caches live until the
+# chunk is checked, and a whole pool at once adds ~2 MiB to peak memory
+_POOL_CHUNK = 64
+
+
 def _graphic_class_check(k_pred, max_chords: int, paired: bool):
     """Graphic characterization: on the cycle matroid of each pool graph,
     ``k_pred`` holds exactly when the graph is K_4 or a cycle with the
     stated chords."""
     def check(seed):
-        for nv, edges in _graph_pool(seed):
-            M = cycle_matroid(Multigraph(nv, edges))
-            is_k4 = nv == 4 and len(edges) == 6
-            claimed = is_k4 or _cycle_with_chords(nv, edges, max_chords, paired)
-            actual = bool(k_pred(M))
-            if claimed != actual:
-                return False, _witness(
-                    M, f"graph on {nv} vertices, edges {edges}: "
-                       f"predicate {actual} but graph shape says {claimed}")
+        pool = _graph_pool(seed)
+        for start in range(0, len(pool), _POOL_CHUNK):
+            chunk = pool[start:start + _POOL_CHUNK]
+            members = cycle_matroids([Multigraph(nv, edges) for nv, edges in chunk])
+            prime_circuits(members)
+            for (nv, edges), M in zip(chunk, members):
+                is_k4 = nv == 4 and len(edges) == 6
+                claimed = is_k4 or _cycle_with_chords(nv, edges, max_chords, paired)
+                actual = bool(k_pred(M))
+                if claimed != actual:
+                    return False, _witness(
+                        M, f"graph on {nv} vertices, edges {edges}: "
+                           f"predicate {actual} but graph shape says {claimed}")
         return True, None
     return check
 
@@ -372,12 +385,13 @@ def _minor_closed(holds, ks, kind: str):
     single-element deletion and contraction of M also holds."""
     def claim(M):
         kept = [k for k in ks(M) if holds(M, k)]
-        for e in range(M.n):
-            bit = 1 << e
-            for op, M2 in (("delete", delete(M, bit)), ("contract", contract(M, bit))):
-                for k in kept:
-                    if not holds(M2, k):
-                        return f"{op} {M.labels[e]} leaves {k}-{kind}", bit
+        minors = single_element_minors(M)
+        prime_circuits(minors)
+        for j, M2 in enumerate(minors):
+            for k in kept:
+                if not holds(M2, k):
+                    op = ("delete", "contract")[j % 2]
+                    return f"{op} {M.labels[j // 2]} leaves {k}-{kind}", 1 << j // 2
         return None
     return claim
 

@@ -76,29 +76,54 @@ class Multigraph:
         object.__setattr__(self, "labels", tuple(labels))
 
 
+# Cells of one graphic DP (graphs x endpoints x subsets): under 1 MiB of labels
+_DP_CELLS = 1 << 17
+
+
 def cycle_matroid(G: Multigraph) -> Matroid:
-    """Cycle matroid of a multigraph.
+    """Cycle matroid of a multigraph: see :func:`cycle_matroids`."""
+    return cycle_matroids([G])[0]
+
+
+def cycle_matroids(graphs: Sequence[Multigraph]) -> list[Matroid]:
+    """Cycle matroids of many multigraphs, one DP per edge count.
 
     rank(A) = (#vertices) - (#components of the spanning subgraph with
-    edge set A).  The table is built one edge at a time, highest bit
-    last: ``lab[A]`` holds the component label of every vertex of the
-    subgraph A, so adding edge (u, v) to each subset A of the earlier
-    edges relabels u's component as v's and raises the rank exactly
-    when the two labels differed.
+    edge set A).  The tables of the graphs with m edges are built
+    together, one edge at a time, highest bit last: ``lab[g, :, A]``
+    holds the component labels of graph g's endpoints in its subgraph A,
+    so adding edge (u, v) to each subset A of the earlier edges relabels
+    u's component as v's and raises the rank exactly when the two labels
+    differed.  Graphs with fewer endpoints are padded with isolated ones.
     """
-    m = len(G.edges)
-    if m > MAX_ELEMENTS:
-        raise MatroidError(f"too many edges: {m} > {MAX_ELEMENTS}")
-    # only the at most 2m endpoints matter, so labels fit in uint8
-    pos = {x: i for i, x in enumerate(sorted({x for e in G.edges for x in e}))}
-    lab = np.arange(len(pos), dtype=np.uint8)[None, :]
-    rank = np.zeros(1, dtype=np.uint8)
-    for u, v in G.edges:
-        lu, lv = lab[:, pos[u], None], lab[:, pos[v], None]
-        rank = np.concatenate((rank, rank + (lu[:, 0] != lv[:, 0])))
-        lab = np.concatenate((lab, np.where(lab == lu, lv, lab)))
-    # the forests of a graph are the independent sets of a matroid
-    return Matroid(G.labels, rank.tobytes(), validate=False)
+    by_m: dict[int, list[int]] = {}
+    for i, G in enumerate(graphs):
+        if len(G.edges) > MAX_ELEMENTS:
+            raise MatroidError(f"too many edges: {len(G.edges)} > {MAX_ELEMENTS}")
+        by_m.setdefault(len(G.edges), []).append(i)
+    out: list[Matroid] = [None] * len(graphs)
+    for m, members in by_m.items():
+        # only the at most 2m endpoints matter, so labels fit in uint8
+        ends = []
+        for i in members:
+            pos = {x: j for j, x in enumerate(sorted({x for e in graphs[i].edges for x in e}))}
+            ends.append([pos[x] for e in graphs[i].edges for x in e])
+        ends = np.array(ends, dtype=np.intp).reshape(len(members), m, 2)
+        width = int(ends.max(initial=0)) + 1
+        rows = max(1, _DP_CELLS // (width << m))
+        for start in range(0, len(members), rows):
+            e = ends[start:start + rows]
+            g = np.arange(len(e))
+            lab = np.tile(np.arange(width, dtype=np.uint8)[:, None], (len(e), 1, 1))
+            rank = np.zeros((len(e), 1), dtype=np.uint8)
+            for j in range(m):
+                lu, lv = lab[g, e[:, j, 0]], lab[g, e[:, j, 1]]
+                rank = np.concatenate((rank, rank + (lu != lv)), axis=1)
+                lab = np.concatenate((lab, np.where(lab == lu[:, None], lv[:, None], lab)), axis=2)
+            for i, table in zip(members[start:start + rows], rank):
+                # the forests of a graph are the independent sets of a matroid
+                out[i] = Matroid(graphs[i].labels, table.tobytes(), validate=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -484,29 +509,6 @@ def from_cyclic_flats(family: CyclicFlatFamily) -> Matroid:
     if set(M.cyclic_flats()) != set(entries):
         raise MatroidError("synthesized matroid does not reproduce the family")
     return M
-
-
-def circuits_from_cyclic_flats(family: CyclicFlatFamily) -> tuple[int, ...]:
-    """Circuits directly from the family: minimal S with S ⊆ Z, |S| = r(Z)+1."""
-    v = validate_z_axioms(family)
-    if v is not None:
-        raise ZAxiomError(v)
-    cand: set[int] = set()
-    for Z, r in family.entries:
-        bits = [i for i in range(Z.bit_length()) if Z >> i & 1]
-        if r + 1 > len(bits):
-            continue
-        for combo in itertools.combinations(bits, r + 1):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            cand.add(mask)
-    minimal = [
-        S
-        for S in cand
-        if not any(T != S and T & ~S == 0 for T in cand)
-    ]
-    return tuple(sorted(minimal, key=lambda c: (c.bit_count(), c)))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,10 @@ _MASKS.flags.writeable = False
 _BITS.flags.writeable = False
 
 
+# Table entries of one stacked circuits pass: its gathers stay under 1 MiB
+_STACK_CELLS = 1 << 13
+
+
 def subset_sizes(n: int) -> np.ndarray:
     """Popcount of every mask over ``n`` elements, as a read-only numpy
     array: a prefix of one table built at import."""
@@ -92,11 +96,13 @@ def validate_rank_axioms(table: Sequence[int], n: int) -> AxiomViolation | None:
     size = 1 << n
     if len(table) != size:
         raise ValueError(f"rank table must have {size} entries, got {len(table)}")
-    # no fixed dtype for a list, so an entry too large for any table
-    # is an R1 violation rather than an OverflowError
-    r = np.frombuffer(table, dtype=np.uint8) if isinstance(
-        table, (bytes, bytearray)
-    ) else np.asarray(table)
+    if isinstance(table, (bytes, bytearray)):
+        r = np.frombuffer(table, dtype=np.uint8)
+    else:
+        # no fixed dtype, so an entry too large for any table is an R1
+        # violation rather than an OverflowError; a non-integer entry
+        # reads as -1, an R1 violation at its mask
+        r = np.array([x if isinstance(x, (int, np.integer)) else -1 for x in table])
 
     bad = (r < 0) | (r > subset_sizes(n))
     if bad.any():
@@ -273,31 +279,21 @@ class Matroid:
 
     def circuits(self) -> tuple[int, ...]:
         """All minimal dependent subsets, ordered by (size, mask)."""
-        out = self._cache.get("circuits")
-        if out is None:
-            r = np.frombuffer(self.rank_table, dtype=np.uint8)
-            dependent = r == subset_sizes(self.n) - 1
-            out = tuple(self._by_size(dependent & self._unchanged()).tolist())
-            self._cache["circuits"] = out
-        return out
+        if "circuits" not in self._cache:
+            prime_circuits((self,))
+        return self._cache["circuits"]
 
     def nonspanning_circuits(self) -> tuple[int, ...]:
         """Circuits of rank below r(E), in :meth:`circuits` order."""
-        out = self._cache.get("nonspanning")
-        if out is None:
-            r = self.full_rank()
-            rt = self.rank_table
-            out = tuple(C for C in self.circuits() if rt[C] < r)
-            self._cache["nonspanning"] = out
-        return out
+        if "circuits" not in self._cache:
+            prime_circuits((self,))
+        return self._cache["nonspanning"]
 
     def nonspanning_closures(self) -> tuple[int, ...]:
         """``cl C`` for each of :meth:`nonspanning_circuits`, in its order."""
-        out = self._cache.get("nonspanning_closures")
-        if out is None:
-            out = tuple(self.closure(C) for C in self.nonspanning_circuits())
-            self._cache["nonspanning_closures"] = out
-        return out
+        if "circuits" not in self._cache:
+            prime_circuits((self,))
+        return self._cache["nonspanning_closures"]
 
     def flats(self) -> tuple[int, ...]:
         """All closure-closed subsets, ordered by (size, mask)."""
@@ -358,3 +354,46 @@ class Matroid:
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.full_rank()}, labels={self.labels!r})"
+
+
+def prime_circuits(matroids: Iterable[Matroid]) -> None:
+    """Fill the ``circuits``, ``nonspanning`` and ``nonspanning_closures``
+    caches of every matroid not yet primed: one numpy pass per stack of
+    same-size tables, of at most ``_STACK_CELLS`` entries."""
+    by_n: dict[int, list[Matroid]] = {}
+    for M in matroids:
+        if "circuits" not in M._cache:
+            by_n.setdefault(M.n, []).append(M)
+    for n, ms in by_n.items():
+        rows = max(1, _STACK_CELLS >> n)
+        for start in range(0, len(ms), rows):
+            _circuit_pass(ms[start:start + rows], n)
+
+
+def _circuit_pass(ms: Sequence[Matroid], n: int) -> None:
+    """The circuit caches of a stack of tables over ``n`` elements.  Set
+    A of row i sits at ``i << n | A`` of the flat stack; ``at`` counts
+    the same positions with each row read in (size, mask) order, so it
+    ascends and ``i << n`` splits off the rows before i."""
+    R = np.frombuffer(b"".join(M.rank_table for M in ms), dtype=np.uint8)
+    E = (1 << n) - 1
+    bits = _BITS[:n].astype(np.intp)
+    # sets of rank |A| - 1
+    order = np.argsort(subset_sizes(n), kind="stable")
+    at = np.flatnonzero(R.reshape(-1, E + 1)[:, order] == subset_sizes(n)[order] - 1)
+    F = at >> n << n | order[at & E]
+    rF = R[F]
+    # a circuit keeps its rank when any one element goes
+    keep = (R[F[:, None] & ~bits] == rF[:, None]).all(1)
+    at, F, rF = at[keep], F[keep], rF[keep]
+    # a spanning circuit closes to E, so only the others are gathered
+    ns = rF < R[F | E]
+    Fn, rFn = F[ns], rF[ns]
+    closures = ((R[Fn[:, None] | bits] == rFn[:, None]) @ bits).tolist()
+    circs, nonspanning = (F & E).tolist(), (Fn & E).tolist()
+    bounds = np.arange(len(ms) + 1) << n
+    ends, ns_ends = (np.searchsorted(x, bounds).tolist() for x in (at, at[ns]))
+    for M, a, b, c, d in zip(ms, ends, ends[1:], ns_ends, ns_ends[1:]):
+        M._cache["circuits"] = tuple(circs[a:b])
+        M._cache["nonspanning"] = tuple(nonspanning[c:d])
+        M._cache["nonspanning_closures"] = tuple(closures[c:d])

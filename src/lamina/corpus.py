@@ -17,7 +17,7 @@ from .constructions import (
     LaminarCapacitySystem,
     Multigraph,
     NestedPresentation,
-    cycle_matroid,
+    cycle_matroids,
     laminar_matroid,
     mn_family,
     named_matroid,
@@ -29,7 +29,7 @@ from .constructions import (
     NAMED_FIXED,
     _sparse_paving,
 )
-from .minors import contract, delete
+from .minors import MinorSpec, minor, single_element_minors
 
 DEFAULT_WEIGHTS = {
     "laminar": 3,
@@ -102,13 +102,11 @@ def catalog_with_minors(max_elements: int) -> list[tuple[str, Matroid]]:
     out = list(base)
     seen = {(M.labels, M.rank_table) for _, M in base}
     for name, M in base:
-        for i in range(M.n):
-            bit = 1 << i
-            for op, M2 in (("del", delete(M, bit)), ("con", contract(M, bit))):
-                key = (M2.labels, M2.rank_table)
-                if key not in seen:
-                    seen.add(key)
-                    out.append((f"{name}/{op} {M.labels[i]}", M2))
+        for j, M2 in enumerate(single_element_minors(M)):
+            key = (M2.labels, M2.rank_table)
+            if key not in seen:
+                seen.add(key)
+                out.append((f"{name}/{('del', 'con')[j % 2]} {M.labels[j // 2]}", M2))
     return out
 
 
@@ -162,7 +160,7 @@ def _random_nested(rng: random.Random, max_elements: int) -> Matroid:
     )
 
 
-def _random_graphic(rng: random.Random, max_elements: int) -> Matroid:
+def _random_graphic(rng: random.Random, max_elements: int) -> Multigraph:
     nv = rng.randint(2, 5)
     m = rng.randint(1, max_elements)
     edges = []
@@ -173,7 +171,7 @@ def _random_graphic(rng: random.Random, max_elements: int) -> Matroid:
         else:
             v = rng.randrange(nv)
         edges.append((u, v))
-    return cycle_matroid(Multigraph(nv, tuple(edges)))
+    return Multigraph(nv, tuple(edges))
 
 
 def _random_sparse_paving(rng: random.Random, max_elements: int) -> Matroid:
@@ -194,11 +192,13 @@ def _random_sparse_paving(rng: random.Random, max_elements: int) -> Matroid:
 def _random_named_minor(rng: random.Random, max_elements: int) -> Matroid:
     base = catalog_matroids(MAX_ELEMENTS)
     name, M = base[rng.randrange(len(base))]
-    while M.n > max_elements or (M.n > 1 and rng.random() < 0.5):
-        i = rng.randrange(M.n)
-        bit = 1 << i
-        M = delete(M, bit) if rng.random() < 0.5 else contract(M, bit)
-    return M
+    # drawn as one delete or contract per step, then gathered at once
+    rest = list(range(M.n))
+    D = C = 0
+    while len(rest) > max_elements or (len(rest) > 1 and rng.random() < 0.5):
+        bit = 1 << rest.pop(rng.randrange(len(rest)))
+        D, C = (D | bit, C) if rng.random() < 0.5 else (D, C | bit)
+    return minor(M, MinorSpec(D, C))
 
 
 _GENERATORS = {
@@ -215,6 +215,7 @@ def generate_corpus(spec: CorpusSpec) -> list[Matroid]:
 
     The named catalog slice (and its single-element minors) comes first,
     then ``count`` seeded random matroids drawn per the generator mix.
+    Graphic members are drawn as graphs and built together at the end.
     """
     out: list[Matroid] = []
     if spec.include_catalog:
@@ -224,4 +225,7 @@ def generate_corpus(spec: CorpusSpec) -> list[Matroid]:
     for _ in range(spec.count):
         gen = _GENERATORS[rng.choice(names)]
         out.append(gen(rng, spec.max_elements))
+    at = [i for i, G in enumerate(out) if isinstance(G, Multigraph)]
+    for i, M in zip(at, cycle_matroids([out[i] for i in at])):
+        out[i] = M
     return out

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Matroid, MatroidError, subset_index, subset_sizes
+from .core import Matroid, MatroidError, _spread, prime_circuits, subset_index, subset_sizes
 from .constructions import uniform, named_matroid
 from .laminar import (
     is_k_closure_laminar,
@@ -84,6 +84,19 @@ def contract(M: Matroid, C: int) -> Matroid:
     if C & ~M.E:
         raise MatroidError(f"mask {C:#x} not within ground set")
     return _gather(M, C, C)
+
+
+def single_element_minors(M: Matroid) -> list[Matroid]:
+    """M \\ p then M / p for each position p in order, from one gather:
+    the sets kept without p are the masks with a zero bit inserted at p."""
+    p = np.arange(M.n)
+    keep = _spread(np.arange(M.E + 1 >> 1), p[:, None])
+    rt = np.frombuffer(M.rank_table, dtype=np.uint8)
+    tables = rt[np.stack((keep, keep | 1 << p[:, None]), axis=1)]
+    tables[:, 1] -= rt[1 << p, None]
+    # deletions and contractions of a matroid are matroids
+    return [Matroid(M.labels[:i] + M.labels[i + 1:], t.tobytes(), validate=False)
+            for i in range(M.n) for t in tables[i]]
 
 
 def minor(M: Matroid, spec: MinorSpec) -> Matroid:
@@ -278,18 +291,15 @@ def is_excluded_minor(M: Matroid, predicate: str) -> ExcludedMinorResult:
     P = class_predicate(predicate)
     if P(M):
         return ExcludedMinorResult(False, f"matroid already satisfies {predicate}")
-    for i in range(M.n):
-        bit = 1 << i
-        if not P(delete(M, bit)):
+    minors = single_element_minors(M)
+    prime_circuits(minors)
+    for j, N in enumerate(minors):
+        if not P(N):
+            i, contracted = divmod(j, 2)
             return ExcludedMinorResult(
                 False,
-                f"deletion of {M.labels[i]} still violates {predicate}",
-                MinorSpec(bit, 0),
-            )
-        if not P(contract(M, bit)):
-            return ExcludedMinorResult(
-                False,
-                f"contraction of {M.labels[i]} still violates {predicate}",
-                MinorSpec(0, bit),
+                f"{('deletion', 'contraction')[contracted]} of {M.labels[i]} "
+                f"still violates {predicate}",
+                MinorSpec(0, 1 << i) if contracted else MinorSpec(1 << i, 0),
             )
     return ExcludedMinorResult(True, f"excluded minor for {predicate}")

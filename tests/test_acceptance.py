@@ -14,7 +14,6 @@ from lamina.cli import main
 from lamina.constructions import (
     CyclicFlatFamily,
     ZAxiomError,
-    circuits_from_cyclic_flats,
     from_cyclic_flats,
     mn_family,
     named_matroid,
@@ -34,6 +33,7 @@ from lamina.laminar import (
     is_nested,
 )
 from lamina.minors import contract, is_binary, is_excluded_minor, is_ternary
+from test_kernels import circuits_from_cyclic_flats
 
 
 def _report(name: str, ok: bool, detail: str = ""):

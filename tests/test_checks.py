@@ -137,14 +137,18 @@ class TestForcedFailures:
         cid = "lem-klam-minor-closed"
         corpus = checks._sweep_corpus(checks._sub_seed(cid, 0))
         j = next(i for i in range(3, len(corpus)) if is_k_laminar(corpus[i], 2))
-        real = checks.contract
+        real = checks.single_element_minors
 
-        def contract(M, bit):
-            # M(K_{2,3}) is not 2-laminar, so the first k in the member's
-            # own list fails at its first contraction
-            return named_matroid("mk23") if M == corpus[j] else real(M, bit)
+        def single_element_minors(M):
+            # the list runs M \ e1, M / e1, M \ e2, ...; M(K_{2,3}) is not
+            # 2-laminar, so the first k in the member's own list fails at
+            # the first contraction
+            minors = real(M)
+            if M == corpus[j]:
+                minors[1] = named_matroid("mk23")
+            return minors
 
-        monkeypatch.setattr(checks, "contract", contract)
+        monkeypatch.setattr(checks, "single_element_minors", single_element_minors)
         first = corpus[j].labels[0]
         note = _assert_witness(run_check(cid), corpus[j], [(first,)])
         assert f"corpus[{j}]" in note and f"contract {first}" in note

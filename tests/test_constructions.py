@@ -19,7 +19,6 @@ from lamina.constructions import (
     NestedPresentation,
     ZAxiomError,
     circuit_matroid,
-    circuits_from_cyclic_flats,
     cycle_matroid,
     direct_sum,
     from_cyclic_flats,
@@ -40,6 +39,7 @@ from lamina.constructions import (
     validate_z_axioms,
 )
 from lamina.minors import is_isomorphic
+from test_kernels import circuits_from_cyclic_flats
 
 
 class TestUniformAndCircuit:

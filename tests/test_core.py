@@ -106,6 +106,16 @@ class TestAxiomValidation:
         v = validate_rank_axioms([0, 1, 70000, 2], 2)
         assert v is not None and (v.axiom, v.witness) == ("R1", (2,))
 
+    @pytest.mark.parametrize("table, mask", [
+        ([0, 0.5], 1),
+        ([0, 1.0], 1),
+        (["0", "1"], 0),
+        ([0, None], 1),
+    ], ids=["half", "float_one", "strings", "none"])
+    def test_non_integer_entry_is_r1(self, table, mask):
+        v = validate_rank_axioms(table, 1)
+        assert v is not None and (v.axiom, v.witness) == ("R1", (mask,))
+
     def test_constructor_rejects_invalid(self):
         with pytest.raises(MatroidError):
             Matroid(("a", "b"), bytes([0, 1, 1, 3]))

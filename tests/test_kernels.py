@@ -1,7 +1,8 @@
 """Closed forms and vectorised kernels versus the reference scans they replaced.
 
-The graphic-rank DP in ``cycle_matroid``, the gather kernel behind
-``delete``/``contract``/``minor``, the one-expression tables of
+The graphic-rank DP in ``cycle_matroids``, the gather kernels behind
+``delete``/``contract``/``minor`` and ``single_element_minors``, the
+one-gather corpus minors, the one-expression tables of
 ``uniform``, ``truncate``, ``direct_sum`` and ``Matroid.dual``, the rank
 formulas of ``laminar_matroid``, ``transversal_matroid``,
 ``from_cyclic_flats`` and ``parallel_connection``, the two subset passes
@@ -9,7 +10,8 @@ of ``matroid_from_circuits``, the sparse paving tables of the Fano plane
 and the corpus, the pair generators behind the laminar predicates,
 the batched candidate filter of ``has_minor``, the prefix image
 search of ``find_isomorphism``, the two boolean scans behind
-``circuits``, ``flats`` and ``cyclic_flats`` and the cube-view gains of
+``flats`` and ``cyclic_flats``, the stacked circuits pass of
+``prime_circuits`` and the cube-view gains of
 ``validate_rank_axioms`` must agree exactly with the plain loops and
 gathers they replaced, which are kept here as oracles.  The
 constructors that no longer re-check the rank axioms are checked here
@@ -26,10 +28,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamina import cli, core, corpus, formats
+from lamina import cli, constructions, core, corpus, formats
 from lamina.core import (
+    MAX_ELEMENTS,
     AxiomViolation,
     Matroid,
+    prime_circuits,
     subset_index,
     subset_sizes,
     validate_rank_axioms,
@@ -39,9 +43,11 @@ from lamina.constructions import (
     LaminarCapacitySystem,
     Multigraph,
     NestedPresentation,
+    ZAxiomError,
     _disjoint_labels,
     circuit_matroid,
     cycle_matroid,
+    cycle_matroids,
     direct_sum,
     from_cyclic_flats,
     laminar_matroid,
@@ -53,6 +59,7 @@ from lamina.constructions import (
     transversal_matroid,
     truncate,
     uniform,
+    validate_z_axioms,
 )
 from lamina.corpus import CorpusSpec, catalog_matroids, generate_corpus
 from lamina.formats import parse_matroid
@@ -72,6 +79,7 @@ from lamina.minors import (
     find_isomorphism,
     has_minor,
     minor,
+    single_element_minors,
 )
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -384,6 +392,40 @@ def reference_random_sparse_paving(rng: random.Random, max_elements: int) -> Mat
     return Matroid(labels, bytes(table))
 
 
+def reference_random_named_minor(rng: random.Random, max_elements: int) -> Matroid:
+    """The corpus generator's draws, one delete or contract per step."""
+    base = catalog_matroids(MAX_ELEMENTS)
+    name, M = base[rng.randrange(len(base))]
+    while M.n > max_elements or (M.n > 1 and rng.random() < 0.5):
+        i = rng.randrange(M.n)
+        bit = 1 << i
+        M = delete(M, bit) if rng.random() < 0.5 else contract(M, bit)
+    return M
+
+
+def circuits_from_cyclic_flats(family: CyclicFlatFamily) -> tuple[int, ...]:
+    """Circuits directly from the family: minimal S with S ⊆ Z, |S| = r(Z)+1."""
+    v = validate_z_axioms(family)
+    if v is not None:
+        raise ZAxiomError(v)
+    cand: set[int] = set()
+    for Z, r in family.entries:
+        bits = [i for i in range(Z.bit_length()) if Z >> i & 1]
+        if r + 1 > len(bits):
+            continue
+        for combo in itertools.combinations(bits, r + 1):
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            cand.add(mask)
+    minimal = [
+        S
+        for S in cand
+        if not any(T != S and T & ~S == 0 for T in cand)
+    ]
+    return tuple(sorted(minimal, key=lambda c: (c.bit_count(), c)))
+
+
 def _all_unnested_pairs(M: Matroid):
     """Unnested circuit pairs over every circuit, spanning ones included."""
     circs = M.circuits()
@@ -626,6 +668,27 @@ class TestCycleMatroidKernel:
         assert len(edges) == 16
         assert cycle_matroid(G).rank_table == reference_cycle_table(G)
 
+    # the oracle runs once per graph of each list, hence fewer examples
+    @settings(PROPERTY, max_examples=100)
+    @given(st.lists(multigraphs(), max_size=12))
+    def test_batches_match_union_find(self, graphs):
+        got = [(M.labels, M.rank_table) for M in cycle_matroids(graphs)]
+        assert got == [(G.labels, reference_cycle_table(G)) for G in graphs]
+
+    @pytest.mark.parametrize("cells", [1, 1 << 6, constructions._DP_CELLS])
+    def test_fixed_batch(self, monkeypatch, cells):
+        """No edges, loops only, isolated vertices and 16 edges, with the
+        DP split down to one graph at the smallest cell cap."""
+        ends = list(range(0, 40, 5)) + list(range(1, 40, 5))
+        graphs = [Multigraph(3, ()), Multigraph(1, ((0, 0), (0, 0))),
+                  Multigraph(40, tuple(zip(ends, ends[1:] + ends[:1]))),
+                  Multigraph(9, ((8, 8), (2, 7), (7, 2))), Multigraph(1, ()),
+                  Multigraph(6, ((0, 5), (5, 5), (3, 1)))]
+        want = [reference_cycle_table(G) for G in graphs]
+        monkeypatch.setattr(constructions, "_DP_CELLS", cells)
+        assert [M.rank_table for M in cycle_matroids(graphs)] == want
+        assert cycle_matroids([]) == []
+
 
 class TestMinorKernel:
     @PROPERTY
@@ -642,6 +705,22 @@ class TestMinorKernel:
         assert delete(M, 0) == M and contract(M, 0) == M
         for N in (delete(M, M.E), contract(M, M.E)):
             assert N.n == 0 and N.rank_table == b"\x00"
+
+    @PROPERTY
+    @given(st.sampled_from([Matroid((), b"\x00"), *_CORPUS]))
+    def test_single_element_minors_match_subset_scan(self, M):
+        got = [(N.labels, N.rank_table) for N in single_element_minors(M)]
+        assert got == [reference_minor(M, 1 << p, c) for p in range(M.n)
+                       for c in (0, 1 << p)]
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 12))
+    def test_random_named_minor_in_one_gather(self, seed, max_elements):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = corpus._random_named_minor(rng, max_elements)
+        want = reference_random_named_minor(ref_rng, max_elements)
+        assert (got.labels, got.rank_table) == (want.labels, want.rank_table)
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def _unvalidated_outputs(M: Matroid):
@@ -1144,6 +1223,59 @@ class TestFamilyScans:
         out = tmp_path / "corpus"
         assert cli.main(["corpus", "--seed", "3", "--count", "20", "-o", str(out)]) == 0
         assert len(list(out.iterdir())) > 20
+
+
+def _primed(ms) -> list[tuple]:
+    """The caches that one ``prime_circuits`` call fills on fresh copies."""
+    fresh = [Matroid(M.labels, M.rank_table, validate=False) for M in ms]
+    prime_circuits(fresh)
+    out = [tuple(M._cache[key] for key in ("circuits", "nonspanning", "nonspanning_closures"))
+           for M in fresh]
+    # numpy integers would pass the comparison but not json.dumps
+    assert all(type(v) is int for caches in out for family in caches for v in family)
+    return out
+
+
+def _circuit_loops(M: Matroid) -> tuple:
+    """Circuits, the nonspanning ones and their closures, per table."""
+    circs = reference_circuits(M)
+    nonspanning = tuple(C for C in circs if M.rank(C) < M.full_rank())
+    return circs, nonspanning, tuple(M.closure(C) for C in nonspanning)
+
+
+class TestStackedCircuits:
+    """One pass over a stack of same-size tables fills each matroid's
+    circuit caches; the oracles scan one table at a time."""
+
+    @PROPERTY
+    @given(st.lists(small_matroids(), max_size=8))
+    def test_mixed_stacks_match_loops(self, ms):
+        assert _primed(ms) == [_circuit_loops(M) for M in ms]
+
+    @pytest.mark.parametrize("M", [_FIXED_TABLES[k] for k in ("n0", "u8_16", "m8_0")],
+                             ids=["n0", "u8_16", "m8_0"])
+    def test_one_row_stacks(self, M):
+        assert _primed([M]) == [_circuit_loops(M)]
+        assert M.circuits() == reference_circuits(M)
+
+    @pytest.mark.parametrize("cells", [1 << 9, core._STACK_CELLS])
+    def test_stacks_split_across_passes(self, monkeypatch, cells):
+        # 119 six-element and 88 seven-element members: 8 and 4 rows per
+        # pass at the smaller cap
+        monkeypatch.setattr(core, "_STACK_CELLS", cells)
+        assert _primed(_CORPUS) == [_circuit_loops(M) for M in _CORPUS]
+
+    def test_primed_matroids_are_skipped(self):
+        M = Matroid(("a", "b"), bytes([0, 1, 1, 1]))
+        circs = M.circuits()
+        prime_circuits([M, M])
+        assert M.circuits() is circs
+
+    @PROPERTY
+    @given(st.sampled_from(_CORPUS))
+    def test_cyclic_flat_matroids_match_family(self, M):
+        family = CyclicFlatFamily(M.labels, M.cyclic_flats())
+        assert from_cyclic_flats(family).circuits() == circuits_from_cyclic_flats(family)
 
 
 @st.composite
