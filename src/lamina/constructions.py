@@ -10,8 +10,10 @@ theorem, named at each call, without re-checking the axioms.
 The module covers uniform and cycle matroids, laminar capacity systems,
 nested transversal presentations, truncation, direct sum, parallel
 connection, circuit-hyperplane relaxation, synthesis from a cyclic-flat
-lattice, and the named catalog (M_n(k), N_n(k), P_n(k), Fano, wheels,
-and the k-closure-laminar counterexample families).
+lattice, and the named catalog: one table of fixed matroids, whose keys
+are :data:`NAMED_FIXED`, and one of parametric families (M_n(k), N_n(k),
+P_n(k), the Section 1 example, and notk, which always fails synthesis
+and so is never a catalog member), both read by :func:`named_matroid`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ def uniform(r: int, n: int, labels: Sequence[str] | None = None) -> Matroid:
         raise MatroidError(f"ground set too large: {n} > {MAX_ELEMENTS}")
     if labels is None:
         labels = tuple(f"e{i + 1}" for i in range(n))
+    if len(labels) != n:
+        raise MatroidError(f"need one label per element: {len(labels)} labels for n={n}")
     table = np.minimum(subset_sizes(n), r).astype(np.uint8)
     # min(|A|, r) with 0 <= r <= n is the rank function of U_{r,n}
     return Matroid(labels, table.tobytes(), validate=False)
@@ -531,44 +535,17 @@ def _fano() -> Matroid:
                           (sum(1 << i for i in line) for line in lines))
 
 
-def _k23_graph() -> Multigraph:
-    # vertices {0,1} vs {2,3,4}
-    edges = [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)]
-    return Multigraph(5, tuple(edges))
-
-
-def _k33_graph() -> Multigraph:
-    edges = [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)]
-    return Multigraph(6, tuple(edges))
-
-
-def _wheel4_rim_deleted() -> Multigraph:
-    # hub 0, rim 1-4; one rim edge (1,2) removed
-    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (3, 4), (4, 1)]
-    return Multigraph(5, tuple(edges))
-
-
 def _theta_graph(n: int, k: int) -> Multigraph:
     """Two vertices joined by internally disjoint paths of lengths k, n-k, n-k."""
-    edges = []
-    labels = []
+    edges: list[tuple[int, int]] = []
+    labels: list[str] = []
     nv = 2
-    u, w = 0, 1
-
-    def add_path(length, prefix):
-        nonlocal nv
-        prev = u
-        for i in range(length - 1):
-            edges.append((prev, nv))
-            labels.append(f"{prefix}{i + 1}")
-            prev = nv
-            nv += 1
-        edges.append((prev, w))
-        labels.append(f"{prefix}{length}")
-
-    add_path(k, "p")
-    add_path(n - k, "x")
-    add_path(n - k, "y")
+    for length, prefix in ((k, "p"), (n - k, "x"), (n - k, "y")):
+        # from vertex 0 through length - 1 new vertices to vertex 1
+        path = [0, *range(nv, nv + length - 1), 1]
+        nv += length - 1
+        edges += zip(path, path[1:])
+        labels += (f"{prefix}{i + 1}" for i in range(length))
     return Multigraph(nv, tuple(edges), tuple(labels))
 
 
@@ -589,6 +566,16 @@ def mn_family(n: int, k: int) -> Matroid:
     return truncate(base, n)
 
 
+def _glued_circuit(size: int, prefix: str, arm_size: int, arm_prefixes: str) -> Matroid:
+    """A ``size``-circuit labelled prefix1, prefix2, ... with an
+    ``arm_size``-circuit glued on by parallel connection at each of
+    prefix1 and prefix2, the two arms labelled from ``arm_prefixes``."""
+    out = circuit_matroid(size, prefix)
+    for i, p in enumerate(arm_prefixes, 1):
+        out = parallel_connection(out, f"{prefix}{i}", circuit_matroid(arm_size, p), f"{p}1")
+    return out
+
+
 def nn_family(n: int, k: int) -> Matroid:
     """N_n(k): rank-n truncation of a (k+2)-circuit with two (n-k)-circuits
     glued on by parallel connection at the distinct elements c1 and c2.
@@ -600,10 +587,7 @@ def nn_family(n: int, k: int) -> Matroid:
         raise MatroidError(f"N_n(k) needs n >= k+3 >= 5, got n={n}, k={k}")
     if 2 * n - k > MAX_ELEMENTS:
         raise MatroidError(f"N_{n}({k}) needs {2 * n - k} elements > {MAX_ELEMENTS}")
-    central = circuit_matroid(k + 2, "c")
-    glued = parallel_connection(central, "c1", circuit_matroid(n - k, "u"), "u1")
-    glued = parallel_connection(glued, "c2", circuit_matroid(n - k, "v"), "v1")
-    return truncate(glued, n)
+    return truncate(_glued_circuit(k + 2, "c", n - k, "uv"), n)
 
 
 def pn_family(n: int, k: int) -> Matroid:
@@ -612,13 +596,8 @@ def pn_family(n: int, k: int) -> Matroid:
     if not (n >= k + 2 >= 4):
         raise MatroidError(f"P_n(k) needs n >= k+2 >= 4, got n={n}, k={k}")
     if 2 * n - k + 1 > MAX_ELEMENTS:
-        raise MatroidError(
-            f"P_{n}({k}) needs {2 * n - k + 1} elements > {MAX_ELEMENTS}"
-        )
-    central = circuit_matroid(k + 1, "c")
-    glued = parallel_connection(central, "c1", circuit_matroid(n - k + 1, "u"), "u1")
-    glued = parallel_connection(glued, "c2", circuit_matroid(n - k + 1, "v"), "v1")
-    return truncate(glued, n)
+        raise MatroidError(f"P_{n}({k}) needs {2 * n - k + 1} elements > {MAX_ELEMENTS}")
+    return truncate(_glued_circuit(k + 1, "c", n - k + 1, "uv"), n)
 
 
 def notk_cyclic_flats(k: int) -> CyclicFlatFamily:
@@ -640,29 +619,15 @@ def notk_cyclic_flats(k: int) -> CyclicFlatFamily:
     """
     if k < 3:
         raise MatroidError("the construction needs k >= 3")
-    labels = (
-        tuple(f"a{i + 1}" for i in range(k - 1))
-        + tuple(f"b{i + 1}" for i in range(k - 1))
-        + tuple(f"c{i + 1}" for i in range(k - 1))
-        + ("e",)
-    )
+    m = k - 1
+    labels = tuple(f"{p}{i + 1}" for p in "abc" for i in range(m)) + ("e",)
     if len(labels) > MAX_ELEMENTS:
         raise MatroidError(f"needs {len(labels)} elements > {MAX_ELEMENTS}")
-    idx = {lab: i for i, lab in enumerate(labels)}
-
-    def mask(names):
-        out = 0
-        for nm in names:
-            out |= 1 << idx[nm]
-        return out
-
-    A = mask(f"a{i + 1}" for i in range(k - 1))
-    B = mask(f"b{i + 1}" for i in range(k - 1))
-    C = mask(f"c{i + 1}" for i in range(k - 1))
-    D = mask(["e", "a1", "b1", "c1"])
+    # A, B and C are consecutive blocks of m positions, and e comes last
+    A, B, C = (((1 << m) - 1) << j * m for j in range(3))
+    D = 1 << 3 * m | 1 << 2 * m | 1 << m | 1
     Ca = A | C
     Cb = B | C
-    E = A | B | C | D
     entries = (
         (0, 0),
         (C ^ D, k),
@@ -672,7 +637,7 @@ def notk_cyclic_flats(k: int) -> CyclicFlatFamily:
         (Cb, 2 * k - 3),
         (Ca | D, 2 * k - 2),
         (Cb | D, 2 * k - 2),
-        (E, 2 * k - 1),
+        (A | B | C | D, 2 * k - 1),
     )
     return CyclicFlatFamily(labels, entries)
 
@@ -696,70 +661,70 @@ def sec1_pc_example(k: int) -> Matroid:
         raise MatroidError("sec1_pc_example needs k >= 2")
     if k + 5 > MAX_ELEMENTS:
         raise MatroidError(f"needs {k + 5} elements > {MAX_ELEMENTS}")
-    central = circuit_matroid(k + 1, "d")
-    out = parallel_connection(central, "d1", circuit_matroid(3, "t"), "t1")
-    out = parallel_connection(out, "d2", circuit_matroid(3, "s"), "s1")
-    return out
+    return _glued_circuit(k + 1, "d", 3, "ts")
+
+
+def _mk23() -> Matroid:
+    # K_{2,3}: vertices {0,1} vs {2,3,4}
+    return cycle_matroid(Multigraph(5, ((0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4))))
+
+
+def _mk23_minus() -> Matroid:
+    M = _mk23()
+    X = next(C for C in M.circuits() if M.rank_table[C] == M.full_rank() - 1)
+    return relax_circuit_hyperplane(M, X)
+
+
+# identifier -> builder of each fixed catalog matroid, in catalog order
+_FIXED = {
+    "mk23": _mk23,
+    "mk23minus": _mk23_minus,
+    "mk4": lambda: cycle_matroid(Multigraph(4, tuple(itertools.combinations(range(4), 2)))),
+    "f7": _fano,
+    "f7star": lambda: _fano().dual(),
+    "mstark33": lambda: cycle_matroid(
+        Multigraph(6, tuple(itertools.product((0, 1, 2), (3, 4, 5))))).dual(),
+    # the wheel W_4 (hub 0, rim 1-4) with rim edge (1, 2) deleted
+    "wheel4rimdel": lambda: cycle_matroid(
+        Multigraph(5, ((0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (3, 4), (4, 1)))),
+}
+
+NAMED_FIXED = tuple(_FIXED)
+
+# identifier -> (builder of each parametric family, the parameters it
+# takes in (n, k) order)
+_FAMILIES = {
+    "mn": (mn_family, "nk"),
+    "nn": (nn_family, "nk"),
+    "pn": (pn_family, "nk"),
+    "notk": (notk_example, "k"),
+    "notkexample": (notk_example, "k"),
+    "sec1pc": (sec1_pc_example, "k"),
+    "sec1pcexample": (sec1_pc_example, "k"),
+    "uniform": (lambda n, k: uniform(k, n), "nk"),
+}
 
 
 def named_matroid(name: str, n: int | None = None, k: int | None = None) -> Matroid:
     """Build a catalog matroid by identifier.
 
-    Parametric families (``mn``, ``nn``, ``pn`` need n and k; ``notk``
-    and ``sec1pc`` need k; ``uniform`` reads rank from k and size from
-    n).  Fixed matroids: ``mk23``, ``mk23minus``, ``mk4``, ``f7``,
-    ``f7star``, ``mstark33``, ``wheel4rimdel``.
+    The catalog is two tables.  Fixed matroids, listed in table order by
+    :data:`NAMED_FIXED`, ignore n and k.  Of the parametric families,
+    ``mn``, ``nn``, ``pn`` need n and k, ``notk`` (``notk-example``) and
+    ``sec1pc`` (``sec1-pc-example``) need k, and ``uniform`` reads its
+    size from n and its rank from k; the first missing parameter in
+    (n, k) order is reported.  Case, dashes and underscores in ``name``
+    are ignored.  ``notk`` always raises :class:`ZAxiomError`, so it is
+    never a catalog member.
     """
     key = name.strip().lower().replace("-", "").replace("_", "")
-
-    def need(*params):
-        for label, value in params:
-            if value is None:
-                raise MatroidError(f"family {name!r} requires parameter {label}")
-
-    if key == "mn":
-        need(("n", n), ("k", k))
-        return mn_family(n, k)
-    if key == "nn":
-        need(("n", n), ("k", k))
-        return nn_family(n, k)
-    if key == "pn":
-        need(("n", n), ("k", k))
-        return pn_family(n, k)
-    if key == "notkexample" or key == "notk":
-        need(("k", k),)
-        return notk_example(k)
-    if key == "sec1pcexample" or key == "sec1pc":
-        need(("k", k),)
-        return sec1_pc_example(k)
-    if key == "uniform":
-        need(("n", n), ("k", k))
-        return uniform(k, n)
-    if key == "mk23":
-        return cycle_matroid(_k23_graph())
-    if key == "mk23minus":
-        M = cycle_matroid(_k23_graph())
-        X = next(C for C in M.circuits() if M.rank_table[C] == M.full_rank() - 1)
-        return relax_circuit_hyperplane(M, X)
-    if key == "mk4":
-        return cycle_matroid(Multigraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))))
-    if key == "f7":
-        return _fano()
-    if key == "f7star":
-        return _fano().dual()
-    if key == "mstark33":
-        return cycle_matroid(_k33_graph()).dual()
-    if key == "wheel4rimdel":
-        return cycle_matroid(_wheel4_rim_deleted())
-    raise MatroidError(f"unknown catalog matroid {name!r}")
-
-
-NAMED_FIXED = (
-    "mk23",
-    "mk23minus",
-    "mk4",
-    "f7",
-    "f7star",
-    "mstark33",
-    "wheel4rimdel",
-)
+    if key in _FIXED:
+        return _FIXED[key]()
+    if key not in _FAMILIES:
+        raise MatroidError(f"unknown catalog matroid {name!r}")
+    build, params = _FAMILIES[key]
+    given = {"n": n, "k": k}
+    for p in params:
+        if given[p] is None:
+            raise MatroidError(f"family {name!r} requires parameter {p}")
+    return build(*(given[p] for p in params))

@@ -163,15 +163,18 @@ class Matroid:
             raise MatroidError(f"ground set too large: {n} > {MAX_ELEMENTS}")
         if len(set(labels)) != n:
             raise MatroidError("element labels must be distinct")
-        table = bytes(rank_table)
-        if len(table) != 1 << n:
+        # read by value unless bytes: no array is taken as a raw buffer
+        if not isinstance(rank_table, (bytes, bytearray)):
+            rank_table = list(rank_table)
+        if len(rank_table) != 1 << n:
             raise MatroidError(
-                f"rank table must have {1 << n} entries, got {len(table)}"
+                f"rank table must have {1 << n} entries, got {len(rank_table)}"
             )
         if validate:
-            v = validate_rank_axioms(table, n)
+            v = validate_rank_axioms(rank_table, n)
             if v is not None:
                 raise MatroidError(str(v))
+        table = bytes(rank_table)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rank_table", table)

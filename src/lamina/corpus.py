@@ -22,7 +22,6 @@ from .constructions import (
     mn_family,
     named_matroid,
     nn_family,
-    notk_example,
     pn_family,
     sec1_pc_example,
     transversal_matroid,
@@ -84,15 +83,6 @@ def catalog_matroids(max_elements: int) -> tuple[tuple[str, Matroid], ...]:
                 out.append((f"pn(n={n},k={k})", pn_family(n, k)))
         if k + 5 <= max_elements:
             out.append((f"sec1pc(k={k})", sec1_pc_example(k)))
-    for k in (4, 5, 6):
-        if 3 * k - 2 <= max_elements:
-            try:
-                out.append((f"notk(k={k})", notk_example(k)))
-            except MatroidError:
-                # this family's defining cyclic-flat collection fails the
-                # lattice axioms, so the constructor always raises; the
-                # catalog simply omits it
-                continue
     return tuple(out)
 
 

@@ -1,5 +1,7 @@
 """Verification-check registry: statuses, determinism, witnesses."""
 
+import itertools
+
 import pytest
 
 import lamina.checks as checks
@@ -8,7 +10,9 @@ from lamina.constructions import (
 from lamina.core import MatroidError
 from lamina.checks import CHECKS, Excludes, available_checks, run_check
 from lamina.formats import parse_matroid
-from lamina.laminar import is_k_laminar
+from lamina.laminar import (
+    is_k_closure_laminar, is_k_closure_laminar_circuit_form, is_k_laminar, is_laminar,
+    is_nested, is_paving)
 from lamina.minors import ExcludedMinorResult
 
 # The two documented red checks (see README "Known red checks").
@@ -52,17 +56,50 @@ EXCLUDED_MINOR_CHECKS = [cid for cid, entry in CHECKS.items()
                          if isinstance(getattr(entry, "claim", None), Excludes)]
 
 
-@pytest.mark.parametrize("check_id", EXCLUDED_MINOR_CHECKS)
+def _pairwise_nested(M):
+    """No two circuits each leave the other's closure."""
+    pairs = itertools.combinations([(C, M.closure(C)) for C in M.circuits()], 2)
+    return not any(C1 & ~F2 and C2 & ~F1 for (C1, F1), (C2, F2) in pairs)
+
+
+def _both_forms(M, pred1, pred2):
+    return [(bool(pred1(M, k)), bool(pred2(M, k))) for k in range(M.full_rank() + 2)]
+
+
+def _excludes_sides(claim):
+    return lambda M: [(bool(claim.inside(M)), checks._excluded(M, claim.targets))]
+
+
+# the sides of each two-sided equivalence that a sweep compares, as
+# M -> list of verdict tuples (one per k for the claims over k)
+EQUIVALENCE_SIDES = {
+    **{cid: _excludes_sides(CHECKS[cid].claim) for cid in EXCLUDED_MINOR_CHECKS},
+    "prop-nested-circuits": lambda M: [(bool(is_nested(M)), _pairwise_nested(M))],
+    "cor-ham-laminar": lambda M: [(bool(is_laminar(M)), bool(is_k_closure_laminar(M, 1)))],
+    "lem-kcl-equiv": lambda M: _both_forms(
+        M, is_k_closure_laminar, is_k_closure_laminar_circuit_form),
+    "thm-pav1": lambda M: _both_forms(M, is_k_laminar, is_k_closure_laminar)
+    if is_paving(M) else [],
+    "cor-t2lp": lambda M: [(
+        is_paving(M) and bool(is_k_laminar(M, 2)),
+        is_paving(M) and bool(is_k_closure_laminar(M, 2)),
+        checks._excluded(M, ("pavex", "mk23minus", "m42", "m52")))],
+}
+
+
+@pytest.mark.parametrize("check_id", EQUIVALENCE_SIDES)
 def test_excluded_minor_sweep_is_not_vacuous(check_id):
-    """Both halves of an excluded-minor claim run at seed 0: some swept
-    member is in the class and free of the targets, and some is outside
-    it and contains one."""
+    """Both halves of every two-sided equivalence run at seed 0: the
+    excluded-minor claims and the five predicate equivalences each see a
+    swept input where every side holds and one where every side fails."""
     entry = CHECKS[check_id]
     corpus = entry.corpus(checks._sub_seed(check_id, 0))
-    inside = [bool(entry.claim.inside(M)) for M in corpus]
-    excluded = [not any(checks._has_named_minor(M, t) for t in entry.claim.targets)
-                for M in corpus]
-    assert set(zip(inside, excluded)) == {(True, True), (False, False)}
+    verdicts = {sides for M in corpus for sides in EQUIVALENCE_SIDES[check_id](M)}
+    assert any(all(v) for v in verdicts) and any(not any(v) for v in verdicts)
+
+
+def test_every_equivalence_sweep_is_covered():
+    assert len(EQUIVALENCE_SIDES) == 13
 
 
 def test_every_excluded_minor_claim_is_registered():

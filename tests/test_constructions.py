@@ -8,11 +8,13 @@ rank machinery.
 
 import itertools
 import random
+import re
 
 import pytest
 
 from lamina.core import MatroidError
 from lamina.constructions import (
+    NAMED_FIXED,
     CyclicFlatFamily,
     LaminarCapacitySystem,
     Multigraph,
@@ -53,6 +55,11 @@ class TestUniformAndCircuit:
             uniform(3, 2)
         with pytest.raises(MatroidError):
             uniform(-1, 2)
+
+    @pytest.mark.parametrize("labels", [("a", "b"), ("a", "b", "c", "d")])
+    def test_uniform_needs_one_label_per_element(self, labels):
+        with pytest.raises(MatroidError, match=rf"^need one label per element: {len(labels)} "):
+            uniform(2, 3, labels)
 
     def test_circuit_matroid(self):
         M = circuit_matroid(4)
@@ -326,6 +333,49 @@ class TestNamedFamilies:
             named_matroid("mn")  # missing parameters
         with pytest.raises(MatroidError):
             named_matroid("nope")
+
+    def test_named_fixed_order(self):
+        assert NAMED_FIXED == (
+            "mk23", "mk23minus", "mk4", "f7", "f7star", "mstark33", "wheel4rimdel")
+        assert [named_matroid(name).n for name in NAMED_FIXED] == [6, 6, 6, 7, 7, 9, 7]
+
+    @pytest.mark.parametrize("spelling, key, params", [
+        ("MK4", "mk4", {}),
+        ("  F7-Star ", "f7star", {}),
+        ("mk23_minus", "mk23minus", {}),
+        ("wheel-4-rim_del", "wheel4rimdel", {"n": 3, "k": 1}),
+        ("M-N", "mn", {"n": 5, "k": 2}),
+        ("P_N", "pn", {"n": 5, "k": 2}),
+        ("sec1-pc-example", "sec1pc", {"k": 3}),
+        ("Sec1_PC", "sec1pc", {"k": 2}),
+        ("UNIFORM", "uniform", {"n": 5, "k": 3}),
+    ])
+    def test_named_matroid_spellings(self, spelling, key, params):
+        assert named_matroid(spelling, **params) == named_matroid(key, **params)
+
+    @pytest.mark.parametrize("spelling", ["notk", "NOTK", "notk-example", "notk_example"])
+    def test_notk_spellings_raise_the_synthesis_error(self, spelling):
+        with pytest.raises(ZAxiomError) as want:
+            notk_example(4)
+        with pytest.raises(ZAxiomError, match=re.escape(str(want.value))):
+            named_matroid(spelling, k=4)
+
+    @pytest.mark.parametrize("name, params, missing", [
+        ("uniform", {"k": 2}, "n"),
+        ("nn", {"n": 5}, "k"),
+        ("mn", {}, "n"),
+        ("pn", {"k": 2}, "n"),
+        ("sec1pc", {"n": 5}, "k"),
+        ("notk-example", {}, "k"),
+    ])
+    def test_named_matroid_first_missing_parameter(self, name, params, missing):
+        with pytest.raises(MatroidError, match=f"^family '{name}' requires parameter {missing}$"):
+            named_matroid(name, **params)
+
+    @pytest.mark.parametrize("name", ["nope", "", "f8", "mn-example", "k4", "mk23plus"])
+    def test_named_matroid_unknown(self, name):
+        with pytest.raises(MatroidError, match=f"^unknown catalog matroid '{name}'$"):
+            named_matroid(name, n=5, k=2)
 
 
 class TestCounterexampleFamily:

@@ -8,6 +8,7 @@ implementation under test.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from lamina.core import (
@@ -115,6 +116,16 @@ class TestAxiomValidation:
     def test_non_integer_entry_is_r1(self, table, mask):
         v = validate_rank_axioms(table, 1)
         assert v is not None and (v.axiom, v.witness) == ("R1", (mask,))
+
+    @pytest.mark.parametrize("table", [[0, 300], [0, -1], [0, 0.5], [0, None]],
+                             ids=["above_byte", "negative", "half", "none"])
+    def test_constructor_reports_bad_entry_as_r1(self, table):
+        with pytest.raises(MatroidError, match=r"R1 violated at masks \(1,\)"):
+            Matroid(["a"], table)
+
+    def test_constructor_reads_array_entries_by_value(self):
+        want = Matroid(("a", "b"), bytes([0, 1, 1, 1]))
+        assert Matroid(("a", "b"), np.array([0, 1, 1, 1], dtype=np.int64)) == want
 
     def test_constructor_rejects_invalid(self):
         with pytest.raises(MatroidError):

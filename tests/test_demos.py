@@ -1,6 +1,8 @@
 """The demos run as documented: ``python3 demos/<name>.py`` with the
-package on ``PYTHONPATH``, each exiting 0."""
+package on ``PYTHONPATH``, each exiting 0; the README "Library tour"
+gives the values its comments state."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -39,3 +41,19 @@ def test_hierarchy_demo_min_k():
         "min k with M k-laminar:          3",
         "min k with M k-closure-laminar:  3",
     ]
+
+
+def test_readme_library_tour():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = text.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    ns: dict = {}
+    shown = []
+    for stmt in ast.parse(tour).body:
+        if isinstance(stmt, ast.Expr):
+            shown.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), ns))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), ns)
+    full_rank, min_k, excluded = shown
+    assert full_rank == 4 and min_k == 3 and excluded
+    verdict = ns["verdict"]
+    assert not verdict and len(verdict.witness) == 2
