@@ -709,22 +709,27 @@ def named_matroid(name: str, n: int | None = None, k: int | None = None) -> Matr
     """Build a catalog matroid by identifier.
 
     The catalog is two tables.  Fixed matroids, listed in table order by
-    :data:`NAMED_FIXED`, ignore n and k.  Of the parametric families,
+    :data:`NAMED_FIXED`, take no parameter.  Of the parametric families,
     ``mn``, ``nn``, ``pn`` need n and k, ``notk`` (``notk-example``) and
     ``sec1pc`` (``sec1-pc-example``) need k, and ``uniform`` reads its
-    size from n and its rank from k; the first missing parameter in
-    (n, k) order is reported.  Case, dashes and underscores in ``name``
+    size from n and its rank from k.  The first missing parameter in
+    (n, k) order is reported, and then the first given parameter that
+    the name does not take.  Case, dashes and underscores in ``name``
     are ignored.  ``notk`` always raises :class:`ZAxiomError`, so it is
     never a catalog member.
     """
     key = name.strip().lower().replace("-", "").replace("_", "")
     if key in _FIXED:
-        return _FIXED[key]()
-    if key not in _FAMILIES:
+        build, params = _FIXED[key], ""
+    elif key in _FAMILIES:
+        build, params = _FAMILIES[key]
+    else:
         raise MatroidError(f"unknown catalog matroid {name!r}")
-    build, params = _FAMILIES[key]
     given = {"n": n, "k": k}
     for p in params:
         if given[p] is None:
             raise MatroidError(f"family {name!r} requires parameter {p}")
+    for p in given:
+        if p not in params and given[p] is not None:
+            raise MatroidError(f"family {name!r} takes no parameter {p}")
     return build(*(given[p] for p in params))

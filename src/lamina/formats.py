@@ -10,15 +10,17 @@ Grammar (UTF-8, ``#`` starts a comment):
     <kind-specific body>
 
 Bodies:
-  circuits    one line of brace-delimited label sets: {a b c} {c d e}
-  cyclic-flats  lines ``set {a b} rank 2``
-  uniform     ``r <int>``
-  graph       ``vertices <int>`` then lines ``edge <label> <u> <v>``
-  laminar     lines ``cap {a b c} 2``
-  transversal lines ``block {a b c}`` in chain order
+  circuits      one line of braced label sets: ``{a b c} {c d e}``
+  cyclic-flats  lines ``set {..} rank <int>``
+  uniform       one line ``r <int>``
+  graph         ``vertices <int>`` then lines ``edge <label> <u> <v>``
+  laminar       lines ``cap {..} <int>``
+  transversal   lines ``block {..}`` in chain order
 """
 
 from __future__ import annotations
+
+import re
 
 from .core import MAX_ELEMENTS, Matroid, MatroidError, validate_rank_axioms
 from .constructions import (
@@ -36,15 +38,28 @@ from .constructions import (
 
 KINDS = ("circuits", "cyclic-flats", "uniform", "graph", "laminar", "transversal")
 
+# keyword -> (usage an error quotes, pattern with one group per field of the
+# text after the keyword, name an invalid integer is reported under).  In a
+# usage ``{..}`` is a braced set, ``<label>`` and ``<kind>`` are words and any
+# other ``<..>`` is an integer.
+_FORMS = {
+    "n": ("n <count>", r"(\S+)", "element count"),
+    "repr": ("repr <kind>", r"(\S+)", None),
+    "r": ("r <int>", r"(\S+)", "rank"),
+    "vertices": ("vertices <int>", r"(\S+)", "vertex count"),
+    "edge": ("edge <label> <u> <v>", r"(\S+)\s+(\S+)\s+(\S+)", "endpoint"),
+    "set": ("set {..} rank <int>", r"(.*)rank(.*)", "rank"),
+    "cap": ("cap {..} <int>", r"(.*}|)(.*)", "capacity"),
+    "block": ("block {..}", r"(.*)", None),
+}
+
 
 class ParseError(ValueError):
-    """Parse failure with 1-based line (and column when known)."""
+    """Parse failure with its 1-based line number."""
 
-    def __init__(self, line: int, message: str, column: int | None = None):
-        at = f"line {line}" if column is None else f"line {line}, column {column}"
-        super().__init__(f"{at}: {message}")
+    def __init__(self, line: int, message: str):
+        super().__init__(f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
 def _logical_lines(text: str):
@@ -59,39 +74,56 @@ def _parse_sets(lineno: int, text: str) -> list[list[str]]:
     """Parse a sequence of brace-delimited sets: ``{a b} {c}``."""
     sets: list[list[str]] = []
     current: list[str] | None = None
-    col = 0
     for token in text.replace("{", " { ").replace("}", " } ").split():
-        col += 1
         if token == "{":
             if current is not None:
                 raise ParseError(lineno, "nested '{'")
             current = []
+        elif current is None:
+            raise ParseError(lineno, "unmatched '}'" if token == "}"
+                             else f"unexpected token {token!r} outside braces")
         elif token == "}":
-            if current is None:
-                raise ParseError(lineno, "unmatched '}'")
             sets.append(current)
             current = None
         else:
-            if current is None:
-                raise ParseError(lineno, f"unexpected token {token!r} outside braces")
             current.append(token)
     if current is not None:
         raise ParseError(lineno, "unterminated '{'")
     return sets
 
 
-def _one_set(lineno: int, text: str) -> list[str]:
-    sets = _parse_sets(lineno, text)
-    if len(sets) != 1:
-        raise ParseError(lineno, f"expected exactly one braced set, got {len(sets)}")
-    return sets[0]
+def _mask(lineno: int, names: list[str], index: dict[str, int]) -> int:
+    for nm in names:
+        if nm not in index:
+            raise ParseError(lineno, f"unknown element label {nm!r}")
+    return sum({1 << index[nm] for nm in names})
 
 
-def _int(lineno: int, text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(lineno, f"invalid {what} {text!r}") from None
+def _read(lineno: int, line: str, keyword: str, index: dict[str, int] | None = None) -> tuple:
+    """The fields of a ``keyword`` line: words as text, integers as int and the
+    braced set as the mask of its labels under ``index``, read after the integers."""
+    usage, pattern, what = _FORMS[keyword]
+    parts = line.split(None, 1)
+    if parts[0] != keyword or len(parts) != 2:
+        raise ParseError(lineno, f"expected {usage!r}")
+    match = re.fullmatch(pattern, parts[1])
+    if match is None:  # only a set form's literal can be missing: 'rank <int>'
+        tail = usage.partition("} ")[2]
+        raise ParseError(lineno, f"missing {tail!r}" if tail else f"expected {usage!r}")
+    fields = list(match.groups())
+    specs = re.findall(r"\{\.\.\}|<\w+>", usage)
+    for i, spec in enumerate(specs):
+        if spec not in ("{..}", "<label>", "<kind>"):
+            try:
+                fields[i] = int(fields[i])
+            except ValueError:
+                raise ParseError(lineno, f"invalid {what} {fields[i].strip()!r}") from None
+    if specs[0] == "{..}":
+        sets = _parse_sets(lineno, fields[0])
+        if len(sets) != 1:
+            raise ParseError(lineno, f"expected exactly one braced set, got {len(sets)}")
+        fields[0] = _mask(lineno, sets[0], index)
+    return tuple(fields)
 
 
 def parse_matroid(text: str) -> Matroid:
@@ -103,145 +135,78 @@ def parse_matroid(text: str) -> Matroid:
     raised as a :class:`ParseError` with a line number.
     """
     lines = list(_logical_lines(text))
-    pos = 0
+    rest = iter(lines)
 
     def take():
-        nonlocal pos
-        if pos >= len(lines):
-            last = lines[-1][0] if lines else 1
-            raise ParseError(last, "unexpected end of input")
-        out = lines[pos]
-        pos += 1
-        return out
+        line = next(rest, None)
+        if line is None:
+            raise ParseError(lines[-1][0] if lines else 1, "unexpected end of input")
+        return line
 
     lineno, header = take()
     if header != "%matroid v1":
         raise ParseError(lineno, f"expected '%matroid v1' header, got {header!r}")
 
-    lineno, decl = take()
-    parts = decl.split()
-    if parts[0] != "n" or len(parts) != 2:
-        raise ParseError(lineno, "expected 'n <count>'")
-    n = _int(lineno, parts[1], "element count")
+    lineno, line = take()
+    (n,) = _read(lineno, line, "n")
     if n < 0:
         raise ParseError(lineno, "element count must be nonnegative")
     if n > MAX_ELEMENTS:
-        # checked before the default labels are built, which a huge n would
-        # exhaust memory on
+        # before the default labels are built, which a huge n would exhaust memory on
         raise ParseError(lineno, f"ground set too large: {n} > {MAX_ELEMENTS}")
 
     labels = tuple(f"e{i + 1}" for i in range(n))
-    lineno, decl = take()
-    parts = decl.split()
+    lineno, line = take()
+    parts = line.split()
     if parts[0] == "labels":
         if len(parts) != n + 1:
             raise ParseError(lineno, f"expected {n} labels, got {len(parts) - 1}")
         labels = tuple(parts[1:])
-        lineno, decl = take()
-        parts = decl.split()
-
-    if parts[0] != "repr" or len(parts) != 2:
-        raise ParseError(lineno, "expected 'repr <kind>'")
-    kind = parts[1]
+        lineno, line = take()
+    (kind,) = _read(lineno, line, "repr")
     if kind not in KINDS:
         raise ParseError(lineno, f"unknown repr kind {kind!r}")
 
-    body = lines[pos:]
+    body = list(rest)
     first = body[0][0] if body else lineno
     index = {lab: i for i, lab in enumerate(labels)}
-
-    def mask(lineno, names):
-        out = 0
-        for nm in names:
-            if nm not in index:
-                raise ParseError(lineno, f"unknown element label {nm!r}")
-            out |= 1 << index[nm]
-        return out
-
     try:
         if kind == "uniform":
             if len(body) != 1:
                 raise ParseError(first, "uniform body is a single 'r <int>' line")
-            blineno, bline = body[0]
-            bparts = bline.split()
-            if bparts[0] != "r" or len(bparts) != 2:
-                raise ParseError(blineno, "expected 'r <int>'")
-            M = uniform(_int(blineno, bparts[1], "rank"), n, labels)
-
+            M = uniform(_read(*body[0], "r")[0], n, labels)
         elif kind == "circuits":
             if len(body) > 1:
                 raise ParseError(body[1][0], "circuits body is a single line of sets")
-            circs = []
-            if body:
-                blineno, bline = body[0]
-                circs = [mask(blineno, s) for s in _parse_sets(blineno, bline)]
             # a circuit family is not known to be matroidal, so this
             # constructor checks the rank axioms itself
-            return matroid_from_circuits(labels, circs)
-
+            return matroid_from_circuits(
+                labels, [_mask(first, s, index) for s in _parse_sets(*body[0])] if body else [])
         elif kind == "cyclic-flats":
-            entries = []
-            for blineno, bline in body:
-                bparts = bline.split(None, 1)
-                if bparts[0] != "set" or len(bparts) != 2:
-                    raise ParseError(blineno, "expected 'set {..} rank <int>'")
-                rest = bparts[1]
-                if "rank" not in rest:
-                    raise ParseError(blineno, "missing 'rank <int>'")
-                set_text, rank_text = rest.rsplit("rank", 1)
-                r = _int(blineno, rank_text.strip(), "rank")
-                entries.append((mask(blineno, _one_set(blineno, set_text)), r))
-            M = from_cyclic_flats(CyclicFlatFamily(labels, tuple(entries)))
-
+            flats = tuple(_read(*bl, "set", index) for bl in body)
+            M = from_cyclic_flats(CyclicFlatFamily(labels, flats))
         elif kind == "graph":
             if not body:
                 raise ParseError(lineno, "graph body needs a 'vertices <int>' line")
-            blineno, bline = body[0]
-            bparts = bline.split()
-            if bparts[0] != "vertices" or len(bparts) != 2:
-                raise ParseError(blineno, "expected 'vertices <int>'")
-            nv = _int(blineno, bparts[1], "vertex count")
-            edges = []
-            edge_labels = []
-            for blineno, bline in body[1:]:
-                bparts = bline.split()
-                if bparts[0] != "edge" or len(bparts) != 4:
-                    raise ParseError(blineno, "expected 'edge <label> <u> <v>'")
-                edge_labels.append(bparts[1])
-                edges.append((_int(blineno, bparts[2], "endpoint"),
-                              _int(blineno, bparts[3], "endpoint")))
+            (nv,) = _read(*body[0], "vertices")
+            edges = [_read(*bl, "edge") for bl in body[1:]]
             if len(edges) != n:
-                raise ParseError(blineno, f"expected {n} edges, got {len(edges)}")
-            if tuple(edge_labels) != labels:
+                raise ParseError(body[-1][0], f"expected {n} edges, got {len(edges)}")
+            edge_labels = tuple(e[0] for e in edges)
+            if edge_labels != labels:
                 # edges define their own labels; they must match the declared order
                 if sorted(edge_labels) != sorted(labels):
-                    raise ParseError(blineno, "edge labels do not match declared labels")
+                    raise ParseError(body[-1][0], "edge labels do not match declared labels")
                 order = {lab: i for i, lab in enumerate(edge_labels)}
                 edges = [edges[order[lab]] for lab in labels]
-            M = cycle_matroid(Multigraph(nv, tuple(edges), labels))
-
+            M = cycle_matroid(Multigraph(nv, tuple(e[1:] for e in edges), labels))
         elif kind == "laminar":
-            fam = []
-            caps = []
-            for blineno, bline in body:
-                bparts = bline.split(None, 1)
-                if bparts[0] != "cap" or len(bparts) != 2:
-                    raise ParseError(blineno, "expected 'cap {..} <int>'")
-                set_text, _, cap_text = bparts[1].rpartition("}")
-                set_text += "}"
-                cap = _int(blineno, cap_text.strip(), "capacity")
-                fam.append(mask(blineno, _one_set(blineno, set_text)))
-                caps.append(cap)
-            M = laminar_matroid(LaminarCapacitySystem(labels, tuple(fam), tuple(caps)))
-
+            rows = [_read(*bl, "cap", index) for bl in body]
+            fam, caps = zip(*rows) if rows else ((), ())
+            M = laminar_matroid(LaminarCapacitySystem(labels, fam, caps))
         else:  # transversal
-            blocks = []
-            for blineno, bline in body:
-                bparts = bline.split(None, 1)
-                if bparts[0] != "block" or len(bparts) != 2:
-                    raise ParseError(blineno, "expected 'block {..}'")
-                blocks.append(mask(blineno, _one_set(blineno, bparts[1])))
-            M = transversal_matroid(NestedPresentation(labels, tuple(blocks)))
+            blocks = tuple(_read(*bl, "block", index)[0] for bl in body)
+            M = transversal_matroid(NestedPresentation(labels, blocks))
     except MatroidError as exc:
         raise ParseError(first, str(exc)) from exc
 
@@ -259,7 +224,7 @@ def serialize_matroid(M: Matroid) -> str:
     ``parse(serialize(M)) == M`` under labeled equality.
     """
     for lab in M.labels:
-        if any(ch.isspace() for ch in lab) or "{" in lab or "}" in lab or "#" in lab:
+        if not lab or any(ch.isspace() or ch in "{}#" for ch in lab):
             raise MatroidError(f"label {lab!r} cannot be serialized")
     out = ["%matroid v1", f"n {M.n}"]
     if M.n:

@@ -36,6 +36,10 @@ class TestConstruct:
         assert main(["construct", "--family", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unused_parameter_is_usage_error(self, capsys):
+        assert main(["construct", "--family", "f7", "--n", "3", "--k", "9"]) == 2
+        assert capsys.readouterr().err == "error: family 'f7' takes no parameter n\n"
+
 
 class TestAnalyze:
     def test_human_output(self, mk23_file, capsys):

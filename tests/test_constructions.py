@@ -343,7 +343,7 @@ class TestNamedFamilies:
         ("MK4", "mk4", {}),
         ("  F7-Star ", "f7star", {}),
         ("mk23_minus", "mk23minus", {}),
-        ("wheel-4-rim_del", "wheel4rimdel", {"n": 3, "k": 1}),
+        ("wheel-4-rim_del", "wheel4rimdel", {}),
         ("M-N", "mn", {"n": 5, "k": 2}),
         ("P_N", "pn", {"n": 5, "k": 2}),
         ("sec1-pc-example", "sec1pc", {"k": 3}),
@@ -370,6 +370,17 @@ class TestNamedFamilies:
     ])
     def test_named_matroid_first_missing_parameter(self, name, params, missing):
         with pytest.raises(MatroidError, match=f"^family '{name}' requires parameter {missing}$"):
+            named_matroid(name, **params)
+
+    @pytest.mark.parametrize("name, params, extra", [
+        ("f7", {"n": 3}, "n"),
+        ("f7", {"n": 3, "k": 9}, "n"),
+        ("MK4", {"k": 0}, "k"),
+        ("sec1pc", {"n": 5, "k": 2}, "n"),
+        ("notk-example", {"n": 5, "k": 4}, "n"),
+    ])
+    def test_named_matroid_rejects_unused_parameter(self, name, params, extra):
+        with pytest.raises(MatroidError, match=f"^family '{name}' takes no parameter {extra}$"):
             named_matroid(name, **params)
 
     @pytest.mark.parametrize("name", ["nope", "", "f8", "mn-example", "k4", "mk23plus"])

@@ -1,6 +1,7 @@
 """The demos run as documented: ``python3 demos/<name>.py`` with the
 package on ``PYTHONPATH``, each exiting 0; the README "Library tour"
-gives the values its comments state."""
+gives the values its comments state, and its "File format" example
+parses."""
 
 import ast
 import os
@@ -9,6 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from lamina import formats
+from lamina.constructions import uniform
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -57,3 +61,12 @@ def test_readme_library_tour():
     assert full_rank == 4 and min_k == 3 and excluded
     verdict = ns["verdict"]
     assert not verdict and len(verdict.witness) == 2
+
+
+def test_readme_file_format():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "## File format", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```\n", 2)[1]
+    assert formats.parse_matroid(block) == uniform(2, 4, ("a", "b", "c", "d"))
+    assert all(kind in block for kind in formats.KINDS)
+    assert all(f"`{usage}`" in section for usage, _, _ in formats._FORMS.values())

@@ -66,7 +66,109 @@ class TestParseKinds:
         assert parse_matroid(text) == uniform(1, 2)
 
 
+def _bad(id, text, line, message):
+    return pytest.param(text, line, message, id=id)
+
+
+# one malformed text per error branch of parse_matroid, with the exact
+# line and message it is reported under
+_MALFORMED = [
+    _bad("empty", "", 1, "unexpected end of input"),
+    _bad("header", "%wrong\nn 2\nrepr uniform\nr 1\n", 1,
+         "expected '%matroid v1' header, got '%wrong'"),
+    _bad("end-after-header", "%matroid v1\n", 1, "unexpected end of input"),
+    _bad("n-usage", "%matroid v1\nn 2 3\n", 2, "expected 'n <count>'"),
+    _bad("n-keyword", "%matroid v1\nnope\n", 2, "expected 'n <count>'"),
+    _bad("n-invalid", "%matroid v1\nn x\n", 2, "invalid element count 'x'"),
+    _bad("n-negative", "%matroid v1\nn -5\n", 2, "element count must be nonnegative"),
+    _bad("n-too-large", "%matroid v1\nn 17\n", 2, "ground set too large: 17 > 16"),
+    _bad("end-after-n", "%matroid v1\nn 2\n", 2, "unexpected end of input"),
+    _bad("labels-count", "%matroid v1\nn 2\nlabels a\nrepr uniform\nr 1\n", 3,
+         "expected 2 labels, got 1"),
+    _bad("end-after-labels", "%matroid v1\nn 2\nlabels a b\n", 3, "unexpected end of input"),
+    _bad("repr-usage", "%matroid v1\nn 2\nrepr\n", 3, "expected 'repr <kind>'"),
+    _bad("repr-keyword", "%matroid v1\nn 2\nkind uniform\n", 3, "expected 'repr <kind>'"),
+    _bad("repr-unknown", "%matroid v1\nn 2\nrepr nonsense\n", 3, "unknown repr kind 'nonsense'"),
+    _bad("uniform-no-body", "%matroid v1\nn 2\nrepr uniform\n", 3,
+         "uniform body is a single 'r <int>' line"),
+    _bad("uniform-two-lines", "%matroid v1\nn 2\nrepr uniform\nr 1\nr 1\n", 4,
+         "uniform body is a single 'r <int>' line"),
+    _bad("r-usage", "%matroid v1\nn 2\nrepr uniform\nr\n", 4, "expected 'r <int>'"),
+    _bad("r-keyword", "%matroid v1\nn 2\nrepr uniform\nq 1\n", 4, "expected 'r <int>'"),
+    _bad("r-invalid", "%matroid v1\nn 2\nrepr uniform\nr 1.5\n", 4, "invalid rank '1.5'"),
+    _bad("uniform-range", "%matroid v1\nn 2\nrepr uniform\nr 3\n", 4,
+         "uniform matroid needs 0 <= r <= n, got r=3, n=2"),
+    _bad("circuits-two-lines", "%matroid v1\nn 2\nrepr circuits\n{e1}\n{e2}\n", 5,
+         "circuits body is a single line of sets"),
+    _bad("unknown-label", "%matroid v1\nn 2\nrepr circuits\n{a b}\n", 4,
+         "unknown element label 'a'"),
+    _bad("nested-brace", "%matroid v1\nn 2\nrepr circuits\n{e1 {e2}}\n", 4, "nested '{'"),
+    _bad("unmatched-brace", "%matroid v1\nn 2\nrepr circuits\n{e1} }\n", 4, "unmatched '}'"),
+    _bad("outside-braces", "%matroid v1\nn 2\nrepr circuits\ne1 {e2}\n", 4,
+         "unexpected token 'e1' outside braces"),
+    _bad("unterminated-brace", "%matroid v1\nn 2\nrepr circuits\n{e1 e2\n", 4,
+         "unterminated '{'"),
+    _bad("circuits-not-matroidal", "%matroid v1\nn 4\nrepr circuits\n{e1 e2 e3} {e2 e3 e4}\n",
+         4, "rank axiom R3 violated at masks (7, 14)"),
+    _bad("set-usage", "%matroid v1\nn 2\nrepr cyclic-flats\nset\n", 4,
+         "expected 'set {..} rank <int>'"),
+    _bad("set-keyword", "%matroid v1\nn 2\nrepr cyclic-flats\nflat {e1} rank 1\n", 4,
+         "expected 'set {..} rank <int>'"),
+    _bad("set-missing-rank", "%matroid v1\nn 2\nrepr cyclic-flats\nset {e1} 1\n", 4,
+         "missing 'rank <int>'"),
+    _bad("set-invalid-rank", "%matroid v1\nn 2\nrepr cyclic-flats\nset {e1} rank two\n", 4,
+         "invalid rank 'two'"),
+    _bad("set-empty-rank", "%matroid v1\nn 2\nrepr cyclic-flats\nset {} rank\n", 4,
+         "invalid rank ''"),
+    _bad("set-two-sets", "%matroid v1\nn 2\nrepr cyclic-flats\nset {e1} {e2} rank 1\n", 4,
+         "expected exactly one braced set, got 2"),
+    _bad("cyclic-flat-axiom", "%matroid v1\nn 2\nrepr cyclic-flats\n"
+         "set {e1} rank 0\nset {e2} rank 0\n", 4,
+         "cyclic-flat axiom Z0 violated at masks ('0x1', '0x2')"),
+    _bad("graph-no-body", "%matroid v1\nn 1\nrepr graph\n", 3,
+         "graph body needs a 'vertices <int>' line"),
+    _bad("vertices-usage", "%matroid v1\nn 1\nrepr graph\nvertices\n", 4,
+         "expected 'vertices <int>'"),
+    _bad("vertices-invalid", "%matroid v1\nn 1\nrepr graph\nvertices two\n", 4,
+         "invalid vertex count 'two'"),
+    _bad("edge-usage", "%matroid v1\nn 1\nrepr graph\nvertices 2\nedge e1 0\n", 5,
+         "expected 'edge <label> <u> <v>'"),
+    _bad("edge-invalid-u", "%matroid v1\nn 1\nrepr graph\nvertices 2\nedge e1 x y\n", 5,
+         "invalid endpoint 'x'"),
+    _bad("edge-invalid-v", "%matroid v1\nn 1\nrepr graph\nvertices 2\nedge e1 0 y\n", 5,
+         "invalid endpoint 'y'"),
+    _bad("edge-count", "%matroid v1\nn 2\nrepr graph\nvertices 2\nedge e1 0 1\n", 5,
+         "expected 2 edges, got 1"),
+    _bad("edge-count-none", "%matroid v1\nn 1\nrepr graph\nvertices 2\n", 4,
+         "expected 1 edges, got 0"),
+    _bad("edge-labels", "%matroid v1\nn 2\nrepr graph\nvertices 2\n"
+         "edge e1 0 1\nedge e3 0 1\n", 6, "edge labels do not match declared labels"),
+    _bad("edge-endpoint-range", "%matroid v1\nn 1\nrepr graph\nvertices 2\nedge e1 0 5\n", 4,
+         "edge (0,5) has an invalid endpoint"),
+    _bad("cap-usage", "%matroid v1\nn 2\nrepr laminar\ncap\n", 4, "expected 'cap {..} <int>'"),
+    _bad("cap-empty", "%matroid v1\nn 2\nrepr laminar\ncap {e1}\n", 4, "invalid capacity ''"),
+    _bad("cap-invalid", "%matroid v1\nn 2\nrepr laminar\ncap {x} y\n", 4,
+         "invalid capacity 'y'"),
+    _bad("cap-two-sets", "%matroid v1\nn 2\nrepr laminar\ncap {e1} {e2} 1\n", 4,
+         "expected exactly one braced set, got 2"),
+    _bad("not-laminar", "%matroid v1\nn 3\nrepr laminar\ncap {e1 e2} 1\ncap {e2 e3} 1\n", 4,
+         "family is not laminar: members 0x3 and 0x6 intersect without nesting"),
+    _bad("block-usage", "%matroid v1\nn 2\nrepr transversal\nblock\n", 4,
+         "expected 'block {..}'"),
+    _bad("block-two-sets", "%matroid v1\nn 2\nrepr transversal\nblock {e1} {e2}\n", 4,
+         "expected exactly one braced set, got 2"),
+    _bad("not-a-chain", "%matroid v1\nn 2\nrepr transversal\nblock {e1 e2}\nblock {e1}\n", 4,
+         "blocks do not form a chain B_1 ⊆ ... ⊆ B_m"),
+]
+
+
 class TestParseErrors:
+    @pytest.mark.parametrize("text,line,message", _MALFORMED)
+    def test_message_is_pinned(self, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_matroid(text)
+        assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
     @pytest.mark.parametrize("text,line", [
         ("%wrong\nn 2\nrepr uniform\nr 1\n", 1),
         ("%matroid v1\nnope\nrepr uniform\nr 1\n", 2),
@@ -82,6 +184,11 @@ class TestParseErrors:
             parse_matroid(text)
         assert exc.value.line == line
         assert f"line {line}" in str(exc.value)
+
+    def test_cap_without_a_set(self):
+        # the capacity line's set runs up to its last '}'; here there is none
+        with pytest.raises(ParseError, match=r"^line 4: expected exactly one braced set, got 0$"):
+            parse_matroid("%matroid v1\nn 2\nrepr laminar\ncap 3\n")
 
     def test_truncated_input(self):
         with pytest.raises(ParseError):
@@ -131,6 +238,13 @@ class TestRoundTrip:
     def test_empty_matroid_round_trip(self):
         M = uniform(0, 0)
         assert parse_matroid(serialize_matroid(M)) == M
+
+    @pytest.mark.parametrize("label", ["", "a b", "a{", "}", "a#"])
+    def test_unwritable_label_is_rejected(self, label):
+        # each would be written as text that parses to another matroid or not at all
+        M = core.Matroid([label, "z"], [0, 1, 1, 1])
+        with pytest.raises(core.MatroidError, match="cannot be serialized"):
+            serialize_matroid(M)
 
     def test_serialized_header(self):
         text = serialize_matroid(named_matroid("mk23"))
