@@ -9,14 +9,13 @@ can be replayed through the public operations.
 Most checks are data: a :class:`Sweep` asks ``claim(M)`` of every
 member of ``corpus(sub_seed)``.  A claim returns ``None`` when it holds
 and ``(note, *sets)`` when it fails; the first failing member is the
-witness, its note prefixed with ``label[index]``.  Claims are the named
-functions below, :class:`Excludes` (an excluded-minor characterization)
-and :func:`_minor_closed`.  :func:`_battery` certifies fixed excluded
-minors; the other fixed-input checks are plain functions.  To add a
-check, write its claim as a function of one matroid and register
-``Sweep(corpus, claim)``.  A claim that compares a library predicate
-with a definition states the definition itself.  Library names are
-looked up when a check runs, so a test can stand in a wrong predicate.
+witness, its note prefixed with ``label[index]``.  Every equivalence
+and excluded-minor characterization is an :class:`Agree` of named
+predicates; the other claims are functions below and :func:`_minor_closed`.
+:func:`_battery` certifies fixed excluded minors; the other fixed-input
+checks are plain functions.  A side that stands for a definition states
+the definition itself.  Library names are looked up when a check runs,
+so a test can stand in a wrong predicate.
 
 Checks derive a private sub-seed from their identifier, so running them
 in any order or concurrently never changes results.
@@ -91,7 +90,7 @@ def _witness(M: Matroid, note: str, *sets: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the sweep runner, its corpora and the excluded-minor claim
+# the sweep runner, its corpora and the two-sided claim
 
 
 @dataclass(frozen=True)
@@ -151,18 +150,23 @@ def _excluded(M: Matroid, targets: Iterable[str]) -> bool:
 
 
 @dataclass(frozen=True)
-class Excludes:
-    """Claim: ``inside(M)`` holds exactly when M has none of the named
-    ``targets`` as a minor."""
+class Agree:
+    """Claim: the named predicates of ``sides`` give M one verdict; with
+    ``ks``, one verdict of ``side(M, k)`` at each k of ``ks(M)`` in turn."""
 
-    inside: Callable[[Matroid], object]
-    targets: tuple[str, ...]
+    sides: tuple[tuple[str, Callable], ...]
+    ks: Callable[[Matroid], Iterable[int]] | None = None
+
+    def verdicts(self, M: Matroid):
+        """Yield ``(k, verdict of each side)``, k None without ``ks``."""
+        for k in (None,) if self.ks is None else self.ks(M):
+            yield k, tuple(bool(side(M) if k is None else side(M, k)) for _, side in self.sides)
 
     def __call__(self, M: Matroid):
-        member = bool(self.inside(M))
-        excluded = _excluded(M, self.targets)
-        if member != excluded:
-            return (f"membership {member} vs excluded-minor test {excluded}",)
+        for k, got in self.verdicts(M):
+            if len(set(got)) > 1:
+                note = " vs ".join(f"{name} {v}" for (name, _), v in zip(self.sides, got))
+                return (note if k is None else f"{note} at k={k}",)
         return None
 
 
@@ -323,31 +327,6 @@ def _graphic_class_check(k_pred, max_chords: int, paired: bool):
 # claims about one corpus member
 
 
-def _nested_is_pairwise(M):
-    circs = M.circuits()
-    cls = [M.closure(C) for C in circs]
-    pairwise = all(
-        not (circs[a] & ~cls[b]) or not (circs[b] & ~cls[a])
-        for a in range(len(circs)) for b in range(a + 1, len(circs))
-    )
-    if pairwise != bool(is_nested(M)):
-        return ("chain test vs circuit test disagree",)
-    return None
-
-
-def _laminar_is_chain_over_singletons(M):
-    if bool(is_laminar(M)) != bool(is_k_closure_laminar(M, 1)):
-        return ("1-laminar vs chain-over-singletons",)
-    return None
-
-
-def _closure_forms_agree(M):
-    for k in range(M.full_rank() + 2):
-        if bool(is_k_closure_laminar(M, k)) != bool(is_k_closure_laminar_circuit_form(M, k)):
-            return (f"definitions disagree at k={k}",)
-    return None
-
-
 def _unnested_meets(M: Matroid) -> list[tuple[int, int]]:
     """(C1 ∩ C2, cl C1 ∩ cl C2) over all circuit pairs, spanning circuits
     included, with neither circuit inside the other's closure."""
@@ -454,24 +433,6 @@ def _low_rank_is_in_both(M):
     return None
 
 
-def _paving_forms_agree(M):
-    if not is_paving(M):
-        return None
-    for k in range(M.full_rank() + 2):
-        if bool(is_k_laminar(M, k)) != bool(is_k_closure_laminar(M, k)):
-            return (f"paving matroid splits the two predicates at k={k}",)
-    return None
-
-
-def _paving_two_classes(M):
-    a = is_paving(M) and bool(is_k_laminar(M, 2))
-    b = is_paving(M) and bool(is_k_closure_laminar(M, 2))
-    c = _excluded(M, ("pavex", "mk23minus", "m42", "m52"))
-    if not (a == b == c):
-        return (f"statuses {a}/{b}/{c} disagree",)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # fixed-input checks
 
@@ -575,10 +536,17 @@ def _check_lem_nb(seed):
 _TERNARY_EXCLUDED = ("u25", "u35", "f7", "mk23minus", "mk23")
 
 CHECKS = {
-    "prop-nested-circuits": Sweep(_sweep_corpus, _nested_is_pairwise),
+    "prop-nested-circuits": Sweep(_sweep_corpus, Agree((
+        ("nested", lambda M: is_nested(M)),
+        ("circuit-pair test", lambda M: not _unnested_meets(M))))),
     "thm-laminar-circuits": _check_thm_laminar_circuits,
-    "cor-ham-laminar": Sweep(_sweep_corpus, _laminar_is_chain_over_singletons),
-    "lem-kcl-equiv": Sweep(_sweep_corpus, _closure_forms_agree),
+    "cor-ham-laminar": Sweep(_sweep_corpus, Agree((
+        ("laminar", lambda M: is_laminar(M)),
+        ("1-closure-laminar", lambda M: is_k_closure_laminar(M, 1))))),
+    "lem-kcl-equiv": Sweep(_sweep_corpus, Agree((
+        ("chain form", lambda M, k: is_k_closure_laminar(M, k)),
+        ("circuit form", lambda M, k: is_k_closure_laminar_circuit_form(M, k))),
+        lambda M: range(M.full_rank() + 2))),
     "sec1-pc-example": _check_sec1_pc_example,
     "prop-baby": Sweep(_sweep_corpus, _baby_properties),
     "lem-klam-minor-closed": Sweep(_sweep_corpus, _minor_closed(
@@ -597,30 +565,46 @@ CHECKS = {
             ("mk23minus", ("2-laminar", "2-closure-laminar")),
             ("n52", ("2-laminar",)), ("p42", ("2-closure-laminar",))))),
     "lem-obvious": Sweep(_sweep_corpus, _circuit_exchange_facts),
-    "thm-em2lm": Sweep(_big_corpus, Excludes(
-        lambda M: is_k_laminar(M, 2), ("mk23minus", "m42", "m52", "n52"))),
-    "thm-em2lcm": Sweep(_big_corpus, Excludes(
-        lambda M: is_k_closure_laminar(M, 2), ("mk23minus", "m42", "m52", "p42"))),
+    "thm-em2lm": Sweep(_big_corpus, Agree((
+        ("membership", lambda M: is_k_laminar(M, 2)),
+        ("excluded-minor test", lambda M: _excluded(M, ("mk23minus", "m42", "m52", "n52")))))),
+    "thm-em2lcm": Sweep(_big_corpus, Agree((
+        ("membership", lambda M: is_k_closure_laminar(M, 2)),
+        ("excluded-minor test", lambda M: _excluded(M, ("mk23minus", "m42", "m52", "p42")))))),
     "prop-rank-k1": Sweep(_sweep_corpus, _low_rank_is_in_both),
     "lem-nb": _check_lem_nb,
-    "cor-binary-2lam": Sweep(_sweep_corpus, Excludes(
-        lambda M: is_binary(M) and is_k_laminar(M, 2), ("u24", "mk23", "n52"))),
-    "cor-binary-2clam": Sweep(_sweep_corpus, Excludes(
-        lambda M: is_binary(M) and is_k_closure_laminar(M, 2), ("u24", "mk23", "p42"))),
-    "cor-ternary-2lam": Sweep(_sweep_corpus, Excludes(
-        lambda M: is_ternary(M) and is_k_laminar(M, 2), _TERNARY_EXCLUDED + ("n52",))),
-    "cor-ternary-2clam": Sweep(_sweep_corpus, Excludes(
-        lambda M: is_ternary(M) and is_k_closure_laminar(M, 2), _TERNARY_EXCLUDED + ("p42",))),
-    "cor-graphic-2lam": Sweep(_graphic_corpus, Excludes(
-        lambda M: is_k_laminar(M, 2), ("u24", "mk23", "f7", "mstark33", "n52")), "graphic"),
-    "cor-graphic-2clam": Sweep(_graphic_corpus, Excludes(
-        lambda M: is_k_closure_laminar(M, 2), ("u24", "mk23", "f7", "p42")), "graphic"),
+    "cor-binary-2lam": Sweep(_sweep_corpus, Agree((
+        ("membership", lambda M: is_binary(M) and is_k_laminar(M, 2)),
+        ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "n52")))))),
+    "cor-binary-2clam": Sweep(_sweep_corpus, Agree((
+        ("membership", lambda M: is_binary(M) and is_k_closure_laminar(M, 2)),
+        ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "p42")))))),
+    "cor-ternary-2lam": Sweep(_sweep_corpus, Agree((
+        ("membership", lambda M: is_ternary(M) and is_k_laminar(M, 2)),
+        ("excluded-minor test", lambda M: _excluded(M, _TERNARY_EXCLUDED + ("n52",)))))),
+    "cor-ternary-2clam": Sweep(_sweep_corpus, Agree((
+        ("membership", lambda M: is_ternary(M) and is_k_closure_laminar(M, 2)),
+        ("excluded-minor test", lambda M: _excluded(M, _TERNARY_EXCLUDED + ("p42",)))))),
+    "cor-graphic-2lam": Sweep(_graphic_corpus, Agree((
+        ("membership", lambda M: is_k_laminar(M, 2)),
+        ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "f7", "mstark33", "n52"))),
+    )), "graphic"),
+    "cor-graphic-2clam": Sweep(_graphic_corpus, Agree((
+        ("membership", lambda M: is_k_closure_laminar(M, 2)),
+        ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "f7", "p42"))),
+    )), "graphic"),
     "lem-outerplanar": _graphic_class_check(
         lambda M: is_k_laminar(M, 2), max_chords=2, paired=True),
     "prop-one-chord": _graphic_class_check(
         lambda M: is_k_closure_laminar(M, 2), max_chords=1, paired=False),
-    "thm-pav1": Sweep(_sweep_corpus, _paving_forms_agree),
-    "cor-t2lp": Sweep(_sweep_corpus, _paving_two_classes),
+    "thm-pav1": Sweep(_sweep_corpus, Agree((
+        ("k-laminar", lambda M, k: is_k_laminar(M, k)),
+        ("k-closure-laminar", lambda M, k: is_k_closure_laminar(M, k))),
+        lambda M: range(M.full_rank() + 2) if is_paving(M) else ())),
+    "cor-t2lp": Sweep(_sweep_corpus, Agree((
+        ("paving 2-laminar", lambda M: is_paving(M) and is_k_laminar(M, 2)),
+        ("paving 2-closure-laminar", lambda M: is_paving(M) and is_k_closure_laminar(M, 2)),
+        ("excluded-minor test", lambda M: _excluded(M, ("pavex", "mk23minus", "m42", "m52")))))),
 }
 
 

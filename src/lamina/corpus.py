@@ -45,13 +45,11 @@ MIN_ELEMENTS = 3
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Deterministic corpus recipe: seed, size, element cap, generator mix."""
+    """Deterministic corpus recipe: seed, size and element cap."""
 
     seed: int
     count: int
     max_elements: int = 8
-    weights: tuple[tuple[str, int], ...] = tuple(sorted(DEFAULT_WEIGHTS.items()))
-    include_catalog: bool = True
 
     def __post_init__(self):
         if self.count < 0:
@@ -207,11 +205,9 @@ def generate_corpus(spec: CorpusSpec) -> list[Matroid]:
     then ``count`` seeded random matroids drawn per the generator mix.
     Graphic members are drawn as graphs and built together at the end.
     """
-    out: list[Matroid] = []
-    if spec.include_catalog:
-        out.extend(M for _, M in catalog_with_minors(spec.max_elements))
+    out = [M for _, M in catalog_with_minors(spec.max_elements)]
     rng = random.Random(spec.seed)
-    names = [name for name, w in spec.weights for _ in range(w)]
+    names = [name for name, w in sorted(DEFAULT_WEIGHTS.items()) for _ in range(w)]
     for _ in range(spec.count):
         gen = _GENERATORS[rng.choice(names)]
         out.append(gen(rng, spec.max_elements))

@@ -41,14 +41,15 @@ KINDS = ("circuits", "cyclic-flats", "uniform", "graph", "laminar", "transversal
 # keyword -> (usage an error quotes, pattern with one group per field of the
 # text after the keyword, name an invalid integer is reported under).  In a
 # usage ``{..}`` is a braced set, ``<label>`` and ``<kind>`` are words and any
-# other ``<..>`` is an integer.
+# other ``<..>`` is an integer.  A set line splits at a ``rank`` with no
+# brace after it, so a label that contains ``rank`` is never split.
 _FORMS = {
     "n": ("n <count>", r"(\S+)", "element count"),
     "repr": ("repr <kind>", r"(\S+)", None),
     "r": ("r <int>", r"(\S+)", "rank"),
     "vertices": ("vertices <int>", r"(\S+)", "vertex count"),
     "edge": ("edge <label> <u> <v>", r"(\S+)\s+(\S+)\s+(\S+)", "endpoint"),
-    "set": ("set {..} rank <int>", r"(.*)rank(.*)", "rank"),
+    "set": ("set {..} rank <int>", r"(.*)rank([^{}]*)", "rank"),
     "cap": ("cap {..} <int>", r"(.*}|)(.*)", "capacity"),
     "block": ("block {..}", r"(.*)", None),
 }
@@ -162,6 +163,8 @@ def parse_matroid(text: str) -> Matroid:
         if len(parts) != n + 1:
             raise ParseError(lineno, f"expected {n} labels, got {len(parts) - 1}")
         labels = tuple(parts[1:])
+        if len(set(labels)) != n:
+            raise ParseError(lineno, "element labels must be distinct")
         lineno, line = take()
     (kind,) = _read(lineno, line, "repr")
     if kind not in KINDS:

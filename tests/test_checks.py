@@ -1,6 +1,6 @@
 """Verification-check registry: statuses, determinism, witnesses."""
 
-import itertools
+import dataclasses
 
 import pytest
 
@@ -8,11 +8,9 @@ import lamina.checks as checks
 from lamina.constructions import (
     Multigraph, cycle_matroid, named_matroid, nn_family, sec1_pc_example)
 from lamina.core import MatroidError
-from lamina.checks import CHECKS, Excludes, available_checks, run_check
+from lamina.checks import CHECKS, Agree, available_checks, run_check
 from lamina.formats import parse_matroid
-from lamina.laminar import (
-    is_k_closure_laminar, is_k_closure_laminar_circuit_form, is_k_laminar, is_laminar,
-    is_nested, is_paving)
+from lamina.laminar import is_k_laminar
 from lamina.minors import ExcludedMinorResult
 
 # The two documented red checks (see README "Known red checks").
@@ -52,58 +50,60 @@ class TestResults:
         assert (a.status, a.witness) == (b.status, b.witness)
 
 
-EXCLUDED_MINOR_CHECKS = [cid for cid, entry in CHECKS.items()
-                         if isinstance(getattr(entry, "claim", None), Excludes)]
+AGREE_CHECKS = [cid for cid, entry in CHECKS.items()
+                if isinstance(getattr(entry, "claim", None), Agree)]
+EXCLUDED_MINOR_CHECKS = [
+    cid for cid in AGREE_CHECKS
+    if [name for name, _ in CHECKS[cid].claim.sides] == ["membership", "excluded-minor test"]]
 
 
-def _pairwise_nested(M):
-    """No two circuits each leave the other's closure."""
-    pairs = itertools.combinations([(C, M.closure(C)) for C in M.circuits()], 2)
-    return not any(C1 & ~F2 and C2 & ~F1 for (C1, F1), (C2, F2) in pairs)
-
-
-def _both_forms(M, pred1, pred2):
-    return [(bool(pred1(M, k)), bool(pred2(M, k))) for k in range(M.full_rank() + 2)]
-
-
-def _excludes_sides(claim):
-    return lambda M: [(bool(claim.inside(M)), checks._excluded(M, claim.targets))]
-
-
-# the sides of each two-sided equivalence that a sweep compares, as
-# M -> list of verdict tuples (one per k for the claims over k)
-EQUIVALENCE_SIDES = {
-    **{cid: _excludes_sides(CHECKS[cid].claim) for cid in EXCLUDED_MINOR_CHECKS},
-    "prop-nested-circuits": lambda M: [(bool(is_nested(M)), _pairwise_nested(M))],
-    "cor-ham-laminar": lambda M: [(bool(is_laminar(M)), bool(is_k_closure_laminar(M, 1)))],
-    "lem-kcl-equiv": lambda M: _both_forms(
-        M, is_k_closure_laminar, is_k_closure_laminar_circuit_form),
-    "thm-pav1": lambda M: _both_forms(M, is_k_laminar, is_k_closure_laminar)
-    if is_paving(M) else [],
-    "cor-t2lp": lambda M: [(
-        is_paving(M) and bool(is_k_laminar(M, 2)),
-        is_paving(M) and bool(is_k_closure_laminar(M, 2)),
-        checks._excluded(M, ("pavex", "mk23minus", "m42", "m52")))],
-}
-
-
-@pytest.mark.parametrize("check_id", EQUIVALENCE_SIDES)
+@pytest.mark.parametrize("check_id", AGREE_CHECKS)
 def test_excluded_minor_sweep_is_not_vacuous(check_id):
     """Both halves of every two-sided equivalence run at seed 0: the
     excluded-minor claims and the five predicate equivalences each see a
     swept input where every side holds and one where every side fails."""
     entry = CHECKS[check_id]
     corpus = entry.corpus(checks._sub_seed(check_id, 0))
-    verdicts = {sides for M in corpus for sides in EQUIVALENCE_SIDES[check_id](M)}
+    verdicts = {got for M in corpus for _, got in entry.claim.verdicts(M)}
     assert any(all(v) for v in verdicts) and any(not any(v) for v in verdicts)
 
 
 def test_every_equivalence_sweep_is_covered():
-    assert len(EQUIVALENCE_SIDES) == 13
+    assert len(AGREE_CHECKS) == 13
 
 
 def test_every_excluded_minor_claim_is_registered():
     assert len(EXCLUDED_MINOR_CHECKS) == 8
+
+
+@pytest.mark.parametrize("check_id", AGREE_CHECKS)
+def test_agree_names_every_side(check_id):
+    """With its first side negated on one member, a two-sided claim fails
+    its own sweep there, and the note gives every side's verdict (and the
+    first k of the sweep for the claims over k)."""
+    entry = CHECKS[check_id]
+    claim = entry.claim
+    seed = checks._sub_seed(check_id, 0)
+    corpus = entry.corpus(seed)
+    # a member with some k to sweep whose table does not occur earlier
+    j = next(i for i in range(len(corpus) // 2, len(corpus))
+             if corpus.index(corpus[i]) == i and next(claim.verdicts(corpus[i]), None))
+    member = corpus[j]
+    k, got = next(claim.verdicts(member))
+    (name, first), *rest = claim.sides
+
+    def negated(M, *args):
+        return not first(M, *args) if M == member else first(M, *args)
+
+    forced = dataclasses.replace(claim, sides=((name, negated), *rest))
+    ok, witness = dataclasses.replace(entry, claim=forced)(seed)
+    assert not ok
+    note = witness["note"]
+    assert note.startswith(f"{entry.label}[{j}]: ")
+    for (side, _), verdict in zip(claim.sides, (not got[0], *got[1:])):
+        assert f"{side} {verdict}" in note
+    assert note.endswith(f" at k={k}") if claim.ks else "at k=" not in note
+    assert parse_matroid(witness["matroid"]) == member
 
 
 def test_minor_cache_is_bounded(monkeypatch):

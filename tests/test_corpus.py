@@ -1,5 +1,8 @@
 """Corpus generation: determinism, validity, generator properties."""
 
+import random
+
+from lamina import corpus
 from lamina.core import validate_rank_axioms
 from lamina.corpus import CorpusSpec, catalog_matroids, catalog_with_minors, generate_corpus
 from lamina.laminar import is_paving
@@ -43,13 +46,9 @@ class TestValidity:
 
 class TestGeneratorMix:
     def test_sparse_paving_members_are_paving(self):
-        spec = CorpusSpec(seed=11, count=40, max_elements=6,
-                          weights=(("sparse_paving", 1),),
-                          include_catalog=False)
-        members = generate_corpus(spec)
-        assert members
-        for M in members:
-            assert is_paving(M)
+        rng = random.Random(11)
+        for _ in range(40):
+            assert is_paving(corpus._random_sparse_paving(rng, 6))
 
     def test_corpus_is_not_class_vacuous(self):
         """A reasonably large mixed corpus must contain members both inside

@@ -4,14 +4,16 @@ gives the values its comments state, and its "File format" example
 parses."""
 
 import ast
+import builtins
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from lamina import formats
+from lamina import checks, formats
 from lamina.constructions import uniform
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,3 +72,15 @@ def test_readme_file_format():
     assert formats.parse_matroid(block) == uniform(2, 4, ("a", "b", "c", "d"))
     assert all(kind in block for kind in formats.KINDS)
     assert all(f"`{usage}`" in section for usage, _, _ in formats._FORMS.values())
+
+
+def test_readme_harness_names_exist():
+    """Every ``lamina.checks`` class or private helper the README
+    "Verification harness" section quotes is still in the module."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "## Verification harness", 1)[1].split("\n#", 1)[0]
+    quoted = {m[1] for m in re.finditer(r"`(?:lamina\.checks\.)?(_\w+|[A-Z]\w*)(?:\(.*?\))?`",
+                                        section)}
+    names = quoted - set(vars(builtins))
+    assert {"Sweep", "Agree", "_minor_closed", "_battery"} <= names
+    assert [name for name in sorted(names) if not hasattr(checks, name)] == []

@@ -85,6 +85,8 @@ _MALFORMED = [
     _bad("end-after-n", "%matroid v1\nn 2\n", 2, "unexpected end of input"),
     _bad("labels-count", "%matroid v1\nn 2\nlabels a\nrepr uniform\nr 1\n", 3,
          "expected 2 labels, got 1"),
+    _bad("labels-duplicate", "%matroid v1\nn 2\nlabels a a\nrepr uniform\nr 1\n", 3,
+         "element labels must be distinct"),
     _bad("end-after-labels", "%matroid v1\nn 2\nlabels a b\n", 3, "unexpected end of input"),
     _bad("repr-usage", "%matroid v1\nn 2\nrepr\n", 3, "expected 'repr <kind>'"),
     _bad("repr-keyword", "%matroid v1\nn 2\nkind uniform\n", 3, "expected 'repr <kind>'"),
@@ -118,6 +120,8 @@ _MALFORMED = [
          "missing 'rank <int>'"),
     _bad("set-invalid-rank", "%matroid v1\nn 2\nrepr cyclic-flats\nset {e1} rank two\n", 4,
          "invalid rank 'two'"),
+    _bad("set-rank-in-label", "%matroid v1\nn 2\nlabels frank b\nrepr cyclic-flats\n"
+         "set {frank} 1\n", 5, "missing 'rank <int>'"),
     _bad("set-empty-rank", "%matroid v1\nn 2\nrepr cyclic-flats\nset {} rank\n", 4,
          "invalid rank ''"),
     _bad("set-two-sets", "%matroid v1\nn 2\nrepr cyclic-flats\nset {e1} {e2} rank 1\n", 4,
