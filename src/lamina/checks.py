@@ -6,12 +6,15 @@ matroids or over a deterministic seeded corpus.  Every :data:`CHECKS`
 value is a callable ``sub_seed -> (ok, witness)``; a failure's witness
 can be replayed through the public operations.
 
-Most checks are data: a :class:`Sweep` asks ``claim(M)`` of every
-member of ``corpus(sub_seed)``.  A claim returns ``None`` when it holds
-and ``(note, *sets)`` when it fails; the first failing member is the
-witness, its note prefixed with ``label[index]``.  Every equivalence
-and excluded-minor characterization is an :class:`Agree` of named
-predicates; the other claims are functions below and :func:`_minor_closed`.
+Every corpus check is data: a :class:`Sweep` asks ``claim(M)`` of every
+member of ``corpus(sub_seed)``, an iterable it reads and primes a chunk
+at a time.  A claim returns ``None`` when it holds and ``(note, *sets)``
+when it fails; the first failing member is the witness, its note
+prefixed with ``label[index]``.  Every equivalence, excluded-minor and
+graph-shape characterization is an :class:`Agree` of named predicates;
+the other claims are functions below and :func:`_minor_closed`.  The
+graph pool labels each edge by its endpoints, ``"u-v"``, so a side
+reads the graph from the labels and a witness spells it out.
 :func:`_battery` certifies fixed excluded minors; the other fixed-input
 checks are plain functions.  A side that stands for a definition states
 the definition itself.  Library names are looked up when a check runs,
@@ -28,7 +31,8 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator
 
 from .core import Matroid, MatroidError, prime_circuits
 from .constructions import (
@@ -93,23 +97,30 @@ def _witness(M: Matroid, note: str, *sets: int) -> dict:
 # the sweep runner, its corpora and the two-sided claim
 
 
+# Members primed together; their caches live until the chunk is checked,
+# so a corpus read lazily keeps peak memory flat
+_CHUNK = 64
+
+
 @dataclass(frozen=True)
 class Sweep:
-    """Ask ``claim`` of every member of ``corpus(seed)``; the first
-    member it fails on is the witness."""
+    """Ask ``claim`` of every member of ``corpus(seed)``, read ``_CHUNK``
+    members at a time; the first member it fails on is the witness."""
 
-    corpus: Callable[[int], Sequence[Matroid]]
+    corpus: Callable[[int], Iterable[Matroid]]
     claim: Callable[[Matroid], tuple | None]
     label: str = "corpus"
 
     def __call__(self, seed: int) -> tuple[bool, dict | None]:
-        members = self.corpus(seed)
-        prime_circuits(members)
-        for i, M in enumerate(members):
-            failure = self.claim(M)
-            if failure is not None:
-                note, *sets = failure
-                return False, _witness(M, f"{self.label}[{i}]: {note}", *sets)
+        members = enumerate(self.corpus(seed))
+        while chunk := list(itertools.islice(members, _CHUNK)):
+            prime_circuits(M for _, M in chunk)
+            for i, M in chunk:
+                failure = self.claim(M)
+                if failure is not None:
+                    note, *sets = failure
+                    return False, _witness(M, f"{self.label}[{i}]: {note}", *sets)
+            del chunk  # before the next is read: a lazy corpus holds one chunk
         return True, None
 
 
@@ -202,78 +213,85 @@ def _graphic_corpus(seed: int) -> list[Matroid]:
     return out + cycle_matroids(graphs)
 
 
+def _laminar_system_corpus(seed: int) -> Iterator[Matroid]:
+    """Laminar matroids of 200 seeded random capacity systems on 2..8
+    elements."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        labels = tuple(f"e{i + 1}" for i in range(n))
+        full = (1 << n) - 1
+        family = [full]
+        for _ in range(rng.randint(0, 4)):
+            parent = rng.choice(family)
+            bits = [i for i in range(n) if parent >> i & 1]
+            if len(bits) < 2:
+                continue
+            child = 0
+            for i in rng.sample(bits, rng.randint(1, len(bits) - 1)):
+                child |= 1 << i
+            if all(not (child & f) or child & f in (child, f) for f in family):
+                family.append(child)
+        caps = tuple(rng.randint(0, m.bit_count()) for m in family)
+        yield laminar_matroid(LaminarCapacitySystem(labels, tuple(family), caps))
+
+
 # ---------------------------------------------------------------------------
 # graph helpers for the graphic characterizations
 
 
-def _connected(nv: int, edges: tuple[tuple[int, int], ...], skip: int = -1) -> bool:
-    verts = [v for v in range(nv) if v != skip]
-    adj = {v: [] for v in verts}
-    for (u, w) in edges:
-        if u != skip and w != skip:
-            adj[u].append(w)
-            adj[w].append(u)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
-
-
 def _two_connected(nv: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    """Simple graph 2-connectivity by brute-force vertex removal.  With at
-    least 3 vertices, every G - v connected already makes G connected
-    with no isolated vertex."""
-    return (nv >= 3 and len(edges) >= nv
-            and all(_connected(nv, edges, skip=v) for v in range(nv)))
-
-
-def _hamiltonian_cycles(nv: int, edge_set: frozenset) -> list[frozenset]:
-    """All Hamiltonian cycles as frozensets of (sorted) edges."""
-    out = []
-    for perm in itertools.permutations(range(1, nv)):
-        if perm[0] > perm[-1]:
-            continue  # each cycle once per direction
-        cycle = (0,) + perm
-        edges = frozenset((min(u, w), max(u, w))
-                          for u, w in zip(cycle, cycle[1:] + cycle[:1]))
-        if edges <= edge_set:
-            out.append(edges)
-    return out
+    """Simple graph 2-connectivity by brute-force vertex removal over
+    adjacency bitmasks.  With at least 3 vertices, every G - v connected
+    already makes G connected with no isolated vertex."""
+    if nv < 3 or len(edges) < nv:
+        return False
+    adj = [0] * nv
+    for u, w in edges:
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
+    for skip in range(nv):
+        rest = (1 << nv) - 1 & ~(1 << skip)
+        seen = todo = rest & -rest
+        while todo:
+            v = todo.bit_length() - 1
+            new = adj[v] & rest & ~seen
+            seen |= new
+            todo = todo & ~(1 << v) | new
+        if seen != rest:
+            return False
+    return True
 
 
 def _cycle_with_chords(nv: int, edges: tuple[tuple[int, int], ...],
-                       max_chords: int, paired_chords: bool) -> bool:
-    """Whether the graph is a cycle plus at most ``max_chords`` chords.
-
-    With ``paired_chords`` (used at max_chords = 2), two chords are only
-    allowed when they share an endpoint u and their other endpoints are
-    adjacent in the graph.
-    """
-    edge_set = frozenset((min(u, w), max(u, w)) for (u, w) in edges)
+                       max_chords: int, paired: bool) -> bool:
+    """Whether the simple graph on ``nv`` vertices with ``edges`` (pairs
+    u < v) is a Hamiltonian cycle plus at most ``max_chords`` chords.
+    With ``paired`` (used at max_chords = 2), two chords must share one
+    endpoint and have adjacent other endpoints."""
+    edge_set = frozenset(edges)
     if len(edge_set) - nv > max_chords:
         return False
-    for cycle in _hamiltonian_cycles(nv, edge_set):
-        chords = sorted(edge_set - cycle)  # |E| - nv of them, whatever the cycle
+    for perm in itertools.permutations(range(1, nv)):
+        if perm[0] > perm[-1]:
+            continue  # each cycle once per direction
+        cycle = (0, *perm, 0)
+        ring = {(min(e), max(e)) for e in zip(cycle, cycle[1:])}
+        if not ring <= edge_set:
+            continue
+        chords = edge_set - ring  # |E| - nv of them, whatever the cycle
         if len(chords) <= 1:
             return True
-        if len(chords) == 2 and paired_chords:
-            (a1, a2), (b1, b2) = chords
-            shared = {a1, a2} & {b1, b2}
-            if len(shared) == 1:
-                (v1,) = {a1, a2} - shared
-                (v2,) = {b1, b2} - shared
-                if (min(v1, v2), max(v1, v2)) in edge_set:
-                    return True
+        ends = set.symmetric_difference(*map(set, chords))
+        if paired and len(ends) == 2 and tuple(sorted(ends)) in edge_set:
+            return True
     return False
 
 
-def _graph_pool(seed: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """All simple 2-connected graphs on 3..5 vertices plus >= 500 seeded
-    6-vertex samples."""
+@lru_cache(maxsize=None)
+def _two_connected_graphs() -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """(vertex count, edges) of every simple 2-connected graph on 3..5
+    vertices, built once."""
     pool = []
     for nv in (3, 4, 5):
         all_edges = list(itertools.combinations(range(nv), 2))
@@ -281,9 +299,14 @@ def _graph_pool(seed: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...
             edges = tuple(e for i, e in enumerate(all_edges) if bits >> i & 1)
             if _two_connected(nv, edges):
                 pool.append((nv, edges))
+    return tuple(pool)
+
+
+def _six_vertex_samples(seed: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(6, edges) of >= 500 distinct seeded 2-connected 6-vertex graphs."""
     rng = random.Random(seed)
     all6 = list(itertools.combinations(range(6), 2))
-    seen = set()
+    samples, seen = [], set()
     attempts = 0
     while len(seen) < 500 and attempts < 100000:
         attempts += 1
@@ -292,35 +315,29 @@ def _graph_pool(seed: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...
         if edges in seen or not _two_connected(6, edges):
             continue
         seen.add(edges)
-        pool.append((6, edges))
-    return tuple(pool)
+        samples.append((6, edges))
+    return samples
 
 
-# Pool graphs built and primed together; their caches live until the
-# chunk is checked, and a whole pool at once adds ~2 MiB to peak memory
-_POOL_CHUNK = 64
+def _graph_pool(seed: int) -> Iterator[Matroid]:
+    """Cycle matroids of :func:`_two_connected_graphs` and
+    :func:`_six_vertex_samples`, built a chunk at a time, each edge
+    labelled by its endpoints ``"u-v"``."""
+    graphs = [*_two_connected_graphs(), *_six_vertex_samples(seed)]
+    for start in range(0, len(graphs), _CHUNK):
+        yield from cycle_matroids([
+            Multigraph(nv, edges, tuple(f"{u}-{v}" for u, v in edges))
+            for nv, edges in graphs[start:start + _CHUNK]])
 
 
-def _graphic_class_check(k_pred, max_chords: int, paired: bool):
-    """Graphic characterization: on the cycle matroid of each pool graph,
-    ``k_pred`` holds exactly when the graph is K_4 or a cycle with the
-    stated chords."""
-    def check(seed):
-        pool = _graph_pool(seed)
-        for start in range(0, len(pool), _POOL_CHUNK):
-            chunk = pool[start:start + _POOL_CHUNK]
-            members = cycle_matroids([Multigraph(nv, edges) for nv, edges in chunk])
-            prime_circuits(members)
-            for (nv, edges), M in zip(chunk, members):
-                is_k4 = nv == 4 and len(edges) == 6
-                claimed = is_k4 or _cycle_with_chords(nv, edges, max_chords, paired)
-                actual = bool(k_pred(M))
-                if claimed != actual:
-                    return False, _witness(
-                        M, f"graph on {nv} vertices, edges {edges}: "
-                           f"predicate {actual} but graph shape says {claimed}")
-        return True, None
-    return check
+def _graph_shape(max_chords: int, paired: bool):
+    """Side: the graph that M's ``"u-v"`` labels spell is K_4 or a cycle
+    with the stated chords."""
+    def side(M):
+        edges = tuple(tuple(map(int, label.split("-"))) for label in M.labels)
+        nv = 1 + max(map(max, edges))
+        return nv == 4 and len(edges) == 6 or _cycle_with_chords(nv, edges, max_chords, paired)
+    return side
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +374,12 @@ def _baby_properties(M):
     if len(M.nonspanning_circuits()) <= 1 and not (all(lam) and all(cl)):
         return ("(vi) fails",)
     return None
+
+
+def _passes_circuit_pair_test(M):
+    verdict = is_laminar(M)
+    return None if verdict else (
+        "laminar-system matroid failed the circuit-pair test", *verdict.witness)
 
 
 def _minor_closed(holds, ks, kind: str):
@@ -437,32 +460,6 @@ def _low_rank_is_in_both(M):
 # fixed-input checks
 
 
-def _check_thm_laminar_circuits(seed):
-    rng = random.Random(seed)
-    for trial in range(200):
-        n = rng.randint(2, 8)
-        labels = tuple(f"e{i + 1}" for i in range(n))
-        full = (1 << n) - 1
-        family = [full]
-        for _ in range(rng.randint(0, 4)):
-            parent = rng.choice(family)
-            bits = [i for i in range(n) if parent >> i & 1]
-            if len(bits) < 2:
-                continue
-            child = 0
-            for i in rng.sample(bits, rng.randint(1, len(bits) - 1)):
-                child |= 1 << i
-            if all(not (child & f) or child & f in (child, f) for f in family):
-                family.append(child)
-        caps = tuple(rng.randint(0, m.bit_count()) for m in family)
-        M = laminar_matroid(LaminarCapacitySystem(labels, tuple(family), caps))
-        verdict = is_laminar(M)
-        if not verdict:
-            return False, _witness(M, f"trial {trial}: laminar-system matroid "
-                                      "failed the circuit-pair test", *verdict.witness)
-    return True, None
-
-
 def _check_sec1_pc_example(seed):
     for k in (2, 3, 4):
         M = sec1_pc_example(k)
@@ -539,7 +536,7 @@ CHECKS = {
     "prop-nested-circuits": Sweep(_sweep_corpus, Agree((
         ("nested", lambda M: is_nested(M)),
         ("circuit-pair test", lambda M: not _unnested_meets(M))))),
-    "thm-laminar-circuits": _check_thm_laminar_circuits,
+    "thm-laminar-circuits": Sweep(_laminar_system_corpus, _passes_circuit_pair_test, "laminar"),
     "cor-ham-laminar": Sweep(_sweep_corpus, Agree((
         ("laminar", lambda M: is_laminar(M)),
         ("1-closure-laminar", lambda M: is_k_closure_laminar(M, 1))))),
@@ -593,10 +590,12 @@ CHECKS = {
         ("membership", lambda M: is_k_closure_laminar(M, 2)),
         ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "f7", "p42"))),
     )), "graphic"),
-    "lem-outerplanar": _graphic_class_check(
-        lambda M: is_k_laminar(M, 2), max_chords=2, paired=True),
-    "prop-one-chord": _graphic_class_check(
-        lambda M: is_k_closure_laminar(M, 2), max_chords=1, paired=False),
+    "lem-outerplanar": Sweep(_graph_pool, Agree((
+        ("predicate", lambda M: is_k_laminar(M, 2)),
+        ("graph shape", _graph_shape(max_chords=2, paired=True)))), "graph"),
+    "prop-one-chord": Sweep(_graph_pool, Agree((
+        ("predicate", lambda M: is_k_closure_laminar(M, 2)),
+        ("graph shape", _graph_shape(max_chords=1, paired=False)))), "graph"),
     "thm-pav1": Sweep(_sweep_corpus, Agree((
         ("k-laminar", lambda M, k: is_k_laminar(M, k)),
         ("k-closure-laminar", lambda M, k: is_k_closure_laminar(M, k))),

@@ -618,11 +618,11 @@ def notk_cyclic_flats(k: int) -> CyclicFlatFamily:
     documents this failure with its exact witness pair.
     """
     if k < 3:
-        raise MatroidError("the construction needs k >= 3")
+        raise MatroidError("notk_cyclic_flats needs k >= 3")
     m = k - 1
     labels = tuple(f"{p}{i + 1}" for p in "abc" for i in range(m)) + ("e",)
     if len(labels) > MAX_ELEMENTS:
-        raise MatroidError(f"needs {len(labels)} elements > {MAX_ELEMENTS}")
+        raise MatroidError(f"notk_cyclic_flats({k}) needs {len(labels)} elements > {MAX_ELEMENTS}")
     # A, B and C are consecutive blocks of m positions, and e comes last
     A, B, C = (((1 << m) - 1) << j * m for j in range(3))
     D = 1 << 3 * m | 1 << 2 * m | 1 << m | 1
@@ -660,7 +660,7 @@ def sec1_pc_example(k: int) -> Matroid:
     if k < 2:
         raise MatroidError("sec1_pc_example needs k >= 2")
     if k + 5 > MAX_ELEMENTS:
-        raise MatroidError(f"needs {k + 5} elements > {MAX_ELEMENTS}")
+        raise MatroidError(f"sec1_pc_example({k}) needs {k + 5} elements > {MAX_ELEMENTS}")
     return _glued_circuit(k + 1, "d", 3, "ts")
 
 

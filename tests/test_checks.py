@@ -1,16 +1,18 @@
 """Verification-check registry: statuses, determinism, witnesses."""
 
+import collections
 import dataclasses
+import itertools
 
 import pytest
 
 import lamina.checks as checks
 from lamina.constructions import (
-    Multigraph, cycle_matroid, named_matroid, nn_family, sec1_pc_example)
+    Multigraph, cycle_matroids, named_matroid, nn_family, sec1_pc_example)
 from lamina.core import MatroidError
 from lamina.checks import CHECKS, Agree, available_checks, run_check
 from lamina.formats import parse_matroid
-from lamina.laminar import is_k_laminar
+from lamina.laminar import ClassVerdict, is_k_laminar
 from lamina.minors import ExcludedMinorResult
 
 # The two documented red checks (see README "Known red checks").
@@ -26,6 +28,14 @@ class TestRegistry:
     def test_unknown_check_raises(self):
         with pytest.raises(MatroidError):
             run_check("no-such-check")
+
+    def test_every_corpus_check_is_a_sweep(self):
+        """Only the checks on fixed inputs are plain functions; every
+        check over a corpus is a ``Sweep``, so none loops by hand."""
+        fixed = {"sec1-pc-example", "thm-notk-k4", "thm-notk-k5", "thm-bdm-roundtrip",
+                 "lem-mnk", "lem-therest", "lem-nb"}
+        assert {cid for cid, entry in CHECKS.items()
+                if not isinstance(entry, checks.Sweep)} == fixed
 
 
 class TestResults:
@@ -60,8 +70,9 @@ EXCLUDED_MINOR_CHECKS = [
 @pytest.mark.parametrize("check_id", AGREE_CHECKS)
 def test_excluded_minor_sweep_is_not_vacuous(check_id):
     """Both halves of every two-sided equivalence run at seed 0: the
-    excluded-minor claims and the five predicate equivalences each see a
-    swept input where every side holds and one where every side fails."""
+    excluded-minor claims, the five predicate equivalences and the two
+    graph-shape claims each see a swept input where every side holds and
+    one where every side fails."""
     entry = CHECKS[check_id]
     corpus = entry.corpus(checks._sub_seed(check_id, 0))
     verdicts = {got for M in corpus for _, got in entry.claim.verdicts(M)}
@@ -69,7 +80,7 @@ def test_excluded_minor_sweep_is_not_vacuous(check_id):
 
 
 def test_every_equivalence_sweep_is_covered():
-    assert len(AGREE_CHECKS) == 13
+    assert len(AGREE_CHECKS) == 15
 
 
 def test_every_excluded_minor_claim_is_registered():
@@ -84,7 +95,7 @@ def test_agree_names_every_side(check_id):
     entry = CHECKS[check_id]
     claim = entry.claim
     seed = checks._sub_seed(check_id, 0)
-    corpus = entry.corpus(seed)
+    corpus = list(entry.corpus(seed))
     # a member with some k to sweep whose table does not occur earlier
     j = next(i for i in range(len(corpus) // 2, len(corpus))
              if corpus.index(corpus[i]) == i and next(claim.verdicts(corpus[i]), None))
@@ -192,11 +203,27 @@ class TestForcedFailures:
 
     def test_graph_shape(self, monkeypatch):
         cid = "lem-outerplanar"
-        nv, edges = checks._graph_pool(checks._sub_seed(cid, 0))[4]
-        member = cycle_matroid(Multigraph(nv, edges))
+        member = next(itertools.islice(checks._graph_pool(checks._sub_seed(cid, 0)), 4, None))
+        # the labels spell the graph: the 4-cycle 0-1-2-3 with chord 0-2
+        assert member.labels == ("0-1", "0-2", "0-3", "1-2", "2-3")
         _flip_on(monkeypatch, "is_k_laminar", member)
         note = _assert_witness(run_check(cid), member)
-        assert f"{nv} vertices" in note and str(edges) in note
+        assert note == "graph[4]: predicate False vs graph shape True"
+
+    def test_laminar_system(self, monkeypatch):
+        cid = "thm-laminar-circuits"
+        corpus = list(checks._laminar_system_corpus(checks._sub_seed(cid, 0)))
+        j = next(i for i, M in enumerate(corpus) if len(M.circuits()) >= 2 and corpus.index(M) == i)
+        member = corpus[j]
+        pair = member.circuits()[:2]
+        real = checks.is_laminar
+
+        def is_laminar(M):
+            return ClassVerdict("laminar", False, pair) if M == member else real(M)
+
+        monkeypatch.setattr(checks, "is_laminar", is_laminar)
+        note = _assert_witness(run_check(cid), member, [member.names(C) for C in pair])
+        assert note == f"laminar[{j}]: laminar-system matroid failed the circuit-pair test"
 
     def test_fixed_input(self, monkeypatch):
         member = sec1_pc_example(3)
@@ -216,3 +243,29 @@ class TestForcedFailures:
         monkeypatch.setattr(checks, "is_excluded_minor", is_excluded_minor)
         note = _assert_witness(run_check("lem-therest"), member)
         assert "2-laminar" in note and "forced" in note
+
+
+def _graph_of(M):
+    """The vertex count and edges that M's ``"u-v"`` labels spell."""
+    edges = tuple(tuple(map(int, label.split("-"))) for label in M.labels)
+    return 1 + max(map(max, edges)), edges
+
+
+class TestGraphPool:
+    def test_seed_free_part_is_every_two_connected_graph(self):
+        """1, 10 and 238 labelled 2-connected graphs on 3, 4 and 5
+        vertices (OEIS A013922), each a simple graph on all its vertices."""
+        graphs = checks._two_connected_graphs()
+        assert collections.Counter(nv for nv, _ in graphs) == {3: 1, 4: 10, 5: 238}
+        for nv, edges in graphs:
+            assert len(set(edges)) == len(edges)
+            assert {v for e in edges for v in e} == set(range(nv))
+            assert all(u < v for u, v in edges)
+
+    def test_members_are_the_graphs_their_labels_spell(self):
+        pool = list(checks._graph_pool(checks._sub_seed("prop-one-chord", 0)))
+        graphs = [_graph_of(M) for M in pool]
+        assert cycle_matroids([Multigraph(nv, edges, M.labels)
+                               for (nv, edges), M in zip(graphs, pool)]) == pool
+        assert len(set(graphs)) == len(pool) == 249 + 500
+        assert {nv for nv, _ in graphs[249:]} == {6}

@@ -40,6 +40,15 @@ class TestConstruct:
         assert main(["construct", "--family", "f7", "--n", "3", "--k", "9"]) == 2
         assert capsys.readouterr().err == "error: family 'f7' takes no parameter n\n"
 
+    @pytest.mark.parametrize("params, message", [
+        (["--family", "mn", "--n", "12", "--k", "2"], "M_12(2) needs 22 elements > 16"),
+        (["--family", "sec1pc", "--k", "40"], "sec1_pc_example(40) needs 45 elements > 16"),
+        (["--family", "notk", "--k", "20"], "notk_cyclic_flats(20) needs 58 elements > 16"),
+    ], ids=["mn", "sec1pc", "notk"])
+    def test_oversized_family_is_usage_error(self, capsys, params, message):
+        assert main(["construct", *params]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestAnalyze:
     def test_human_output(self, mk23_file, capsys):

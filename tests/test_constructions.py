@@ -383,6 +383,17 @@ class TestNamedFamilies:
         with pytest.raises(MatroidError, match=f"^family '{name}' takes no parameter {extra}$"):
             named_matroid(name, **params)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: mn_family(12, 2), "M_12(2) needs 22 elements > 16"),
+        (lambda: sec1_pc_example(40), "sec1_pc_example(40) needs 45 elements > 16"),
+        (lambda: sec1_pc_example(1), "sec1_pc_example needs k >= 2"),
+        (lambda: notk_cyclic_flats(20), "notk_cyclic_flats(20) needs 58 elements > 16"),
+        (lambda: notk_cyclic_flats(2), "notk_cyclic_flats needs k >= 3"),
+    ], ids=["mn", "sec1pc", "sec1pc-k", "notk", "notk-k"])
+    def test_size_errors_name_the_construction(self, build, message):
+        with pytest.raises(MatroidError, match=f"^{re.escape(message)}$"):
+            build()
+
     @pytest.mark.parametrize("name", ["nope", "", "f8", "mn-example", "k4", "mk23plus"])
     def test_named_matroid_unknown(self, name):
         with pytest.raises(MatroidError, match=f"^unknown catalog matroid '{name}'$"):
