@@ -49,7 +49,6 @@ from .constructions import (
 from .laminar import (
     ClassVerdict,
     is_k_closure_laminar,
-    is_k_closure_laminar_circuit_form,
     is_k_laminar,
     is_laminar,
     is_nested,
@@ -98,7 +97,6 @@ __all__ = [
     "validate_z_axioms",
     "ClassVerdict",
     "is_k_closure_laminar",
-    "is_k_closure_laminar_circuit_form",
     "is_k_laminar",
     "is_laminar",
     "is_nested",

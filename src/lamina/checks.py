@@ -17,8 +17,9 @@ graph pool labels each edge by its endpoints, ``"u-v"``, so a side
 reads the graph from the labels and a witness spells it out.
 :func:`_battery` certifies fixed excluded minors; the other fixed-input
 checks are plain functions.  A side that stands for a definition states
-the definition itself.  Library names are looked up when a check runs,
-so a test can stand in a wrong predicate.
+the definition itself, as ``lem-kcl-equiv`` does the 2^n chain form and
+the all-circuit pair scan.  Library names are looked up when a check
+runs, so a test can stand in a wrong predicate.
 
 Checks derive a private sub-seed from their identifier, so running them
 in any order or concurrently never changes results.
@@ -56,7 +57,6 @@ from .constructions import (
 )
 from .laminar import (
     is_k_closure_laminar,
-    is_k_closure_laminar_circuit_form,
     is_k_laminar,
     is_laminar,
     is_nested,
@@ -353,12 +353,26 @@ def _unnested_meets(M: Matroid) -> list[tuple[int, int]]:
             if C1 & ~F2 and C2 & ~F1]
 
 
+def _chain_form(M: Matroid, k: int) -> bool:
+    """Definition: for every independent k-set X, in all 2^n masks, the
+    Hamiltonian flats containing X form a chain."""
+    ham, rt = M.hamiltonian_flats(), M.rank_table
+    return not any(F1 & ~F2 and F2 & ~F1
+                   for X in range(M.E + 1) if X.bit_count() == k == rt[X]
+                   for F1, F2 in itertools.combinations([F for F in ham if F & X == X], 2))
+
+
+def _circuit_form(M: Matroid, k: int) -> bool:
+    """Every pair of :func:`_unnested_meets` has r(cl C1 ∩ cl C2) < k."""
+    return all(M.rank_table[F] < k for _, F in _unnested_meets(M))
+
+
 def _baby_properties(M):
     r = M.full_rank()
     lam = [bool(is_k_laminar(M, k)) for k in range(r + 2)]
     cl = [bool(is_k_closure_laminar(M, k)) for k in range(r + 2)]
-    # the predicates scan nonspanning circuits only; (iv) and (v) say
-    # that the scan over every circuit gives the same verdicts
+    # the predicates scan nonspanning circuits or Hamiltonian flats; (iv)
+    # and (v) say that scans over every circuit pair agree with them
     meets = _unnested_meets(M)
     rt = M.rank_table
     for k in range(r + 2):
@@ -368,8 +382,7 @@ def _baby_properties(M):
             return (f"monotonicity fails at k={k}",)
         if all(C.bit_count() < k for C, _ in meets) != lam[k]:
             return (f"(v) fails at k={k}",)
-        scan = all(rt[F] < k for _, F in meets)
-        if not (scan == bool(is_k_closure_laminar_circuit_form(M, k)) == cl[k]):
+        if all(rt[F] < k for _, F in meets) != cl[k]:
             return (f"(iv) fails at k={k}",)
     if len(M.nonspanning_circuits()) <= 1 and not (all(lam) and all(cl)):
         return ("(vi) fails",)
@@ -541,8 +554,9 @@ CHECKS = {
         ("laminar", lambda M: is_laminar(M)),
         ("1-closure-laminar", lambda M: is_k_closure_laminar(M, 1))))),
     "lem-kcl-equiv": Sweep(_sweep_corpus, Agree((
-        ("chain form", lambda M, k: is_k_closure_laminar(M, k)),
-        ("circuit form", lambda M, k: is_k_closure_laminar_circuit_form(M, k))),
+        ("chain form", _chain_form),
+        ("circuit form", _circuit_form),
+        ("predicate", lambda M, k: is_k_closure_laminar(M, k))),
         lambda M: range(M.full_rank() + 2))),
     "sec1-pc-example": _check_sec1_pc_example,
     "prop-baby": Sweep(_sweep_corpus, _baby_properties),

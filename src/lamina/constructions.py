@@ -69,6 +69,8 @@ class Multigraph:
     def __post_init__(self):
         edges = tuple((int(u), int(v)) for u, v in self.edges)
         object.__setattr__(self, "edges", edges)
+        if self.vertex_count < 0:
+            raise MatroidError("vertex count must be nonnegative")
         for u, v in edges:
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise MatroidError(f"edge ({u},{v}) has an invalid endpoint")
@@ -501,8 +503,6 @@ def from_cyclic_flats(family: CyclicFlatFamily) -> Matroid:
     if v is not None:
         raise ZAxiomError(v)
     n = len(family.labels)
-    if n > MAX_ELEMENTS:
-        raise MatroidError(f"ground set too large: {n} > {MAX_ELEMENTS}")
     entries = family.entries
     sizes = subset_sizes(n)
     X = np.arange(1 << n)

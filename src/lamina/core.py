@@ -57,8 +57,10 @@ _STACK_CELLS = 1 << 13
 
 
 def subset_sizes(n: int) -> np.ndarray:
-    """Popcount of every mask over ``n`` elements, as a read-only numpy
-    array: a prefix of one table built at import."""
+    """Popcount of every mask over ``n <= MAX_ELEMENTS`` elements, as a
+    read-only numpy array: a prefix of one table built at import."""
+    if n > MAX_ELEMENTS:
+        raise MatroidError(f"ground set too large: {n} > {MAX_ELEMENTS}")
     return _POPCOUNTS[:1 << n]
 
 

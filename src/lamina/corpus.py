@@ -62,25 +62,18 @@ class CorpusSpec:
 
 @lru_cache(maxsize=None)
 def catalog_matroids(max_elements: int) -> tuple[tuple[str, Matroid], ...]:
-    """All named catalog matroids with at most ``max_elements`` elements."""
-    out: list[tuple[str, Matroid]] = []
-    for name in NAMED_FIXED:
-        M = named_matroid(name)
-        if M.n <= max_elements:
-            out.append((name, M))
-    for k in range(0, 4):
-        for n in range(max(4, k + 2), 9):
-            if 2 * n - k <= max_elements:
-                out.append((f"mn(n={n},k={k})", mn_family(n, k)))
-    for k in range(2, 4):
-        for n in range(k + 3, 9):
-            if 2 * n - k <= max_elements:
-                out.append((f"nn(n={n},k={k})", nn_family(n, k)))
-        for n in range(k + 2, 9):
-            if 2 * n - k + 1 <= max_elements:
-                out.append((f"pn(n={n},k={k})", pn_family(n, k)))
-        if k + 5 <= max_elements:
-            out.append((f"sec1pc(k={k})", sec1_pc_example(k)))
+    """All named catalog matroids with at most ``max_elements`` elements,
+    in catalog order: a slice of the full catalog, which is built once."""
+    if max_elements < MAX_ELEMENTS:
+        return tuple((name, M) for name, M in catalog_matroids(MAX_ELEMENTS)
+                     if M.n <= max_elements)
+    out = [(name, named_matroid(name)) for name in NAMED_FIXED]
+    out += [(f"mn(n={n},k={k})", mn_family(n, k))
+            for k in range(4) for n in range(max(4, k + 2), 9)]
+    for k in (2, 3):
+        out += [(f"nn(n={n},k={k})", nn_family(n, k)) for n in range(k + 3, 9)]
+        out += [(f"pn(n={n},k={k})", pn_family(n, k)) for n in range(k + 2, 9)]
+        out.append((f"sec1pc(k={k})", sec1_pc_example(k)))
     return tuple(out)
 
 

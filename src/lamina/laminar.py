@@ -1,21 +1,20 @@
 """Class predicates: nested, laminar, k-laminar, k-closure-laminar, paving.
 
-Every class of the hierarchy is read off one object: the *unnested*
-circuit pairs, where neither circuit lies in the other's closure, or
-equivalently the incomparable pairs of Hamiltonian flats (C ⊆ cl(D)
-exactly when cl(C) ⊆ cl(D)).  A spanning circuit has closure E, so it
-is never unnested and only nonspanning circuits are scanned.
+Each family of the hierarchy is read off one pair scan.  A spanning
+circuit has closure E, so only nonspanning circuits are scanned.
 
-- M is k-laminar iff every unnested pair has |C1 ∩ C2| < k, so the
-  least such k is 1 + max |C1 ∩ C2| over unnested pairs (0 if none).
+- M is k-laminar iff every *unnested* circuit pair, with neither
+  circuit in the other's closure, has |C1 ∩ C2| < k, so the least such
+  k is 1 + max |C1 ∩ C2| over unnested pairs (0 if none).  Laminar is
+  the case k = 1.
 - M is k-closure-laminar iff every incomparable pair of Hamiltonian
-  flats has r(F1 ∩ F2) < k, so the least such k is 1 + max r(F1 ∩ F2)
-  (0 if none).
-- M is nested iff no pair of Hamiltonian flats is incomparable.
+  flats has r(F1 ∩ F2) < k: an independent k-set lies in both flats
+  exactly when r(F1 ∩ F2) >= k.  So the least such k is
+  1 + max r(F1 ∩ F2) (0 if none), and nested is the case k = 0.
 
 Every predicate returns a :class:`ClassVerdict`; a false verdict carries
-the lexicographically first violating witness so reports are
-reproducible and replayable through the public operations.
+the first violating pair in scan order, so reports are reproducible and
+replayable through the public operations.
 """
 
 from __future__ import annotations
@@ -31,9 +30,11 @@ class ClassVerdict:
     """Outcome of a class membership test.
 
     ``witness`` is ``None`` on success; on failure it is a tuple of
-    masks: ``(C1, C2)`` for circuit-pair conditions, ``(X, F1, F2)``
-    for chain conditions over Hamiltonian flats (X the independent set,
-    F1 and F2 the incomparable flats).
+    masks: ``(C1, C2)``, the first violating unnested circuit pair, for
+    the k-laminar family; ``(X, F1, F2)`` for the k-closure-laminar
+    family, F1 and F2 the first violating incomparable Hamiltonian
+    flats in :meth:`~lamina.core.Matroid.hamiltonian_flats` order and X
+    the least-mask independent k-subset of F1 ∩ F2 (0 when nested).
     """
 
     name: str
@@ -44,15 +45,14 @@ class ClassVerdict:
         return self.holds
 
 
-def _unnested_pairs(M: Matroid) -> Iterator[tuple[int, int, int, int]]:
-    """``(C1, C2, cl C1, cl C2)`` for every circuit pair, in (i, j) order
-    over the nonspanning circuits, with neither circuit inside the
-    other's closure."""
+def _unnested_pairs(M: Matroid) -> Iterator[tuple[int, int]]:
+    """Every pair of nonspanning circuits, in (i, j) order, with neither
+    circuit inside the other's closure."""
     circs, closures = M.nonspanning_circuits(), M.nonspanning_closures()
     for i, (C1, F1) in enumerate(zip(circs, closures)):
         for C2, F2 in zip(circs[i + 1:], closures[i + 1:]):
             if C1 & ~F2 and C2 & ~F1:
-                yield C1, C2, F1, F2
+                yield C1, C2
 
 
 def _incomparable(flats: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -61,6 +61,17 @@ def _incomparable(flats: Sequence[int]) -> Iterator[tuple[int, int]]:
         for F2 in flats[i + 1:]:
             if F1 & ~F2 and F2 & ~F1:
                 yield F1, F2
+
+
+def _least_independent(M: Matroid, S: int, k: int) -> int:
+    """The least mask of an independent k-subset of S, r(S) >= k: the
+    matroid greedy from the low bits (weights 2^i)."""
+    X = 0
+    while X.bit_count() < k:
+        bit, S = S & -S, S & S - 1
+        if M.rank_table[X | bit] > X.bit_count():
+            X |= bit
+    return X
 
 
 def _check_k(k: int) -> None:
@@ -72,7 +83,7 @@ def is_k_laminar(M: Matroid, k: int) -> ClassVerdict:
     """Whether every circuit pair meeting in >= k elements has one circuit
     inside the closure of the other."""
     _check_k(k)
-    for C1, C2, _, _ in _unnested_pairs(M):
+    for C1, C2 in _unnested_pairs(M):
         if (C1 & C2).bit_count() >= k:
             return ClassVerdict(f"{k}-laminar", False, (C1, C2))
     return ClassVerdict(f"{k}-laminar", True)
@@ -86,39 +97,18 @@ def is_k_closure_laminar(M: Matroid, k: int) -> ClassVerdict:
     exists).
     """
     _check_k(k)
-    name = f"{k}-closure-laminar"
-    if k > M.full_rank():
-        return ClassVerdict(name, True)
-    ham = M.hamiltonian_flats()
     rt = M.rank_table
-    for X in range(M.E + 1):
-        if X.bit_count() != k or rt[X] != k:
-            continue
-        pair = next(_incomparable([F for F in ham if F & X == X]), None)
-        if pair is not None:
-            return ClassVerdict(name, False, (X, *pair))
-    return ClassVerdict(name, True)
-
-
-def is_k_closure_laminar_circuit_form(M: Matroid, k: int) -> ClassVerdict:
-    """Circuit-pair formulation: whenever r(cl(C1) ∩ cl(C2)) >= k, one
-    circuit lies inside the closure of the other.  Agrees with
-    :func:`is_k_closure_laminar` on every matroid."""
-    _check_k(k)
-    rt = M.rank_table
-    name = f"{k}-closure-laminar(circuits)"
-    for C1, C2, F1, F2 in _unnested_pairs(M):
+    for F1, F2 in _incomparable(M.hamiltonian_flats()):
         if rt[F1 & F2] >= k:
-            return ClassVerdict(name, False, (C1, C2))
-    return ClassVerdict(name, True)
+            return ClassVerdict(f"{k}-closure-laminar", False,
+                                (_least_independent(M, F1 & F2, k), F1, F2))
+    return ClassVerdict(f"{k}-closure-laminar", True)
 
 
 def is_nested(M: Matroid) -> ClassVerdict:
-    """Whether the Hamiltonian flats form a chain under inclusion."""
-    pair = next(_incomparable(M.hamiltonian_flats()), None)
-    if pair is not None:
-        return ClassVerdict("nested", False, (0, *pair))
-    return ClassVerdict("nested", True)
+    """Nested = 0-closure-laminar: the Hamiltonian flats form a chain."""
+    inner = is_k_closure_laminar(M, 0)
+    return ClassVerdict("nested", inner.holds, inner.witness)
 
 
 def is_laminar(M: Matroid) -> ClassVerdict:
@@ -130,14 +120,13 @@ def is_laminar(M: Matroid) -> ClassVerdict:
 def min_laminar_k(M: Matroid) -> int:
     """Smallest k for which M is k-laminar: 1 + the largest |C1 ∩ C2|
     over unnested circuit pairs, or 0 when there is none."""
-    return max(((C1 & C2).bit_count() + 1 for C1, C2, _, _ in _unnested_pairs(M)),
-               default=0)
+    return max(((C1 & C2).bit_count() + 1 for C1, C2 in _unnested_pairs(M)), default=0)
 
 
 def min_closure_laminar_k(M: Matroid) -> int:
     """Smallest k for which M is k-closure-laminar: 1 + the largest
     r(F1 ∩ F2) over incomparable Hamiltonian flats, or 0 when there is
-    none (an independent k-set lies in F1 ∩ F2 iff r(F1 ∩ F2) >= k)."""
+    none."""
     rt = M.rank_table
     return max((rt[F1 & F2] + 1 for F1, F2 in _incomparable(M.hamiltonian_flats())),
                default=0)

@@ -157,6 +157,12 @@ class TestLaminarMatroid:
         with pytest.raises(MatroidError):
             LaminarCapacitySystem(("a", "b", "c"), (0b011, 0b110), (1, 1)).check_laminar()
 
+    def test_rejects_17_elements(self):
+        labels = tuple(f"e{i}" for i in range(17))
+        system = LaminarCapacitySystem(labels, ((1 << 17) - 1,), (3,))
+        with pytest.raises(MatroidError, match=r"^ground set too large: 17 > 16$"):
+            laminar_matroid(system)
+
 
 class TestTransversalMatroid:
     def test_against_matching_oracle(self):
@@ -196,6 +202,11 @@ class TestTransversalMatroid:
     def test_chain_presentation_required(self):
         with pytest.raises(MatroidError):
             transversal_matroid(NestedPresentation(("a", "b"), (0b01, 0b10)))
+
+    def test_rejects_17_elements(self):
+        labels = tuple(f"e{i}" for i in range(17))
+        with pytest.raises(MatroidError, match=r"^ground set too large: 17 > 16$"):
+            transversal_matroid(NestedPresentation(labels, ((1 << 17) - 1,)))
 
 
 class TestCompositions:
@@ -268,6 +279,11 @@ class TestCyclicFlatSynthesis:
         M = named_matroid("mk23")
         family = CyclicFlatFamily(M.labels, M.cyclic_flats())
         assert circuits_from_cyclic_flats(family) == M.circuits()
+
+    def test_rejects_17_elements(self):
+        family = CyclicFlatFamily(tuple(f"e{i}" for i in range(17)), ((0, 0),))
+        with pytest.raises(MatroidError, match=r"^ground set too large: 17 > 16$"):
+            from_cyclic_flats(family)
 
     def test_mask_of_unknown_label_is_matroid_error(self):
         family = CyclicFlatFamily(("a", "b"), ((0, 0), (0b11, 1)))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from lamina import checks, formats
+from lamina import checks, formats, laminar
 from lamina.constructions import uniform
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,3 +84,13 @@ def test_readme_harness_names_exist():
     names = quoted - set(vars(builtins))
     assert {"Sweep", "Agree", "_minor_closed", "_battery"} <= names
     assert [name for name in sorted(names) if not hasattr(checks, name)] == []
+
+
+def test_readme_laminar_bullet_names_exist():
+    """Every name the README's ``lamina.laminar`` bullet quotes is an
+    attribute of the module."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullet = text.split("- `lamina.laminar` —", 1)[1].split("\n- ", 1)[0]
+    names = re.findall(r"`([^`]+)`", bullet)
+    assert names
+    assert [name for name in names if not hasattr(laminar, name)] == []

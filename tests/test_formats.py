@@ -135,6 +135,10 @@ _MALFORMED = [
          "expected 'vertices <int>'"),
     _bad("vertices-invalid", "%matroid v1\nn 1\nrepr graph\nvertices two\n", 4,
          "invalid vertex count 'two'"),
+    _bad("vertices-negative", "%matroid v1\nn 0\nrepr graph\nvertices -3\n", 4,
+         "vertex count must be nonnegative"),
+    _bad("vertices-negative-edge", "%matroid v1\nn 1\nrepr graph\nvertices -3\nedge e1 0 0\n",
+         4, "vertex count must be nonnegative"),
     _bad("edge-usage", "%matroid v1\nn 1\nrepr graph\nvertices 2\nedge e1 0\n", 5,
          "expected 'edge <label> <u> <v>'"),
     _bad("edge-invalid-u", "%matroid v1\nn 1\nrepr graph\nvertices 2\nedge e1 x y\n", 5,

@@ -22,6 +22,7 @@ instead: each must still return a table for which
 import itertools
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 
@@ -65,7 +66,6 @@ from lamina.corpus import CorpusSpec, catalog_matroids, generate_corpus
 from lamina.formats import parse_matroid
 from lamina.laminar import (
     is_k_closure_laminar,
-    is_k_closure_laminar_circuit_form,
     is_k_laminar,
     is_nested,
     min_closure_laminar_k,
@@ -472,6 +472,21 @@ def reference_chain_form(M: Matroid, k: int):
     return None
 
 
+def reference_closure_witness(M: Matroid, k: int):
+    """First incomparable pair of Hamiltonian flats, in their order, that
+    both contain an independent k-set, with X the least such set over
+    every mask."""
+    ham = M.hamiltonian_flats()
+    for i in range(len(ham)):
+        for j in range(i + 1, len(ham)):
+            F1, F2 = ham[i], ham[j]
+            if F1 & ~F2 and F2 & ~F1:
+                for X in range(M.E + 1):
+                    if X & ~(F1 & F2) == 0 and X.bit_count() == k == M.rank_table[X]:
+                        return X, F1, F2
+    return None
+
+
 def reference_min_k(witness, M: Matroid) -> int:
     """Count k up from 0 until the reference scan finds no violation."""
     k = 0
@@ -801,29 +816,31 @@ class TestPresentationRankFormulas:
 
 
 class TestPairScans:
-    """The predicates scan nonspanning circuits through one pair generator;
-    the oracles scan every circuit pair and count k up one at a time."""
+    """The predicates scan nonspanning circuits or Hamiltonian flats through
+    one pair generator each; the oracles scan every circuit pair, walk the
+    chain definition over every mask and count k up one at a time."""
+
+    @staticmethod
+    def _assert_matches_oracles(M):
+        for k in range(M.full_rank() + 2):
+            assert is_k_laminar(M, k).witness == reference_k_laminar(M, k)
+            verdict = is_k_closure_laminar(M, k)
+            assert verdict.holds == (reference_chain_form(M, k) is None)
+            assert verdict.witness == reference_closure_witness(M, k)
+        nested = is_nested(M)
+        assert nested == replace(is_k_closure_laminar(M, 0), name="nested")
+        assert nested.witness == reference_nested(M)
+        assert min_laminar_k(M) == reference_min_k(reference_k_laminar, M)
+        assert min_closure_laminar_k(M) == reference_min_k(reference_chain_form, M)
 
     @PROPERTY
     @given(st.sampled_from(_CORPUS))
     def test_verdicts_witnesses_and_min_k(self, M):
-        for k in range(M.full_rank() + 2):
-            assert is_k_laminar(M, k).witness == reference_k_laminar(M, k)
-            got = is_k_closure_laminar_circuit_form(M, k).witness
-            assert got == reference_circuit_form(M, k)
-            assert is_k_closure_laminar(M, k).witness == reference_chain_form(M, k)
-        assert is_nested(M).witness == reference_nested(M)
-        assert min_laminar_k(M) == reference_min_k(reference_k_laminar, M)
-        assert min_closure_laminar_k(M) == reference_min_k(reference_chain_form, M)
+        self._assert_matches_oracles(M)
 
     @pytest.mark.parametrize("name", ["mk23", "mk23minus", "f7", "f7star", "mk4"])
     def test_catalog(self, name):
-        M = named_matroid(name)
-        for k in range(M.full_rank() + 2):
-            assert is_k_laminar(M, k).witness == reference_k_laminar(M, k)
-            assert is_k_closure_laminar(M, k).witness == reference_chain_form(M, k)
-        assert min_laminar_k(M) == reference_min_k(reference_k_laminar, M)
-        assert min_closure_laminar_k(M) == reference_min_k(reference_chain_form, M)
+        self._assert_matches_oracles(named_matroid(name))
 
 
 class TestOneExpressionTables:
@@ -833,6 +850,10 @@ class TestOneExpressionTables:
             assert got.dtype == np.int16 and got.tobytes() == reference_subset_sizes(n).tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 got[0] = 1
+
+    def test_subset_sizes_refuses_17_elements(self):
+        with pytest.raises(core.MatroidError, match=r"^ground set too large: 17 > 16$"):
+            subset_sizes(17)
 
     def test_uniform(self):
         for n in range(13):
