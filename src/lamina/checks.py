@@ -344,9 +344,11 @@ def _graph_shape(max_chords: int, paired: bool):
 # claims about one corpus member
 
 
+@lru_cache(maxsize=1)
 def _unnested_meets(M: Matroid) -> list[tuple[int, int]]:
     """(C1 ∩ C2, cl C1 ∩ cl C2) over all circuit pairs, spanning circuits
-    included, with neither circuit inside the other's closure."""
+    included, with neither circuit inside the other's closure; kept for
+    the last member, which a claim over k asks at every k."""
     circs = M.circuits()
     pairs = itertools.combinations([(C, M.closure(C)) for C in circs], 2)
     return [(C1 & C2, F1 & F2) for (C1, F1), (C2, F2) in pairs

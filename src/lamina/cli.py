@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .core import MatroidError
@@ -51,42 +52,81 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _subset_joins(words, sep: str) -> list[str]:
+    """``sep.join`` of the words of every mask over ``words``, by mask."""
+    joins = [""]
+    for w in words:
+        joins += [w, *(j + sep + w for j in joins[1:])]
+    return joins
+
+
+def _set_texts(words, sep: str, opening: str, closing: str, empty: str):
+    """Map a mask to ``opening``, its ``words`` joined by ``sep`` in
+    ground-set order and ``closing``; the empty mask to ``empty``.
+
+    One table per byte of the mask holds its at most 256 subsets, with
+    the brackets in place, so a set costs two lookups and one
+    concatenation.
+    """
+    low, high = _subset_joins(words[:8], sep), _subset_joins(words[8:], sep)
+    low = [opening + j for j in low]
+    after = [closing] + [sep + j + closing for j in high[1:]]
+    alone = [empty] + [opening + j + closing for j in high[1:]]
+    return lambda S: low[S & 255] + after[S >> 8] if S & 255 else alone[S >> 8]
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """JSON texts ``items`` as ``json.dumps(..., indent=2)`` lays out a
+    list ``depth`` levels deep."""
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]" if items else "[]"
+
+
+def _json_sets(words: list[str], depth: int):
+    pad = "\n" + "  " * (depth + 1)
+    return _set_texts(words, "," + pad, "[" + pad, pad[:-2] + "]", "[]")
+
+
+def _verdicts(M) -> dict:
+    return {"nested": bool(is_nested(M)), "laminar": bool(is_laminar(M)),
+            "paving": is_paving(M), "min_laminar_k": min_laminar_k(M),
+            "min_closure_laminar_k": min_closure_laminar_k(M)}
+
+
+def _json_report(M) -> str:
+    """``analyze --json``: an indent-2 JSON object, keys in a fixed order."""
+    words = [encode_basestring_ascii(label) for label in M.labels]
+    sets, deep = _json_sets(words, 2), _json_sets(words, 3)
+    fields = {
+        "elements": _json_list(words, 1),
+        "rank": str(M.full_rank()),
+        "circuits": _json_list([sets(C) for C in M.circuits()], 1),
+        "nonspanning_circuits": _json_list([sets(C) for C in M.nonspanning_circuits()], 1),
+        "cyclic_flats": _json_list(
+            [_json_list([deep(F), str(r)], 2) for F, r in M.cyclic_flats()], 1),
+        "hamiltonian_flats": _json_list([sets(F) for F in M.hamiltonian_flats()], 1),
+    }
+    for key, value in _verdicts(M).items():
+        fields[key] = ("false", "true")[value] if isinstance(value, bool) else str(value)
+    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields.items()) + "\n}\n"
+
+
+def _text_report(M) -> str:
+    """Plain ``analyze``: one set per line, then the verdicts."""
+    text = _set_texts(M.labels, " ", "  {", "}", "  {}")
+    circuits, cyclic, ham = M.circuits(), M.cyclic_flats(), M.hamiltonian_flats()
+    lines = [f"elements ({M.n}): {' '.join(M.labels)}", f"rank: {M.full_rank()}",
+             f"circuits ({len(circuits)}):", *map(text, circuits),
+             f"cyclic flats ({len(cyclic)}):", *(f"{text(F)} rank {r}" for F, r in cyclic),
+             f"hamiltonian flats ({len(ham)}):", *map(text, ham)]
+    for key, value in _verdicts(M).items():
+        lines.append(f"{key}: {('no', 'yes')[value] if isinstance(value, bool) else value}")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_analyze(args) -> int:
     M = _load(args.file)
-    nested = is_nested(M)
-    laminar = is_laminar(M)
-    report = {
-        "elements": list(M.labels),
-        "rank": M.full_rank(),
-        "circuits": [list(M.names(C)) for C in M.circuits()],
-        "nonspanning_circuits": [list(M.names(C)) for C in M.nonspanning_circuits()],
-        "cyclic_flats": [[list(M.names(F)), r] for F, r in M.cyclic_flats()],
-        "hamiltonian_flats": [list(M.names(F)) for F in M.hamiltonian_flats()],
-        "nested": bool(nested),
-        "laminar": bool(laminar),
-        "paving": is_paving(M),
-        "min_laminar_k": min_laminar_k(M),
-        "min_closure_laminar_k": min_closure_laminar_k(M),
-    }
-    if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return 0
-    print(f"elements ({M.n}): {' '.join(M.labels)}")
-    print(f"rank: {report['rank']}")
-    print(f"circuits ({len(report['circuits'])}):")
-    for C in M.circuits():
-        print(f"  {_set_names(M, C)}")
-    print(f"cyclic flats ({len(report['cyclic_flats'])}):")
-    for F, r in M.cyclic_flats():
-        print(f"  {_set_names(M, F)} rank {r}")
-    print(f"hamiltonian flats ({len(report['hamiltonian_flats'])}):")
-    for F in M.hamiltonian_flats():
-        print(f"  {_set_names(M, F)}")
-    for key in ("nested", "laminar", "paving"):
-        print(f"{key}: {'yes' if report[key] else 'no'}")
-    print(f"min_laminar_k: {report['min_laminar_k']}")
-    print(f"min_closure_laminar_k: {report['min_closure_laminar_k']}")
+    sys.stdout.write(_json_report(M) if args.json else _text_report(M))
     return 0
 
 

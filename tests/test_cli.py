@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, JSON modes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -64,6 +65,22 @@ class TestAnalyze:
         assert len(report["elements"]) == 6
         assert report["min_laminar_k"] == 3
         assert report["nested"] is False
+
+    # sha256 of stdout as json.dumps(report, indent=2) and print wrote it;
+    # sec1pc(11) has 16 elements, so its sets span both mask bytes
+    @pytest.mark.parametrize("family, k, flags, digest", [
+        ("mk23", None, [], "de713121bda3efda5992e99429e7094aac6db16fabb18bc035b1934d19a7c24a"),
+        ("mk23", None, ["--json"],
+         "a0cad5b920d73ab7aa3ff472261ce644215a0448300b094e91e2c97bc1241e97"),
+        ("sec1pc", 11, [], "63316f87b1933226bbdc1828efa57bed83905f9adcc103c44856588122355c97"),
+        ("sec1pc", 11, ["--json"],
+         "361931e3a1166d470c91da0fb16bc2291fa3496648e74e81ef930489ed5a8ff9"),
+    ], ids=["mk23", "mk23-json", "sec1pc11", "sec1pc11-json"])
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, family, k, flags, digest):
+        p = tmp_path / "m.matroid"
+        p.write_text(serialize_matroid(named_matroid(family, k=k)), encoding="utf-8")
+        assert main(["analyze", str(p), *flags]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/no/such/file"]) == 2

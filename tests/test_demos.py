@@ -1,10 +1,11 @@
 """The demos run as documented: ``python3 demos/<name>.py`` with the
 package on ``PYTHONPATH``, each exiting 0; the README "Library tour"
-gives the values its comments state, and its "File format" example
-parses."""
+gives the values its comments state, its "File format" example
+parses, and its "CLI" section states the key order of ``analyze --json``."""
 
 import ast
 import builtins
+import json
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from lamina import checks, formats, laminar
+from lamina import checks, cli, formats, laminar
 from lamina.constructions import uniform
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,3 +95,12 @@ def test_readme_laminar_bullet_names_exist():
     names = re.findall(r"`([^`]+)`", bullet)
     assert names
     assert [name for name in names if not hasattr(laminar, name)] == []
+
+
+def test_readme_analyze_key_order():
+    """The key order the README "CLI" section states is the order
+    ``analyze --json`` writes."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = text.split("keys in this fixed order:", 1)[1].split(". ", 1)[0]
+    keys = re.findall(r"`(\w+)`", stated)
+    assert list(json.loads(cli._json_report(uniform(1, 2)))) == keys

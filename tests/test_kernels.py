@@ -12,14 +12,18 @@ the batched candidate filter of ``has_minor``, the prefix image
 search of ``find_isomorphism``, the two boolean scans behind
 ``flats`` and ``cyclic_flats``, the stacked circuits pass of
 ``prime_circuits`` and the cube-view gains of
-``validate_rank_axioms`` must agree exactly with the plain loops and
-gathers they replaced, which are kept here as oracles.  The
+``validate_rank_axioms`` and the byte-table report writer of
+``lamina analyze`` must agree exactly with the plain loops, gathers and
+encoders they replaced, which are kept here as oracles.  The
 constructors that no longer re-check the rank axioms are checked here
 instead: each must still return a table for which
 ``validate_rank_axioms`` is None.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
 import re
 from dataclasses import replace
@@ -57,6 +61,7 @@ from lamina.constructions import (
     named_matroid,
     parallel_connection,
     relax_circuit_hyperplane,
+    sec1_pc_example,
     transversal_matroid,
     truncate,
     uniform,
@@ -67,7 +72,9 @@ from lamina.formats import parse_matroid
 from lamina.laminar import (
     is_k_closure_laminar,
     is_k_laminar,
+    is_laminar,
     is_nested,
+    is_paving,
     min_closure_laminar_k,
     min_laminar_k,
 )
@@ -592,6 +599,51 @@ def reference_validate_rank_axioms(table, n: int) -> AxiomViolation | None:
                 a = int(base[int(np.argmax(viol))])
                 return AxiomViolation("R3", (a | bi, a | bj))
     return None
+
+
+def reference_analyze_report(M: Matroid) -> dict:
+    """The ``analyze`` report as a dict holding one label list per set."""
+    return {
+        "elements": list(M.labels),
+        "rank": M.full_rank(),
+        "circuits": [list(M.names(C)) for C in M.circuits()],
+        "nonspanning_circuits": [list(M.names(C)) for C in M.nonspanning_circuits()],
+        "cyclic_flats": [[list(M.names(F)), r] for F, r in M.cyclic_flats()],
+        "hamiltonian_flats": [list(M.names(F)) for F in M.hamiltonian_flats()],
+        "nested": bool(is_nested(M)),
+        "laminar": bool(is_laminar(M)),
+        "paving": is_paving(M),
+        "min_laminar_k": min_laminar_k(M),
+        "min_closure_laminar_k": min_closure_laminar_k(M),
+    }
+
+
+def reference_analyze_json(M: Matroid) -> str:
+    """``analyze --json`` through the json module's indenting encoder."""
+    return json.dumps(reference_analyze_report(M), indent=2) + "\n"
+
+
+def reference_analyze_text(M: Matroid) -> str:
+    """Plain ``analyze``, one ``print`` per line."""
+    report = reference_analyze_report(M)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        print(f"elements ({M.n}): {' '.join(M.labels)}")
+        print(f"rank: {report['rank']}")
+        print(f"circuits ({len(report['circuits'])}):")
+        for C in M.circuits():
+            print("  {" + " ".join(M.names(C)) + "}")
+        print(f"cyclic flats ({len(report['cyclic_flats'])}):")
+        for F, r in M.cyclic_flats():
+            print("  {" + " ".join(M.names(F)) + "}" + f" rank {r}")
+        print(f"hamiltonian flats ({len(report['hamiltonian_flats'])}):")
+        for F in M.hamiltonian_flats():
+            print("  {" + " ".join(M.names(F)) + "}")
+        for key in ("nested", "laminar", "paving"):
+            print(f"{key}: {'yes' if report[key] else 'no'}")
+        print(f"min_laminar_k: {report['min_laminar_k']}")
+        print(f"min_closure_laminar_k: {report['min_closure_laminar_k']}")
+    return out.getvalue()
 
 
 @st.composite
@@ -1373,3 +1425,57 @@ class TestAxiomGains:
                              ids=list(_FIXED_AXIOM_TABLES))
     def test_fixed_tables(self, table, n, want):
         assert validate_rank_axioms(table, n) == reference_validate_rank_axioms(table, n) == want
+
+
+# quotes, backslashes, control characters, non-ASCII and a non-BMP
+# character (a surrogate pair once escaped), and the JSON punctuation
+_LABEL_CHARS = st.sampled_from('a"\\\x00\x1f\n\té\u2028\U0001f600 {},[]:')
+
+
+@st.composite
+def labelled_matroids(draw):
+    """A small matroid, summed with a uniform one to a drawn size of at
+    most 12 elements, under distinct drawn labels, the empty one included."""
+    M = draw(small_matroids())
+    m = draw(st.integers(M.n, max(M.n, 12))) - M.n
+    M = direct_sum(M, uniform(draw(st.integers(0, m)), m))
+    labels = draw(st.lists(st.text(_LABEL_CHARS, max_size=3), min_size=M.n,
+                           max_size=M.n, unique=True))
+    return Matroid(labels, M.rank_table, validate=False)
+
+
+_ODD_LABELS = ("", '"', "\\", "\x00", "é", "\U0001f600", "a b", "{x}", "\n",
+               "\u2028", "]", ",", ":", "\x7f", "\ud800", "e16")
+
+_FIXED_REPORTS = {
+    "n0": uniform(0, 0),
+    "empty_cyclic_flat": uniform(2, 4),
+    "u4_16": uniform(4, 16),
+    "sec1pc11": sec1_pc_example(11),
+    "sec1pc11_odd_labels": Matroid(_ODD_LABELS, sec1_pc_example(11).rank_table, validate=False),
+}
+
+
+class TestAnalyzeWriter:
+    """``analyze`` writes each set from two tables of label joins, one per
+    mask byte; the oracle builds the report dict and hands it to
+    ``json.dumps(indent=2)`` or prints it line by line."""
+
+    # drawing a small matroid costs ~3 ms, hence fewer examples
+    @settings(PROPERTY, max_examples=50)
+    @given(labelled_matroids())
+    def test_matches_encoder(self, M):
+        assert cli._json_report(M) == reference_analyze_json(M)
+        assert cli._text_report(M) == reference_analyze_text(M)
+
+    @pytest.mark.parametrize("M", list(_FIXED_REPORTS.values()), ids=list(_FIXED_REPORTS))
+    def test_fixed_matroids(self, M):
+        assert cli._json_report(M) == reference_analyze_json(M)
+        assert cli._text_report(M) == reference_analyze_text(M)
+
+    def test_fixed_cases_reach_their_edges(self):
+        assert (0, 0) in _FIXED_REPORTS["empty_cyclic_flat"].cyclic_flats()
+        assert '[\n      [],\n      0\n    ]' in cli._json_report(_FIXED_REPORTS["empty_cyclic_flat"])
+        report = json.loads(cli._json_report(_FIXED_REPORTS["sec1pc11_odd_labels"]))
+        assert report["elements"] == list(_ODD_LABELS)
+        assert any(C[0] < "e" and C[-1] == "e16" for C in report["circuits"])
