@@ -8,6 +8,7 @@ Subcommands: ``construct``, ``analyze``, ``minor``, ``iso``, ``verify``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -36,6 +37,17 @@ def _load(path: str):
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(line, "input is not valid UTF-8") from None
     return parse_matroid(text)
+
+
+def _load_pair(path1: str, path2: str):
+    """The matroids of a two-file command; a parse error names its file."""
+    matroids = []
+    for path in (path1, path2):
+        try:
+            matroids.append(_load(path))
+        except ParseError as exc:
+            raise MatroidError(f"{path}: {exc}") from None
+    return matroids
 
 
 def _set_names(M, S: int) -> str:
@@ -131,8 +143,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_minor(args) -> int:
-    host = _load(args.host)
-    target = _load(args.target)
+    host, target = _load_pair(args.host, args.target)
     spec = has_minor(host, target)
     if spec is None:
         print("no minor")
@@ -143,8 +154,7 @@ def _cmd_minor(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    M1 = _load(args.file1)
-    M2 = _load(args.file2)
+    M1, M2 = _load_pair(args.file1, args.file2)
     mapping = find_isomorphism(M1, M2)
     if mapping is None:
         print("not isomorphic")
@@ -197,7 +207,9 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lamina`` parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="lamina",
         description="finite-matroid computations: constructions, laminar-"

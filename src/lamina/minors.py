@@ -8,9 +8,13 @@ minor; many such candidate tables are gathered at once, and only those
 with the target's counts are built and tested for isomorphism, in order.
 Isomorphism assigns M1's elements in order to elements of M2 with equal
 counts, keeping the images of all subsets of the assigned prefix in one
-array, so each assignment is one gather from M2's table.  The filters
-never reject an isomorphic candidate, so witnesses are an exhaustive
-scan's: the first in ascending mask (or image) order.
+array, so each assignment is one gather from M2's table.  A search that
+has met 4n dead ends also compares pair rows, the counts over the sets
+through two elements: i -> j needs i's counts with each assigned a to
+equal j's with a's image.  Each row is built from the rank table when
+first compared, within one call; nothing is kept across calls.  The
+filters never reject an isomorphic candidate, so witnesses are an
+exhaustive scan's: the first in ascending mask (or image) order.
 """
 
 from __future__ import annotations
@@ -121,6 +125,28 @@ def _element_histograms(M: Matroid) -> list[bytes]:
                         minlength=(n + 1) ** 2).tobytes() for i in range(n)]
 
 
+# Dead ends per element that the search meets before it also compares
+# pair rows: most searches never get there, and for them the rows would
+# cost more than they save.
+_REFINE_AFTER = 4
+
+
+def _pair_row(M: Matroid, a: int) -> np.ndarray:
+    """Row ``a`` of M's pair table: entry b counts (|A|, r(A)) over the
+    sets A that hold both a and b, so entry a is a's element histogram."""
+    n = M.n
+    width = (n + 1) ** 2
+    keys = _rank_keys(n, np.frombuffer(M.rank_table, dtype=np.uint8))
+    # the sets through a, by their mask with bit a taken out
+    through = keys.reshape(-1, 2, 1 << a)[:, 1].ravel()
+    row = np.empty((n, width), dtype=np.intp)
+    for b in range(n):
+        q = b - (b > a)
+        sets = through if b == a else through.reshape(-1, 2, 1 << q)[:, 1].ravel()
+        row[b] = np.bincount(sets, minlength=width)
+    return row
+
+
 def find_isomorphism(M1: Matroid, M2: Matroid) -> tuple[int, ...] | None:
     """Ground-set bijection carrying M1's rank table onto M2's, or None.
 
@@ -129,8 +155,13 @@ def find_isomorphism(M1: Matroid, M2: Matroid) -> tuple[int, ...] | None:
     ``img`` holds the image of every subset of the assigned prefix, so
     i -> j is accepted exactly when r2 at ``img | 1 << j`` equals r1 on
     the sets A + i, A within the prefix, and the prefix then grows by
-    ``img | 1 << j``.  The returned mapping sends position i of M1 to
-    position ``mapping[i]`` of M2 and is the lexicographically first.
+    ``img | 1 << j``.  Once the search has met ``_REFINE_AFTER * n``
+    dead ends it also needs the pair rows to agree: entry a of i's row
+    must equal entry ``mapping[a]`` of j's for every assigned a.  The
+    rows are built one element at a time, when first compared.  Both
+    tests are necessary, so the returned mapping, which sends position
+    i of M1 to position ``mapping[i]`` of M2, is the lexicographically
+    first.
     """
     n = M1.n
     if M2.n != n:
@@ -142,25 +173,39 @@ def find_isomorphism(M1: Matroid, M2: Matroid) -> tuple[int, ...] | None:
     candidates = [[j for j in range(n) if h2[j] == h] for h in h1]
     r1 = M1.rank_table
     r2 = np.frombuffer(M2.rank_table, dtype=np.uint8)
+    mapping: list[int] = []
+    dead_ends = 0
+    rows1: dict[int, np.ndarray] = {}
+    rows2: dict[int, np.ndarray] = {}
 
-    def extend(img: np.ndarray) -> np.ndarray | None:
-        i = len(img).bit_length() - 1
+    def rows_agree(i: int, j: int) -> bool:
+        if i not in rows1:
+            rows1[i] = _pair_row(M1, i)
+        if j not in rows2:
+            rows2[j] = _pair_row(M2, j)
+        return np.array_equal(rows1[i][:i], rows2[j][mapping])
+
+    def extend(img: np.ndarray) -> bool:
+        nonlocal dead_ends
+        i = len(mapping)
         if i == n:
-            return img
+            return True
         want = r1[1 << i:2 << i]
         # img[-1] is the image of the whole prefix: the positions in use
         used = int(img[-1])
         for j in candidates[i]:
-            if not used >> j & 1 and r2[img | 1 << j].tobytes() == want:
-                found = extend(np.concatenate((img, img | 1 << j)))
-                if found is not None:
-                    return found
-        return None
+            if used >> j & 1 or r2[img | 1 << j].tobytes() != want:
+                continue
+            if i and dead_ends >= _REFINE_AFTER * n and not rows_agree(i, j):
+                continue
+            mapping.append(j)
+            if extend(np.concatenate((img, img | 1 << j))):
+                return True
+            mapping.pop()
+        dead_ends += 1
+        return False
 
-    img = extend(np.zeros(1, dtype=np.intp))
-    if img is None:
-        return None
-    return tuple(int(img[1 << i]).bit_length() - 1 for i in range(n))
+    return tuple(mapping) if extend(np.zeros(1, dtype=np.intp)) else None
 
 
 def is_isomorphic(M1: Matroid, M2: Matroid) -> bool:

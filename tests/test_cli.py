@@ -4,11 +4,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lamina import cli
 from lamina.cli import main
 from lamina.constructions import named_matroid, uniform
 from lamina.corpus import CorpusSpec, generate_corpus
@@ -190,6 +195,19 @@ class TestMinorIso:
         assert main(["iso", str(a), str(b)]) == 1
         assert "not isomorphic" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command,bad", [
+        ("minor", "host"), ("minor", "target"), ("iso", "file1"), ("iso", "file2"),
+    ])
+    def test_parse_error_names_the_file(self, mk23_file, tmp_path, capsys, command, bad):
+        p = tmp_path / "bad.matroid"
+        p.write_text("%matroid v1\nn 2\nrepr uniform\nr 3\n", encoding="utf-8")
+        files = {name: str(p) if name == bad else mk23_file
+                 for name in ("host", "target", "file1", "file2")}
+        argv = (["minor", "--host", files["host"], "--target", files["target"]]
+                if command == "minor" else ["iso", files["file1"], files["file2"]])
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: line 4: ")
+
 
 class TestVerify:
     def test_single_passing_check(self, capsys):
@@ -236,3 +254,33 @@ class TestCorpus:
                      "--max-elements", cap, "-o", str(out_dir)]) == 2
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+class TestParserReuse:
+    """``main`` builds its argparse parser once per process."""
+
+    def test_append_default_is_not_shared(self, capsys):
+        assert main(["verify", "--check", "lem-mnk"]) == 0
+        parser = cli.build_parser()
+        assert parser.parse_args(["verify", "--seed", "3"]).check is None
+        assert parser.parse_args(["verify", "--check", "lem-nb"]).check == ["lem-nb"]
+        assert cli.build_parser() is parser
+
+    def test_usage_error_then_good_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["minor", "--host", "h.matroid"])
+        assert exc.value.code == 2
+        assert "--target" in capsys.readouterr().err
+        assert main(["verify", "--check", "lem-mnk"]) == 0
+        assert "1/1 checks passed" in capsys.readouterr().out
+        assert cli.build_parser.cache_info().currsize == 1
+
+    def test_import_builds_no_parser(self):
+        code = ("import lamina.cli as cli; info = cli.build_parser.cache_info(); "
+                "print(info.hits + info.misses)")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "0"

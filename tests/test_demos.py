@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from lamina import checks, cli, formats, laminar
+from lamina import checks, cli, core, formats, laminar, minors
 from lamina.constructions import uniform
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,6 +95,20 @@ def test_readme_laminar_bullet_names_exist():
     names = re.findall(r"`([^`]+)`", bullet)
     assert names
     assert [name for name in names if not hasattr(laminar, name)] == []
+
+
+def test_readme_minors_bullet_names_exist():
+    """Every name the README's ``lamina.minors`` bullet quotes, calls
+    stripped of their arguments, is an attribute of the module, or of
+    ``lamina.core`` when written ``core.<name>``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullet = text.split("- `lamina.minors` —", 1)[1].split("\n- ", 1)[0]
+    names = [re.sub(r"\(.*\)$", "", name) for name in re.findall(r"`([^`]+)`", bullet)]
+    assert {"find_isomorphism", "_pair_row", "_REFINE_AFTER", "core._spread"} <= set(names)
+    owners = {"": minors, "core": core}
+    missing = [name for name in names
+               if not hasattr(owners[name.rpartition(".")[0]], name.rpartition(".")[2])]
+    assert missing == []
 
 
 def test_readme_analyze_key_order():

@@ -9,7 +9,7 @@ formulas of ``laminar_matroid``, ``transversal_matroid``,
 of ``matroid_from_circuits``, the sparse paving tables of the Fano plane
 and the corpus, the pair generators behind the laminar predicates,
 the batched candidate filter of ``has_minor``, the prefix image
-search of ``find_isomorphism``, the two boolean scans behind
+search of ``find_isomorphism`` and its pair rows, the two boolean scans behind
 ``flats`` and ``cyclic_flats``, the stacked circuits pass of
 ``prime_circuits`` and the cube-view gains of
 ``validate_rank_axioms`` and the byte-table report writer of
@@ -27,6 +27,7 @@ import json
 import random
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
@@ -60,6 +61,7 @@ from lamina.constructions import (
     mn_family,
     named_matroid,
     parallel_connection,
+    pn_family,
     relax_circuit_hyperplane,
     sec1_pc_example,
     transversal_matroid,
@@ -234,6 +236,39 @@ def reference_find_isomorphism(M1: Matroid, M2: Matroid) -> tuple[int, ...] | No
     if extend(0, 0):
         return tuple(mapping)
     return None
+
+
+def reference_histogram_search(M1: Matroid, M2: Matroid) -> tuple[int, ...] | None:
+    """find_isomorphism without pair rows: candidates by element
+    histogram, each assignment checked by one gather of its prefix
+    images, whatever the number of dead ends."""
+    n = M1.n
+    if M2.n != n:
+        return None
+    h1, h2 = minors._element_histograms(M1), minors._element_histograms(M2)
+    if sorted(h1) != sorted(h2):
+        return None
+    candidates = [[j for j in range(n) if h2[j] == h] for h in h1]
+    r1 = M1.rank_table
+    r2 = np.frombuffer(M2.rank_table, dtype=np.uint8)
+
+    def extend(img: np.ndarray) -> np.ndarray | None:
+        i = len(img).bit_length() - 1
+        if i == n:
+            return img
+        want = r1[1 << i:2 << i]
+        used = int(img[-1])
+        for j in candidates[i]:
+            if not used >> j & 1 and r2[img | 1 << j].tobytes() == want:
+                found = extend(np.concatenate((img, img | 1 << j)))
+                if found is not None:
+                    return found
+        return None
+
+    img = extend(np.zeros(1, dtype=np.intp))
+    if img is None:
+        return None
+    return tuple(int(img[1 << i]).bit_length() - 1 for i in range(n))
 
 
 def reference_has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
@@ -1228,6 +1263,87 @@ class TestIsomorphismSearch:
         for name in ("circuits", "flats", "cyclic_flats"):
             monkeypatch.setattr(Matroid, name, forbidden)
         assert [(has_minor(M, N), find_isomorphism(M, N)) for M, N in pairs] == want
+
+
+@contextlib.contextmanager
+def _counted_pair_rows():
+    """The rows that find_isomorphism builds inside the block, as (n, a)."""
+    builds = []
+    real = minors._pair_row
+
+    def counting(M, a):
+        builds.append((M.n, a))
+        return real(M, a)
+
+    with mock.patch.object(minors, "_pair_row", counting):
+        yield builds
+
+
+def _family_relabellings():
+    rng = random.Random(19)
+    family = [mn_family(n, k) for n, k in ((4, 0), (5, 1), (5, 2), (6, 2), (6, 3))]
+    family += [pn_family(n, k) for n, k in ((4, 2), (5, 2), (5, 3), (6, 3), (6, 4), (7, 4))]
+    pairs = [(_relabel(M, rng.sample(range(M.n), M.n)), M) for M in family for _ in range(3)]
+    # the oracle takes seconds on most relabellings of M_7(0), ~0.2 s on this one
+    M70 = mn_family(7, 0)
+    return pairs + [(_relabel(M70, random.Random(8).sample(range(M70.n), M70.n)), M70)]
+
+
+class TestPairRefinement:
+    """After ``_REFINE_AFTER * n`` dead ends find_isomorphism also needs
+    i's pair row to agree with j's on the assigned elements; the oracle
+    is the same search by histograms and prefix gathers alone.  Both
+    return the lexicographically first isomorphism."""
+
+    @PROPERTY
+    @given(relabelled_members(), st.sampled_from([0, minors._REFINE_AFTER]))
+    def test_relabelled_members_match_histogram_search(self, pair, after):
+        M, R = pair
+        with mock.patch.object(minors, "_REFINE_AFTER", after):
+            got = find_isomorphism(R, M)
+        assert got is not None and got == reference_histogram_search(R, M)
+        assert _relabel(M, got).rank_table == R.rank_table
+
+    @PROPERTY
+    @given(st.sampled_from(_TINY + _CORPUS), st.sampled_from(_TINY + _CORPUS))
+    def test_corpus_pairs_match_histogram_search(self, M1, M2):
+        # rows compared from the first dead end on, isomorphic or not
+        with mock.patch.object(minors, "_REFINE_AFTER", 0):
+            assert find_isomorphism(M1, M2) == reference_histogram_search(M1, M2)
+
+    def test_relabelled_families_match_histogram_search(self):
+        pairs = _family_relabellings()
+        with _counted_pair_rows() as builds:
+            got = [find_isomorphism(R, M) for R, M in pairs]
+        assert got == [reference_histogram_search(R, M) for R, M in pairs]
+        # the searches on these pairs meet enough dead ends to use the rows
+        assert len(builds) > 100
+
+    def test_relabelled_m80_is_found(self):
+        # the histogram search alone takes seconds on most of these
+        M = mn_family(8, 0)
+        rng = random.Random(8)
+        with _counted_pair_rows() as builds:
+            for _ in range(3):
+                R = _relabel(M, rng.sample(range(M.n), M.n))
+                got = find_isomorphism(R, M)
+                assert got is not None and _relabel(M, got).rank_table == R.rank_table
+        assert builds
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(_TINY + _CORPUS))
+    def test_pair_rows_count_the_sets_through_each_pair(self, M):
+        rt = M.rank_table
+        n = M.n
+        want = np.zeros((n, n, (n + 1) ** 2), dtype=np.intp)
+        for A in range(1 << n):
+            members = [p for p in range(n) if A >> p & 1]
+            for a, b in itertools.product(members, members):
+                want[a, b, A.bit_count() * (n + 1) + rt[A]] += 1
+        for a in range(n):
+            row = minors._pair_row(M, a)
+            assert (row == want[a]).all()
+            assert row[a].tobytes() == minors._element_histograms(M)[a]
 
 
 def _assert_families_match_loops(M: Matroid) -> None:
