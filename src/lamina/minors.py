@@ -15,6 +15,8 @@ equal j's with a's image.  Each row is built from the rank table when
 first compared, within one call; nothing is kept across calls.  The
 filters never reject an isomorphic candidate, so witnesses are an
 exhaustive scan's: the first in ascending mask (or image) order.
+The named excluded minors are one registry, ``NAMED_MINORS``, built at
+import; binary and ternary are tuples of its names.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Matroid, MatroidError, _spread, prime_circuits, subset_index, subset_sizes
-from .constructions import uniform, named_matroid
+from .constructions import direct_sum, mn_family, named_matroid, nn_family, pn_family, uniform
 from .laminar import (
     is_k_closure_laminar,
     is_k_laminar,
@@ -65,29 +67,14 @@ def _rank_keys(n: int, ranks: np.ndarray) -> np.ndarray:
     return subset_sizes(n) * (n + 1) + ranks
 
 
-def _gather(M: Matroid, drop: int, C: int) -> Matroid:
-    """Minor on the positions outside ``drop``: r'(A) = r(A ∪ C) - r(C),
-    with ``C ⊆ drop`` contracted and the rest of ``drop`` deleted."""
-    keep = [p for p in range(M.n) if not drop >> p & 1]
-    idx = subset_index(np.array([1 << p for p in keep], dtype=np.intp))
-    rt = np.frombuffer(M.rank_table, dtype=np.uint8)
-    labels = tuple(M.labels[p] for p in keep)
-    # deletions and contractions of a matroid are matroids
-    return Matroid(labels, (rt[idx | C] - rt[C]).tobytes(), validate=False)
-
-
 def delete(M: Matroid, D: int) -> Matroid:
     """Delete the elements of mask ``D``."""
-    if D & ~M.E:
-        raise MatroidError(f"mask {D:#x} not within ground set")
-    return _gather(M, D, 0)
+    return minor(M, MinorSpec(D, 0))
 
 
 def contract(M: Matroid, C: int) -> Matroid:
     """Contract the elements of mask ``C``: r'(A) = r(A ∪ C) - r(C)."""
-    if C & ~M.E:
-        raise MatroidError(f"mask {C:#x} not within ground set")
-    return _gather(M, C, C)
+    return minor(M, MinorSpec(0, C))
 
 
 def single_element_minors(M: Matroid) -> list[Matroid]:
@@ -104,11 +91,19 @@ def single_element_minors(M: Matroid) -> list[Matroid]:
 
 
 def minor(M: Matroid, spec: MinorSpec) -> Matroid:
-    """M \\ delete / contract, gathered in one step from M's table."""
-    if (spec.delete | spec.contract) & ~M.E:
+    """M \\ delete / contract, gathered in one step from M's table: on the
+    positions outside both masks, r'(A) = r(A ∪ C) - r(C) for C the
+    contract mask."""
+    drop, C = spec.delete | spec.contract, spec.contract
+    if drop & ~M.E:
         raise MatroidError(
             f"minor spec {spec.delete:#x}/{spec.contract:#x} not within ground set")
-    return _gather(M, spec.delete | spec.contract, spec.contract)
+    keep = [p for p in range(M.n) if not drop >> p & 1]
+    idx = subset_index(np.array([1 << p for p in keep], dtype=np.intp))
+    rt = np.frombuffer(M.rank_table, dtype=np.uint8)
+    labels = tuple(M.labels[p] for p in keep)
+    # deletions and contractions of a matroid are matroids
+    return Matroid(labels, (rt[idx | C] - rt[C]).tobytes(), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +261,47 @@ def has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
 
 
 # ---------------------------------------------------------------------------
-# class predicate registry and excluded-minor certification
+# named excluded minors, class predicates and excluded-minor certification
 
-_K_LAMINAR_RE = re.compile(r"^(\d+)-laminar$")
-_K_CLOSURE_RE = re.compile(r"^(\d+)-closure-laminar$")
-
-_U24 = uniform(2, 4)
-_TERNARY_TARGETS = (
-    uniform(2, 5), uniform(3, 5), named_matroid("f7"), named_matroid("f7star"),
-)
+# The named excluded minors that the library and the harness ask for,
+# each built once; a class given by excluded minors is a tuple of names.
+NAMED_MINORS: dict[str, Matroid] = {
+    "mk23minus": named_matroid("mk23minus"),
+    "mk23": named_matroid("mk23"),
+    "m42": mn_family(4, 2),
+    "m52": mn_family(5, 2),
+    "n52": nn_family(5, 2),
+    "p42": pn_family(4, 2),
+    "u24": uniform(2, 4),
+    "u25": uniform(2, 5),
+    "u35": uniform(3, 5),
+    "f7": named_matroid("f7"),
+    "f7star": named_matroid("f7star"),
+    "mstark33": named_matroid("mstark33"),
+    "pavex": direct_sum(uniform(0, 1), uniform(2, 2)),
+}
+BINARY = ("u24",)
+TERNARY = ("u25", "u35", "f7", "f7star")
 
 
 def is_binary(M: Matroid) -> bool:
     """Binary = no U_{2,4} minor."""
-    return has_minor(M, _U24) is None
+    return all(has_minor(M, NAMED_MINORS[name]) is None for name in BINARY)
 
 
 def is_ternary(M: Matroid) -> bool:
     """Ternary = no minor among U_{2,5}, U_{3,5}, F_7, F_7*."""
-    return all(has_minor(M, N) is None for N in _TERNARY_TARGETS)
+    return all(has_minor(M, NAMED_MINORS[name]) is None for name in TERNARY)
+
+
+_CLASSES: dict[str, Callable[[Matroid], bool]] = {
+    "nested": lambda M: bool(is_nested(M)),
+    "laminar": lambda M: bool(is_laminar(M)),
+    "paving": is_paving,
+    "binary": is_binary,
+    "ternary": is_ternary,
+}
+_K_CLASS_RE = re.compile(r"^(\d+)-(closure-)?laminar$")
 
 
 def class_predicate(name: str) -> Callable[[Matroid], bool]:
@@ -294,25 +311,13 @@ def class_predicate(name: str) -> Callable[[Matroid], bool]:
     ``ternary``, ``<k>-laminar``, ``<k>-closure-laminar``.
     """
     key = name.strip().lower()
-    if key == "nested":
-        return lambda M: bool(is_nested(M))
-    if key == "laminar":
-        return lambda M: bool(is_laminar(M))
-    if key == "paving":
-        return is_paving
-    if key == "binary":
-        return is_binary
-    if key == "ternary":
-        return is_ternary
-    m = _K_LAMINAR_RE.match(key)
-    if m:
-        k = int(m.group(1))
-        return lambda M: bool(is_k_laminar(M, k))
-    m = _K_CLOSURE_RE.match(key)
-    if m:
-        k = int(m.group(1))
-        return lambda M: bool(is_k_closure_laminar(M, k))
-    raise MatroidError(f"unregistered class predicate {name!r}")
+    if key in _CLASSES:
+        return _CLASSES[key]
+    m = _K_CLASS_RE.match(key)
+    if m is None:
+        raise MatroidError(f"unregistered class predicate {name!r}")
+    k, test = int(m[1]), is_k_closure_laminar if m[2] else is_k_laminar
+    return lambda M: bool(test(M, k))
 
 
 @dataclass(frozen=True)

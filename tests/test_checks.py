@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 import lamina.checks as checks
+import lamina.minors as minors
 from lamina.constructions import (
     Multigraph, cycle_matroids, named_matroid, nn_family, sec1_pc_example)
 from lamina.core import MatroidError
@@ -137,6 +138,25 @@ def test_minor_cache_is_bounded(monkeypatch):
         got = run_check(cid, s)
         assert (got.status, got.witness) == (res.status, res.witness)
     assert max(sizes) == cap and len(sizes) > 10 * cap
+
+
+def test_membership_sides_read_the_cached_answers(monkeypatch):
+    """The binary and ternary membership sides ask the containment cache
+    that the excluded-minor sides fill, so no (table, target) search runs
+    twice; both modules' ``has_minor`` are watched."""
+    searches = collections.Counter()
+    real = minors.has_minor
+
+    def counting(M, N):
+        searches[M.n, M.rank_table, N.n, N.rank_table] += 1
+        return real(M, N)
+
+    monkeypatch.setattr(checks, "_MINOR_CACHE", {})
+    for module in (checks, minors):
+        monkeypatch.setattr(module, "has_minor", counting)
+    for cid in ("cor-ternary-2lam", "cor-binary-2clam"):
+        assert run_check(cid).status == "pass"
+    assert searches and max(searches.values()) == 1
 
 
 def _flip_on(monkeypatch, name, member):

@@ -87,6 +87,8 @@ from lamina.minors import (
     delete,
     find_isomorphism,
     has_minor,
+    is_binary,
+    is_ternary,
     minor,
     single_element_minors,
 )
@@ -823,6 +825,19 @@ class TestMinorKernel:
         want = reference_random_named_minor(ref_rng, max_elements)
         assert (got.labels, got.rank_table) == (want.labels, want.rank_table)
         assert rng.getstate() == ref_rng.getstate()
+
+
+# built here, not read from the registry the predicates use
+_U24 = uniform(2, 4)
+_TERNARY_MINORS = (uniform(2, 5), uniform(3, 5), named_matroid("f7"), named_matroid("f7star"))
+
+
+class TestNamedClasses:
+    @PROPERTY
+    @given(st.sampled_from(_CORPUS))
+    def test_binary_and_ternary_match_minor_search(self, M):
+        assert is_binary(M) == (has_minor(M, _U24) is None)
+        assert is_ternary(M) == all(has_minor(M, N) is None for N in _TERNARY_MINORS)
 
 
 def _unvalidated_outputs(M: Matroid):

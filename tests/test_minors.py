@@ -4,14 +4,20 @@ import pytest
 
 from lamina.core import MatroidError
 from lamina.constructions import (
+    direct_sum,
     mn_family,
     named_matroid,
     nn_family,
     pn_family,
     uniform,
 )
+from lamina.laminar import is_k_closure_laminar, is_k_laminar, is_laminar, is_nested, is_paving
 from lamina.minors import (
+    BINARY,
+    NAMED_MINORS,
+    TERNARY,
     MinorSpec,
+    class_predicate,
     contract,
     delete,
     find_isomorphism,
@@ -153,6 +159,59 @@ class TestBinaryTernary:
         F = named_matroid("f7")
         assert is_binary(F)
         assert not is_ternary(F)
+
+
+class TestNamedMinors:
+    def test_registry_entries_are_their_catalog_constructions(self):
+        assert NAMED_MINORS == {
+            "mk23minus": named_matroid("mk23minus"),
+            "mk23": named_matroid("mk23"),
+            "m42": mn_family(4, 2),
+            "m52": mn_family(5, 2),
+            "n52": nn_family(5, 2),
+            "p42": pn_family(4, 2),
+            "u24": uniform(2, 4),
+            "u25": uniform(2, 5),
+            "u35": uniform(3, 5),
+            "f7": named_matroid("f7"),
+            "f7star": named_matroid("f7").dual(),
+            "mstark33": named_matroid("mstark33"),
+            "pavex": direct_sum(uniform(0, 1), uniform(2, 2)),
+        }
+
+    def test_binary_and_ternary_are_names_in_the_registry(self):
+        assert BINARY == ("u24",)
+        assert TERNARY == ("u25", "u35", "f7", "f7star")
+
+
+class TestClassPredicate:
+    @pytest.mark.parametrize("name, test", [
+        ("nested", is_nested), ("laminar", is_laminar), ("paving", is_paving),
+        ("binary", is_binary), ("ternary", is_ternary)])
+    def test_fixed_names_ignore_case_and_spaces(self, name, test):
+        for spelling in (name, f" {name.upper()} "):
+            P = class_predicate(spelling)
+            # each class holds for some of these and fails for others
+            for M in (uniform(2, 4), named_matroid("f7"), pn_family(4, 2), mn_family(4, 0)):
+                assert P(M) == bool(test(M))
+
+    @pytest.mark.parametrize("name, test, k", [
+        ("0-laminar", is_k_laminar, 0), ("2-laminar", is_k_laminar, 2),
+        ("12-laminar", is_k_laminar, 12), ("1-closure-laminar", is_k_closure_laminar, 1),
+        (" 3-Closure-Laminar", is_k_closure_laminar, 3),
+    ])
+    def test_k_classes_read_k_and_the_family(self, name, test, k):
+        P = class_predicate(name)
+        for M in (uniform(2, 4), mn_family(4, 2), pn_family(4, 2), named_matroid("mk23minus")):
+            assert P(M) is bool(test(M, k))
+
+    @pytest.mark.parametrize("name", [
+        "-laminar", "k-laminar", "2-closure", "closure-laminar",
+        "2-closure-closure-laminar", "2-laminar-x", "2 laminar", "binaryx"])
+    def test_unregistered_names_raise(self, name):
+        with pytest.raises(MatroidError) as err:
+            class_predicate(name)
+        assert str(err.value) == f"unregistered class predicate {name!r}"
 
 
 class TestExcludedMinors:
