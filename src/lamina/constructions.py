@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_ELEMENTS, Matroid, MatroidError, subset_index, subset_sizes
+from .core import MAX_ELEMENTS, Matroid, MatroidError, halves, subset_sizes
 
 # ---------------------------------------------------------------------------
 # uniform
@@ -310,8 +310,8 @@ def matroid_from_circuits(labels: Sequence[str], circuits: Iterable[int]) -> Mat
     def up(table, op):
         # the masks with bit i set follow, in blocks, those without it
         for i in range(n):
-            pair = table.reshape(-1, 2, 1 << i)
-            op(pair[:, 1], pair[:, 0], out=pair[:, 1])
+            without, with_i = halves(table, i)
+            op(with_i, without, out=with_i)
         return table
 
     dep = np.zeros(1 << n, dtype=bool)
@@ -352,17 +352,18 @@ def parallel_connection(M1: Matroid, p1: str, M2: Matroid, p2: str) -> Matroid:
     if n > MAX_ELEMENTS:
         raise MatroidError(f"parallel connection too large: {n} > {MAX_ELEMENTS}")
 
-    rest2 = [i for i in range(M2.n) if i != i2]
-    labels = M1.labels + _disjoint_labels(M1.labels, tuple(M2.labels[i] for i in rest2))
+    labels = M1.labels + _disjoint_labels(M1.labels, M2.labels[:i2] + M2.labels[i2 + 1:])
     rt1 = np.frombuffer(M1.rank_table, dtype=np.uint8)
     rt2 = np.frombuffer(M2.rank_table, dtype=np.uint8)
     # r2(X2) - [p ∈ cl2(X2)] is the same with p taken out of X2, so row
     # X >> n1 reads M2 at X2 - p and column X & E1 reads M1 at X1
-    X2 = subset_index(np.array([1 << i for i in rest2], dtype=np.intp))
-    in_cl1 = rt1[np.arange(1 << M1.n) | 1 << i1] == rt1
-    in_cl2 = rt2[X2 | 1 << i2] == rt2[X2]
+    without2, with2 = halves(rt2, i2)
+    in_cl2 = (with2 == without2).ravel()
+    # r1(X1 + p) at every X1 is the upper half at p, twice over
+    with1 = halves(rt1, i1)[1]
+    in_cl1 = np.stack((with1, with1), axis=1).ravel() == rt1
     # p is no loop, so r1(X1) >= 1 wherever p ∈ cl1(X1)
-    table = rt2[X2, None] + rt1 - (in_cl2[:, None] & in_cl1)
+    table = without2.reshape(-1, 1) + rt1 - (in_cl2[:, None] & in_cl1)
     # the rank function of a parallel connection (Oxley, Matroid Theory, §7.1)
     return Matroid(labels, table.tobytes(), validate=False)
 

@@ -43,15 +43,6 @@ for _ in range(MAX_ELEMENTS):
     _POPCOUNTS = np.concatenate((_POPCOUNTS, _POPCOUNTS + 1))
 _POPCOUNTS.flags.writeable = False
 
-# every mask and every single-element mask over MAX_ELEMENTS elements:
-# prefixes give ``masks | bit`` and ``masks & ~bit`` for all bits at
-# once, built per call rather than cached per n to keep peak memory down
-_MASKS = np.arange(1 << MAX_ELEMENTS, dtype=np.uint16)
-_BITS = (1 << np.arange(MAX_ELEMENTS)).astype(np.uint16)
-_MASKS.flags.writeable = False
-_BITS.flags.writeable = False
-
-
 # Table entries of one stacked circuits pass: its gathers stay under 1 MiB
 _STACK_CELLS = 1 << 13
 
@@ -83,6 +74,14 @@ def _spread(k: int, i: int) -> int:
     return (k ^ low) << 1 | low
 
 
+def halves(x: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a table ``x`` over masks, without and with bit ``i``:
+    entry k of each (in C order) is ``x`` at ``_spread(k, i)`` and at that
+    mask plus i.  Writes go through to ``x``."""
+    pair = x.reshape(-1, 2, 1 << i)
+    return pair[:, 0], pair[:, 1]
+
+
 def validate_rank_axioms(table: Sequence[int], n: int) -> AxiomViolation | None:
     """Check the rank axioms R1-R3 on a candidate rank table.
 
@@ -110,28 +109,26 @@ def validate_rank_axioms(table: Sequence[int], n: int) -> AxiomViolation | None:
     if bad.any():
         return AxiomViolation("R1", (int(np.argmax(bad)),))
 
-    # axis n-1-i of the cube is bit i, so a view with some bits fixed
-    # lists the masks of the remaining bits in ascending order; gain_i[A]
-    # is r(A+i) - r(A) over the masks A without bit i
-    cube = r.astype(np.int8).reshape((2,) * n)
+    # gain_i, entry k: r(A+i) - r(A) for the k-th mask A without bit i
+    r = r.astype(np.int8)
     gains = []
     for i in range(n):
-        at = (slice(None),) * (n - 1 - i)
-        gain = cube[at + (1,)] - cube[at + (0,)]
+        without, with_i = halves(r, i)
+        gain = with_i - without
         viol = gain < 0
         if viol.any():
             a = _spread(int(np.argmax(viol)), i)
             return AxiomViolation("R2", (a, a | 1 << i))
         gains.append(gain)
 
-    # submodularity: gain_i does not grow along bit j > i, whose axis
-    # comes before bit i's and so keeps its place in gain_i
+    # submodularity: gain_i does not grow along bit j > i, which is bit
+    # j - 1 of gain_i's index
     for i, gain in enumerate(gains):
         for j in range(i + 1, n):
-            at = (slice(None),) * (n - 1 - j)
-            viol = gain[at + (1,)] > gain[at + (0,)]
+            without, with_j = halves(gain, j - 1)
+            viol = with_j > without
             if viol.any():
-                a = _spread(_spread(int(np.argmax(viol)), i), j)
+                a = _spread(_spread(int(np.argmax(viol)), j - 1), i)
                 return AxiomViolation("R3", (a | 1 << i, a | 1 << j))
     return None
 
@@ -265,17 +262,18 @@ class Matroid:
 
     # -- derived families ----------------------------------------------
 
-    def _unchanged(self) -> np.ndarray:
-        """``out[A]``: removing any one element of ``A`` keeps its rank."""
+    def _closed_and_cyclic(self) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each A is *closed* (adding any x outside A raises its
+        rank: a flat) and *cyclic* (removing any x in A keeps it)."""
         r = np.frombuffer(self.rank_table, dtype=np.uint8)
-        return (r[_MASKS[:1 << self.n] & ~_BITS[:self.n, None]] == r).all(0)
-
-    def _closed(self) -> np.ndarray:
-        """``out[A]``: adding any one element outside ``A`` raises its rank,
-        i.e. exactly the |A| elements of ``A`` leave it unchanged."""
-        r = np.frombuffer(self.rank_table, dtype=np.uint8)
-        same = (r[_MASKS[:1 << self.n] | _BITS[:self.n, None]] == r).sum(0)
-        return same == subset_sizes(self.n)
+        closed = np.ones(len(r), dtype=bool)
+        cyclic = np.ones(len(r), dtype=bool)
+        for i in range(self.n):
+            same = np.equal(*halves(r, i))
+            (outside, _), (_, inside) = halves(closed, i), halves(cyclic, i)
+            outside &= ~same
+            inside &= same
+        return closed, cyclic
 
     def _by_size(self, found: np.ndarray) -> np.ndarray:
         """The masks where ``found`` holds, in (size, mask) order."""
@@ -304,7 +302,7 @@ class Matroid:
         """All closure-closed subsets, ordered by (size, mask)."""
         out = self._cache.get("flats")
         if out is None:
-            out = tuple(self._by_size(self._closed()).tolist())
+            out = tuple(self._by_size(self._closed_and_cyclic()[0]).tolist())
             self._cache["flats"] = out
         return out
 
@@ -312,7 +310,7 @@ class Matroid:
         """All coloop-free flats as (mask, rank) pairs, (size, mask) order."""
         out = self._cache.get("cyclic_flats")
         if out is None:
-            found = self._by_size(self._closed() & self._unchanged())
+            found = self._by_size(np.logical_and(*self._closed_and_cyclic()))
             r = np.frombuffer(self.rank_table, dtype=np.uint8)
             out = tuple(zip(found.tolist(), r[found].tolist()))
             self._cache["cyclic_flats"] = out
@@ -382,7 +380,7 @@ def _circuit_pass(ms: Sequence[Matroid], n: int) -> None:
     ascends and ``i << n`` splits off the rows before i."""
     R = np.frombuffer(b"".join(M.rank_table for M in ms), dtype=np.uint8)
     E = (1 << n) - 1
-    bits = _BITS[:n].astype(np.intp)
+    bits = 1 << np.arange(n)
     # sets of rank |A| - 1
     order = np.argsort(subset_sizes(n), kind="stable")
     at = np.flatnonzero(R.reshape(-1, E + 1)[:, order] == subset_sizes(n)[order] - 1)

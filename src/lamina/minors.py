@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Matroid, MatroidError, _spread, prime_circuits, subset_index, subset_sizes
+from .core import Matroid, MatroidError, halves, prime_circuits, subset_index, subset_sizes
 from .constructions import direct_sum, mn_family, named_matroid, nn_family, pn_family, uniform
 from .laminar import (
     is_k_closure_laminar,
@@ -78,32 +78,30 @@ def contract(M: Matroid, C: int) -> Matroid:
 
 
 def single_element_minors(M: Matroid) -> list[Matroid]:
-    """M \\ p then M / p for each position p in order, from one gather:
-    the sets kept without p are the masks with a zero bit inserted at p."""
-    p = np.arange(M.n)
-    keep = _spread(np.arange(M.E + 1 >> 1), p[:, None])
+    """M \\ p then M / p for each position p in order: the two halves of
+    M's table at p, the upper one less r({p})."""
     rt = np.frombuffer(M.rank_table, dtype=np.uint8)
-    tables = rt[np.stack((keep, keep | 1 << p[:, None]), axis=1)]
-    tables[:, 1] -= rt[1 << p, None]
     # deletions and contractions of a matroid are matroids
-    return [Matroid(M.labels[:i] + M.labels[i + 1:], t.tobytes(), validate=False)
-            for i in range(M.n) for t in tables[i]]
+    return [Matroid(M.labels[:p] + M.labels[p + 1:], t.tobytes(), validate=False)
+            for p in range(M.n) for t in (halves(rt, p)[0], halves(rt, p)[1] - rt[1 << p])]
 
 
 def minor(M: Matroid, spec: MinorSpec) -> Matroid:
-    """M \\ delete / contract, gathered in one step from M's table: on the
-    positions outside both masks, r'(A) = r(A ∪ C) - r(C) for C the
-    contract mask."""
+    """M \\ delete / contract, read from M's table: on the positions
+    outside both masks, r'(A) = r(A ∪ C) - r(C) for C the contract mask.
+    Each dropped position, highest first, keeps one half of the table,
+    so the positions below it keep their bits."""
     drop, C = spec.delete | spec.contract, spec.contract
     if drop & ~M.E:
         raise MatroidError(
             f"minor spec {spec.delete:#x}/{spec.contract:#x} not within ground set")
-    keep = [p for p in range(M.n) if not drop >> p & 1]
-    idx = subset_index(np.array([1 << p for p in keep], dtype=np.intp))
-    rt = np.frombuffer(M.rank_table, dtype=np.uint8)
-    labels = tuple(M.labels[p] for p in keep)
+    table = rt = np.frombuffer(M.rank_table, dtype=np.uint8)
+    for p in reversed(range(M.n)):
+        if drop >> p & 1:
+            table = halves(table, p)[C >> p & 1]
+    labels = tuple(M.labels[p] for p in range(M.n) if not drop >> p & 1)
     # deletions and contractions of a matroid are matroids
-    return Matroid(labels, (rt[idx | C] - rt[C]).tobytes(), validate=False)
+    return Matroid(labels, (table - rt[C]).tobytes(), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +113,8 @@ def _element_histograms(M: Matroid) -> list[bytes]:
     contain i: an invariant of i under every isomorphism."""
     n = M.n
     keys = _rank_keys(n, np.frombuffer(M.rank_table, dtype=np.uint8))
-    # the masks holding bit i are the upper halves of the blocks of 2 << i
-    return [np.bincount(keys.reshape(-1, 2, 1 << i)[:, 1].ravel(),
-                        minlength=(n + 1) ** 2).tobytes() for i in range(n)]
+    return [np.bincount(halves(keys, i)[1].ravel(), minlength=(n + 1) ** 2).tobytes()
+            for i in range(n)]
 
 
 # Dead ends per element that the search meets before it also compares
@@ -133,11 +130,11 @@ def _pair_row(M: Matroid, a: int) -> np.ndarray:
     width = (n + 1) ** 2
     keys = _rank_keys(n, np.frombuffer(M.rank_table, dtype=np.uint8))
     # the sets through a, by their mask with bit a taken out
-    through = keys.reshape(-1, 2, 1 << a)[:, 1].ravel()
+    through = halves(keys, a)[1].ravel()
     row = np.empty((n, width), dtype=np.intp)
     for b in range(n):
         q = b - (b > a)
-        sets = through if b == a else through.reshape(-1, 2, 1 << q)[:, 1].ravel()
+        sets = through if b == a else halves(through, q)[1].ravel()
         row[b] = np.bincount(sets, minlength=width)
     return row
 

@@ -7,9 +7,11 @@ import itertools
 import pytest
 
 import lamina.checks as checks
+import lamina.constructions as constructions
 import lamina.minors as minors
 from lamina.constructions import (
-    Multigraph, cycle_matroids, named_matroid, nn_family, sec1_pc_example)
+    Multigraph, ZAxiomError, ZViolation, cycle_matroids, named_matroid, nn_family,
+    sec1_pc_example)
 from lamina.core import MatroidError
 from lamina.checks import CHECKS, Agree, available_checks, run_check
 from lamina.formats import parse_matroid
@@ -263,6 +265,42 @@ class TestForcedFailures:
         monkeypatch.setattr(checks, "is_excluded_minor", is_excluded_minor)
         note = _assert_witness(run_check("lem-therest"), member)
         assert "2-laminar" in note and "forced" in note
+
+    @pytest.mark.parametrize("error, note", [
+        (MatroidError("forced"), "corpus[2]: round trip raised: forced"),
+        (ZAxiomError(ZViolation("Z3", (1, 2))), "corpus[2]: own cyclic flats rejected"),
+    ])
+    def test_round_trip_that_raises(self, monkeypatch, error, note):
+        """A member whose cyclic flats do not rebuild it is a failed
+        claim with that member as witness, not an escaped error."""
+        cid = "thm-bdm-roundtrip"
+        member = checks._sweep_corpus(checks._sub_seed(cid, 0))[2]
+        real = checks.from_cyclic_flats
+
+        def from_cyclic_flats(family):
+            if family.labels == member.labels and real(family) == member:
+                raise error
+            return real(family)
+
+        monkeypatch.setattr(checks, "from_cyclic_flats", from_cyclic_flats)
+        assert _assert_witness(run_check(cid), member) == note
+
+
+def test_round_trip_validates_each_family_once(monkeypatch):
+    """Z0-Z3 run once per member, inside ``from_cyclic_flats``, plus once
+    on the k = 3 counterexample family."""
+    cid = "thm-bdm-roundtrip"
+    calls = []
+    real = constructions.validate_z_axioms
+
+    def validate_z_axioms(family):
+        calls.append(family)
+        return real(family)
+
+    monkeypatch.setattr(checks, "validate_z_axioms", validate_z_axioms)
+    monkeypatch.setattr(constructions, "validate_z_axioms", validate_z_axioms)
+    assert run_check(cid).status == "pass"
+    assert len(calls) == len(checks._sweep_corpus(checks._sub_seed(cid, 0))) + 1
 
 
 def _graph_of(M):

@@ -104,7 +104,7 @@ def test_readme_minors_bullet_names_exist():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     bullet = text.split("- `lamina.minors` —", 1)[1].split("\n- ", 1)[0]
     names = [re.sub(r"\(.*\)$", "", name) for name in re.findall(r"`([^`]+)`", bullet)]
-    assert {"find_isomorphism", "_pair_row", "_REFINE_AFTER", "core._spread"} <= set(names)
+    assert {"find_isomorphism", "_pair_row", "_REFINE_AFTER", "core.halves"} <= set(names)
     owners = {"": minors, "core": core}
     missing = [name for name in names
                if not hasattr(owners[name.rpartition(".")[0]], name.rpartition(".")[2])]
