@@ -436,20 +436,40 @@ class CyclicFlatFamily:
         return out
 
 
-def _meet(members: list[int], X: int, Y: int) -> int | None:
-    below = [Z for Z in members if Z & ~(X & Y) == 0]
-    for m in below:
-        if all(z & ~m == 0 for z in below):
-            return m
-    return None
+# Cells of one chunk of the pair-by-member ORs in _bounds
+_BOUND_CELLS = 1 << 16
 
 
-def _join(members: list[int], X: int, Y: int) -> int | None:
-    above = [Z for Z in members if (X | Y) & ~Z == 0]
-    for j in above:
-        if all(j & ~z == 0 for z in above):
-            return j
-    return None
+def _bounds(sides: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """From the member masks and their complements, ``sides[0]`` and
+    ``sides[1]``: the members' inclusion matrix (``incl[a, b]``: member
+    a within member b) and, for every pair (x, y) of members, ``out[0]``,
+    the union of the members within X ∩ Y, and ``out[1]``, the
+    intersection of the members containing X ∪ Y.
+
+    Side 1 is side 0 on the complements, where inclusion is reversed.
+    Each is an OR over the members z, in chunks of x of at most
+    ``_BOUND_CELLS`` (pair, z) cells, or one x per chunk.
+    """
+    m = sides.shape[1]
+    # within[s, z, x]: side s of z within side s of x
+    within = (sides[:, :, None] & ~sides[:, None, :]) == 0
+    below = within * sides[:, :, None]
+    out = np.empty((2, m, m), dtype=sides.dtype)
+    step = max(1, _BOUND_CELLS // (2 * m * m))
+    for s in range(0, m, step):
+        np.bitwise_or.reduce(below[:, :, s:s + step, None] & below[:, :, None, :], axis=1,
+                             out=out[:, s:s + step])
+    out[1] ^= (1 << n) - 1
+    return within[0], out
+
+
+def _first_pair(bad: np.ndarray, Z: np.ndarray) -> tuple[int, int]:
+    """The member masks at the first true entry of ``bad`` in row-major
+    order: for a symmetric ``bad`` with a false diagonal, the first pair
+    in ``combinations`` order."""
+    a, b = divmod(int(np.argmax(bad)), len(Z))
+    return int(Z[a]), int(Z[b])
 
 
 def validate_z_axioms(family: CyclicFlatFamily) -> ZViolation | None:
@@ -458,38 +478,58 @@ def validate_z_axioms(family: CyclicFlatFamily) -> ZViolation | None:
     Meet/join are resolved inside the family by inclusion: the unique
     maximal member below X ∩ Y and the unique minimal member above
     X ∪ Y.  Returns the first violation in (Z0, Z1, Z2, Z3) order, or
-    ``None`` when the family defines a matroid.
+    ``None`` when the family defines a matroid.  Within an axiom the
+    witness is the first failing pair of members in entry order, over
+    ``combinations`` for Z0 and Z3 and ``permutations`` for Z2.
+
+    Each pair's meet and join are worked out once, for Z0 and Z3: the
+    union of the members within X ∩ Y and the intersection of those
+    containing X ∪ Y are members exactly when the meet and join exist,
+    and are then the meet and join.  Both are ORs over the members below
+    (on the complements, above) each pair, read from the m × m
+    member-inclusion matrix: O(m³) cells, in chunks of at most
+    ``_BOUND_CELLS``.  Z1-Z3 are elementwise over the m × m pairs.
     """
     entries = family.entries
     if not entries:
         return ZViolation("Z1", ())
-    members = [m for m, _ in entries]
-    rank = dict(entries)
+    n = len(family.labels)
+    sizes = subset_sizes(n)  # refuses more than MAX_ELEMENTS labels
+    masks, ranks = zip(*entries)
+    full = (1 << n) - 1
+    sides = np.array((masks, [full ^ z for z in masks]))
+    Z = sides[0]
+    # ranks past int64 stay exact as Python ints
+    R = np.array(ranks, dtype=np.int64 if max(ranks) < 1 << 62 else object)
+    # 1 + each rank, which Z3 reads only once Z2 has put it in 0..n
+    R1 = np.minimum(R, n) + 1
+    incl, bounds = _bounds(sides, n)
+    # R1 at each member's mask, 0 at the other masks
+    rank_of = np.zeros(1 << n, dtype=np.int16)
+    rank_of[Z] = R1
+    r_bounds = rank_of[bounds]
+    if np.count_nonzero(r_bounds) < r_bounds.size:
+        return ZViolation("Z0", _first_pair((r_bounds == 0).any(0), Z))
+    # two minimal members would both be their meet, so the bottom is
+    # the least member, and within every member
+    size = sizes[Z]
+    bottom = size.argmin()
+    if R[bottom] != 0:
+        return ZViolation("Z1", (int(Z[bottom]),))
 
-    for X, Y in itertools.combinations(members, 2):
-        if _meet(members, X, Y) is None or _join(members, X, Y) is None:
-            return ZViolation("Z0", (X, Y))
+    # X ⊊ Y with r(X) < r(Y) and |X| - r(X) < |Y| - r(Y); the diagonal,
+    # X ⊆ X, is always bad
+    nullity = size - R
+    bad = incl > (R[:, None] < R) & (nullity[:, None] < nullity)
+    if np.count_nonzero(bad) > len(Z):
+        np.fill_diagonal(bad, False)
+        return ZViolation("Z2", _first_pair(bad, Z))
 
-    bottoms = [m for m in members if not any(z & ~m == 0 and z != m for z in members)]
-    bottom = min(bottoms, key=lambda m: (m.bit_count(), m))
-    if len(bottoms) > 1:
-        return ZViolation("Z0", tuple(sorted(bottoms)[:2]))
-    if rank[bottom] != 0:
-        return ZViolation("Z1", (bottom,))
-
-    for X, Y in itertools.permutations(members, 2):
-        if X & ~Y == 0 and X != Y:  # X ⊊ Y
-            diff = rank[Y] - rank[X]
-            if not 0 < diff < (Y & ~X).bit_count():
-                return ZViolation("Z2", (X, Y))
-
-    for X, Y in itertools.combinations(members, 2):
-        mt = _meet(members, X, Y)
-        jn = _join(members, X, Y)
-        lhs = rank[X] + rank[Y]
-        rhs = rank[jn] + rank[mt] + ((X & Y) & ~mt).bit_count()
-        if lhs < rhs:
-            return ZViolation("Z3", (X, Y))
+    # r(X) + r(Y) >= r(join) + r(meet) + |X ∩ Y - meet|, every rank here
+    # one too high
+    bad = R1[:, None] + R1 < r_bounds[0] + r_bounds[1] + sizes[Z & Z[:, None] ^ bounds[0]]
+    if np.count_nonzero(bad):
+        return ZViolation("Z3", _first_pair(bad, Z))
     return None
 
 
@@ -507,7 +547,8 @@ def from_cyclic_flats(family: CyclicFlatFamily) -> Matroid:
     entries = family.entries
     sizes = subset_sizes(n)
     X = np.arange(1 << n)
-    table = np.min([sizes[X & ~Z] + r for Z, r in entries], axis=0)
+    # a running minimum, so no m tables are held at once
+    table = functools.reduce(np.minimum, (sizes[X & ~Z] + r for Z, r in entries))
     # a family satisfying Z0-Z3 is the cyclic-flat lattice of this matroid
     # (Bonin and de Mier)
     M = Matroid(family.labels, table.astype(np.uint8).tobytes(), validate=False)

@@ -90,7 +90,14 @@ def validate_rank_axioms(table: Sequence[int], n: int) -> AxiomViolation | None:
     ``r(A+x) + r(A+y) >= r(A+x+y) + r(A)``), which together with the R1
     bounds are equivalent to the full axioms.  Returns ``None`` for a
     valid table, otherwise the first violation in (R1, R2, R3) order:
-    i then j ascending, and the least base mask within each.
+    the least mask for R1, the least i and then the least base mask for
+    R2, the least pair i < j and then the least base mask for R3.
+
+    The gains r(A+i) - r(A) are stacked into one ``(n, 2^(n-1))`` array:
+    R2 is one comparison of it, R3 one comparison per j over the rows
+    i < j, n - 1 passes in all.  The passes for small j read a copy of
+    the low rows with their index bits rotated, so that every pass reads
+    runs of at least about 2^(n/2) entries.
     """
     if not 0 <= n <= MAX_ELEMENTS:
         raise ValueError(f"element count must be in 0..{MAX_ELEMENTS}, got {n}")
@@ -106,31 +113,52 @@ def validate_rank_axioms(table: Sequence[int], n: int) -> AxiomViolation | None:
         r = np.array([x if isinstance(x, (int, np.integer)) else -1 for x in table])
 
     bad = (r < 0) | (r > subset_sizes(n))
-    if bad.any():
+    if np.count_nonzero(bad):
         return AxiomViolation("R1", (int(np.argmax(bad)),))
 
-    # gain_i, entry k: r(A+i) - r(A) for the k-th mask A without bit i
+    # gains[i, k]: r(A+i) - r(A) for the k-th mask A without bit i
     r = r.astype(np.int8)
-    gains = []
-    for i in range(n):
+    half = size >> 1
+    gains = np.empty((n, half), dtype=np.int8)
+    for i, gain in enumerate(gains):
         without, with_i = halves(r, i)
-        gain = with_i - without
-        viol = gain < 0
-        if viol.any():
-            a = _spread(int(np.argmax(viol)), i)
-            return AxiomViolation("R2", (a, a | 1 << i))
-        gains.append(gain)
+        np.subtract(with_i, without, out=gain.reshape(with_i.shape))
+    if n and gains.min() < 0:
+        i, k = divmod(int(np.argmax(gains < 0)), half)
+        a = _spread(k, i)
+        return AxiomViolation("R2", (a, a | 1 << i))
 
     # submodularity: gain_i does not grow along bit j > i, which is bit
-    # j - 1 of gain_i's index
-    for i, gain in enumerate(gains):
-        for j in range(i + 1, n):
-            without, with_j = halves(gain, j - 1)
-            viol = with_j > without
-            if viol.any():
-                a = _spread(_spread(int(np.argmax(viol)), j - 1), i)
-                return AxiomViolation("R3", (a | 1 << i, a | 1 << j))
+    # j - 1 of its index.  While that bit is one of the index's `low` low
+    # bits, the pass reads the rows i < low with those bits moved to the
+    # top of the index, where bit j - 1 sits at j - 1 + (n - 1 - low)
+    low = max(n - 1, 0) // 2
+    rotated = gains[:low].reshape(low, half >> low, 1 << low).transpose(0, 2, 1).reshape(low, half)
+    # every pass compares into one buffer: at 16 elements a fresh array
+    # per pass is a fresh mapping of up to 240 KiB, paged in each time
+    buffer = np.empty(gains.size >> 1, dtype=bool)
+    failed = []
+    for j in range(1, n):
+        rows, p = (rotated[:j], j + n - 2 - low) if j <= low else (gains[:j], j - 1)
+        without, with_p = halves(rows, p)
+        grew = np.greater(with_p, without, out=buffer[:with_p.size].reshape(with_p.shape))
+        if np.count_nonzero(grew):
+            failed.append(j)
+    if failed:
+        # the least pair, from the unrotated rows
+        i, j, k = min(_first_growth(gains[:j], j) for j in failed)
+        a = _spread(_spread(k, j - 1), i)
+        return AxiomViolation("R3", (a | 1 << i, a | 1 << j))
     return None
+
+
+def _first_growth(rows: np.ndarray, j: int) -> tuple[int, int, int]:
+    """(i, j, k): the first row i of ``gains[:j]`` that grows along bit
+    j - 1, and the least index k of its lower half where it does."""
+    without, with_j = halves(rows, j - 1)
+    viol = (with_j > without).reshape(j, -1)
+    i = int(np.argmax(viol.any(1)))
+    return i, j, int(np.argmax(viol[i]))
 
 
 class Matroid:

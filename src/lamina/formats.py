@@ -100,26 +100,39 @@ def _mask(lineno: int, names: list[str], index: dict[str, int]) -> int:
     return sum({1 << index[nm] for nm in names})
 
 
+def _reader(usage: str, pattern: str, what: str | None) -> tuple:
+    """A ``_FORMS`` entry compiled for :func:`_read`: the pattern, the
+    positions of its integer fields, whether field 0 is a braced set, the
+    name an invalid integer goes under, and the messages for a line that
+    is not of the form and for one whose set is not followed by the rest."""
+    specs = re.findall(r"\{\.\.\}|<\w+>", usage)
+    ints = tuple(i for i, spec in enumerate(specs) if spec not in ("{..}", "<label>", "<kind>"))
+    tail = usage.partition("} ")[2]
+    expected = f"expected {usage!r}"
+    return (re.compile(pattern), ints, specs[0] == "{..}", what, expected,
+            f"missing {tail!r}" if tail else expected)
+
+
+_READERS = {keyword: _reader(*form) for keyword, form in _FORMS.items()}
+
+
 def _read(lineno: int, line: str, keyword: str, index: dict[str, int] | None = None) -> tuple:
     """The fields of a ``keyword`` line: words as text, integers as int and the
     braced set as the mask of its labels under ``index``, read after the integers."""
-    usage, pattern, what = _FORMS[keyword]
+    pattern, ints, has_set, what, expected, missing = _READERS[keyword]
     parts = line.split(None, 1)
     if parts[0] != keyword or len(parts) != 2:
-        raise ParseError(lineno, f"expected {usage!r}")
-    match = re.fullmatch(pattern, parts[1])
+        raise ParseError(lineno, expected)
+    match = pattern.fullmatch(parts[1])
     if match is None:  # only a set form's literal can be missing: 'rank <int>'
-        tail = usage.partition("} ")[2]
-        raise ParseError(lineno, f"missing {tail!r}" if tail else f"expected {usage!r}")
+        raise ParseError(lineno, missing)
     fields = list(match.groups())
-    specs = re.findall(r"\{\.\.\}|<\w+>", usage)
-    for i, spec in enumerate(specs):
-        if spec not in ("{..}", "<label>", "<kind>"):
-            try:
-                fields[i] = int(fields[i])
-            except ValueError:
-                raise ParseError(lineno, f"invalid {what} {fields[i].strip()!r}") from None
-    if specs[0] == "{..}":
+    for i in ints:
+        try:
+            fields[i] = int(fields[i])
+        except ValueError:
+            raise ParseError(lineno, f"invalid {what} {fields[i].strip()!r}") from None
+    if has_set:
         sets = _parse_sets(lineno, fields[0])
         if len(sets) != 1:
             raise ParseError(lineno, f"expected exactly one braced set, got {len(sets)}")
@@ -165,6 +178,10 @@ def parse_matroid(text: str) -> Matroid:
         labels = tuple(parts[1:])
         if len(set(labels)) != n:
             raise ParseError(lineno, "element labels must be distinct")
+        # a braced set could not name it, nor could the file be written back
+        for lab in labels:
+            if "{" in lab or "}" in lab:
+                raise ParseError(lineno, f"label {lab!r} contains a brace")
         lineno, line = take()
     (kind,) = _read(lineno, line, "repr")
     if kind not in KINDS:

@@ -103,7 +103,9 @@ class TestAnalyze:
         (b"%matroid v1\nn 2\nlabels a \xff\nrepr uniform\nr 1\n", 3),
         (b"%matroid v1\nn 17\nrepr uniform\nr 1\n", 2),
         (b"%matroid v1\nn 0\nrepr graph\nvertices -3\n", 4),
-    ], ids=["vertices", "endpoint", "uniform-r", "not-utf8", "too-many", "negative-vertices"])
+        (b"%matroid v1\nn 2\nlabels a{ b}\nrepr uniform\nr 1\n", 3),
+    ], ids=["vertices", "endpoint", "uniform-r", "not-utf8", "too-many", "negative-vertices",
+            "brace-label"])
     def test_malformed_input_is_a_parse_error(self, tmp_path, capsys, body, line):
         p = tmp_path / "bad.matroid"
         p.write_bytes(body)

@@ -1,10 +1,15 @@
 """Text format: all repr kinds, error reporting, serialize round trips."""
 
+import itertools
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamina import core, formats
-from lamina.constructions import named_matroid, uniform, cycle_matroid, Multigraph
+from lamina.constructions import (
+    Multigraph, _sparse_paving, cycle_matroid, named_matroid, uniform)
 from lamina.corpus import CorpusSpec, catalog_matroids, generate_corpus
 from lamina.formats import ParseError, parse_matroid, serialize_matroid
 
@@ -88,6 +93,8 @@ _MALFORMED = [
     _bad("labels-duplicate", "%matroid v1\nn 2\nlabels a a\nrepr uniform\nr 1\n", 3,
          "element labels must be distinct"),
     _bad("end-after-labels", "%matroid v1\nn 2\nlabels a b\n", 3, "unexpected end of input"),
+    _bad("labels-brace", "%matroid v1\nn 2\nlabels a{ b}\nrepr uniform\nr 1\n", 3,
+         "label 'a{' contains a brace"),
     _bad("repr-usage", "%matroid v1\nn 2\nrepr\n", 3, "expected 'repr <kind>'"),
     _bad("repr-keyword", "%matroid v1\nn 2\nkind uniform\n", 3, "expected 'repr <kind>'"),
     _bad("repr-unknown", "%matroid v1\nn 2\nrepr nonsense\n", 3, "unknown repr kind 'nonsense'"),
@@ -246,6 +253,39 @@ class TestRoundTrip:
     def test_empty_matroid_round_trip(self):
         M = uniform(0, 0)
         assert parse_matroid(serialize_matroid(M)) == M
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.text(st.sampled_from("ab{}#"), min_size=1, max_size=3),
+                    min_size=2, max_size=2))
+    def test_every_parsed_label_can_be_written(self, labels):
+        text = "%matroid v1\nn 2\nlabels " + " ".join(labels) + "\nrepr uniform\nr 1\n"
+        try:
+            M = parse_matroid(text)
+        except ParseError:
+            return
+        assert parse_matroid(serialize_matroid(M)) == M
+
+    def test_large_cyclic_flat_family(self):
+        """A 16-element, rank-5 sparse paving matroid with 232 cyclic
+        flats round-trips, and its Z-axiom check and table synthesis
+        stay in chunks: parsing peaks under 16 MiB."""
+        sets = [sum(1 << i for i in s) for s in itertools.combinations(range(16), 5)]
+        random.Random(1).shuffle(sets)
+        kept = []
+        for s in sets:
+            if all((s & k).bit_count() <= 3 for k in kept):
+                kept.append(s)
+        # 5-sets meeting pairwise in at most 3 elements
+        M = _sparse_paving(tuple(f"e{i}" for i in range(16)), 5, kept)
+        assert len(M.cyclic_flats()) == 232
+        text = serialize_matroid(M)
+        tracemalloc.start()
+        try:
+            assert parse_matroid(text) == M
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
 
     @pytest.mark.parametrize("label", ["", "a b", "a{", "}", "a#"])
     def test_unwritable_label_is_rejected(self, label):

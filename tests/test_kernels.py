@@ -11,8 +11,9 @@ and the corpus, the pair generators behind the laminar predicates,
 the batched candidate filter of ``has_minor``, the prefix image
 search of ``find_isomorphism`` and its pair rows, the one boolean loop behind
 ``flats`` and ``cyclic_flats``, the stacked circuits pass of
-``prime_circuits`` and the halves-view gains of
-``validate_rank_axioms`` and the byte-table report writer of
+``prime_circuits``, the stacked gains and per-element R3 passes of
+``validate_rank_axioms``, the member-inclusion products of
+``validate_z_axioms`` and the byte-table report writer of
 ``lamina analyze`` must agree exactly with the plain loops, gathers and
 encoders they replaced, which are kept here as oracles.  The
 constructors that no longer re-check the rank axioms are checked here
@@ -51,6 +52,7 @@ from lamina.constructions import (
     Multigraph,
     NestedPresentation,
     ZAxiomError,
+    ZViolation,
     _disjoint_labels,
     circuit_matroid,
     cycle_matroid,
@@ -61,6 +63,7 @@ from lamina.constructions import (
     matroid_from_circuits,
     mn_family,
     named_matroid,
+    notk_cyclic_flats,
     parallel_connection,
     pn_family,
     relax_circuit_hyperplane,
@@ -636,6 +639,58 @@ def reference_validate_rank_axioms(table, n: int) -> AxiomViolation | None:
             if viol.any():
                 a = int(base[int(np.argmax(viol))])
                 return AxiomViolation("R3", (a | bi, a | bj))
+    return None
+
+
+def _meet(members: list[int], X: int, Y: int) -> int | None:
+    below = [Z for Z in members if Z & ~(X & Y) == 0]
+    for m in below:
+        if all(z & ~m == 0 for z in below):
+            return m
+    return None
+
+
+def _join(members: list[int], X: int, Y: int) -> int | None:
+    above = [Z for Z in members if (X | Y) & ~Z == 0]
+    for j in above:
+        if all(j & ~z == 0 for z in above):
+            return j
+    return None
+
+
+def reference_validate_z_axioms(family: CyclicFlatFamily) -> ZViolation | None:
+    """Z0-Z3 by scans over the member list: each pair's meet and join
+    found by a quadratic search, once for Z0 and again for Z3."""
+    entries = family.entries
+    if not entries:
+        return ZViolation("Z1", ())
+    members = [m for m, _ in entries]
+    rank = dict(entries)
+
+    for X, Y in itertools.combinations(members, 2):
+        if _meet(members, X, Y) is None or _join(members, X, Y) is None:
+            return ZViolation("Z0", (X, Y))
+
+    bottoms = [m for m in members if not any(z & ~m == 0 and z != m for z in members)]
+    bottom = min(bottoms, key=lambda m: (m.bit_count(), m))
+    if len(bottoms) > 1:
+        return ZViolation("Z0", tuple(sorted(bottoms)[:2]))
+    if rank[bottom] != 0:
+        return ZViolation("Z1", (bottom,))
+
+    for X, Y in itertools.permutations(members, 2):
+        if X & ~Y == 0 and X != Y:  # X ⊊ Y
+            diff = rank[Y] - rank[X]
+            if not 0 < diff < (Y & ~X).bit_count():
+                return ZViolation("Z2", (X, Y))
+
+    for X, Y in itertools.combinations(members, 2):
+        mt = _meet(members, X, Y)
+        jn = _join(members, X, Y)
+        lhs = rank[X] + rank[Y]
+        rhs = rank[jn] + rank[mt] + ((X & Y) & ~mt).bit_count()
+        if lhs < rhs:
+            return ZViolation("Z3", (X, Y))
     return None
 
 
@@ -1525,6 +1580,25 @@ def _top_bit_drop_table() -> bytes:
     return t.tobytes()
 
 
+def _pairs_table(n: int, pairs) -> bytes:
+    """r(A) = |A - P| + the number of the disjoint ``pairs`` within A, P
+    their union: R1 and R2 hold and R3 breaks at exactly those pairs."""
+    masks = np.arange(1 << n)
+    table = subset_sizes(n)[masks & ~sum((1 << i) | (1 << j) for i, j in pairs)]
+    for i, j in pairs:
+        both = (1 << i) | (1 << j)
+        table = table + (masks & both == both)
+    return table.astype(np.uint8).tobytes()
+
+
+def _gain_two_table(n: int) -> bytes:
+    """r(A) = |A| except r({1}) = 0: R1 and R2 hold, but adding element 0
+    to {1} gains 2, which breaks R3 at the pair (0, 1)."""
+    table = subset_sizes(n).astype(np.uint8)
+    table[0b10] = 0
+    return table.tobytes()
+
+
 # name: (table, n, first violation)
 _FIXED_AXIOM_TABLES = {
     "n0": (b"\x00", 0, None),
@@ -1536,12 +1610,29 @@ _FIXED_AXIOM_TABLES = {
     "u8_16": (uniform(8, 16).rank_table, 16, None),
     "r3_bits_14_15": (_top_pair_table(), 16, AxiomViolation("R3", (1 << 14, 1 << 15))),
     "r2_top_bit": (_top_bit_drop_table(), 16, AxiomViolation("R2", (0x7FFF, 0xFFFF))),
+    # R3 passes with j <= (n - 1) // 2 read the rotated rows: j <= 1 at
+    # n = 4, j <= 7 at n = 16
+    "n4_r3_first_pair": (_pairs_table(4, [(0, 1)]), 4, AxiomViolation("R3", (1, 2))),
+    "n4_r3_last_pair": (_pairs_table(4, [(2, 3)]), 4, AxiomViolation("R3", (4, 8))),
+    "n4_r3_straddle": (_pairs_table(4, [(0, 2)]), 4, AxiomViolation("R3", (1, 4))),
+    # pass j = 2 fails first, at (1, 2), but (0, 3) is the least pair
+    "n4_r3_least_pair_in_later_pass": (
+        _pairs_table(4, [(1, 2), (0, 3)]), 4, AxiomViolation("R3", (1, 8))),
+    "n4_gain_two": (_gain_two_table(4), 4, AxiomViolation("R3", (1, 2))),
+    "n16_r3_first_pair": (_pairs_table(16, [(0, 1)]), 16, AxiomViolation("R3", (1, 2))),
+    "n16_r3_last_rotated_pass": (
+        _pairs_table(16, [(3, 7)]), 16, AxiomViolation("R3", (1 << 3, 1 << 7))),
+    "n16_r3_straddle": (_pairs_table(16, [(6, 8)]), 16, AxiomViolation("R3", (1 << 6, 1 << 8))),
+    "n16_r3_least_pair_in_later_pass": (
+        _pairs_table(16, [(1, 2), (0, 12)]), 16, AxiomViolation("R3", (1, 1 << 12))),
+    "n16_gain_two": (_gain_two_table(16), 16, AxiomViolation("R3", (1, 2))),
 }
 
 
 class TestAxiomGains:
-    """R2 and R3 are read as gains on the halves of the table; the
-    oracle gathers every base mask per bit and per pair of bits."""
+    """R2 is one comparison of the stacked gains, R3 one pass per later
+    element over them; the oracle gathers every base mask per bit and
+    per pair of bits."""
 
     @PROPERTY
     @given(edited_tables(small_matroids()))
@@ -1558,6 +1649,78 @@ class TestAxiomGains:
                              ids=list(_FIXED_AXIOM_TABLES))
     def test_fixed_tables(self, table, n, want):
         assert validate_rank_axioms(table, n) == reference_validate_rank_axioms(table, n) == want
+
+
+@st.composite
+def edited_families(draw):
+    """A corpus member's cyclic flats in a drawn order, with members
+    dropped, ranks shifted by +-1 (never below 0) and random masks
+    inserted with random ranks."""
+    M = draw(st.sampled_from(_CORPUS))
+    entries = draw(st.permutations(M.cyclic_flats()))
+    for edit in draw(st.lists(st.sampled_from(["drop", "shift", "insert"]), max_size=3)):
+        if edit == "insert":
+            Z = draw(st.integers(0, M.E))
+            if Z not in dict(entries):
+                entries.insert(draw(st.integers(0, len(entries))), (Z, draw(st.integers(0, M.n))))
+        elif entries:
+            i = draw(st.integers(0, len(entries) - 1))
+            if edit == "drop":
+                del entries[i]
+            else:
+                Z, r = entries[i]
+                entries[i] = (Z, max(0, r + draw(st.sampled_from([-1, 1]))))
+    return CyclicFlatFamily(M.labels, entries)
+
+
+def _family(n: int, *entries) -> CyclicFlatFamily:
+    return CyclicFlatFamily(tuple(f"e{i}" for i in range(n)), entries)
+
+
+# name: (family, first violation)
+_FIXED_Z_FAMILIES = {
+    "empty": (_family(1), ZViolation("Z1", ())),
+    "n0": (_family(0, (0, 0)), None),
+    "z0_no_meet": (_family(4, (0b0011, 1), (0b0110, 1), (0b1111, 2)),
+                   ZViolation("Z0", (0b0011, 0b0110))),
+    "z0_no_join": (_family(4, (0, 0), (0b0011, 1), (0b1100, 1)),
+                   ZViolation("Z0", (0b0011, 0b1100))),
+    "z1": (_family(2, (0, 1), (0b11, 2)), ZViolation("Z1", (0,))),
+    "z2": (_family(3, (0, 0), (0b111, 3)), ZViolation("Z2", (0, 0b111))),
+    # exact ranks past int64: (1, 7) gains 1 < 2 and is no violation
+    "z2_huge_ranks": (_family(3, (1, 2 ** 70), (7, 2 ** 70 + 1), (0, 0)),
+                      ZViolation("Z2", (0, 1))),
+    "z3_notk4": (notk_cyclic_flats(4), ZViolation("Z3", (0x24E, 0x271))),
+    "mstark33": (CyclicFlatFamily(named_matroid("mstark33").labels,
+                                  named_matroid("mstark33").cyclic_flats()), None),
+}
+
+
+class TestZAxioms:
+    """Meets and joins come from products over the member-inclusion
+    matrix and Z1-Z3 from elementwise pair matrices; the oracle scans
+    the member list for each pair."""
+
+    @PROPERTY
+    @given(edited_families())
+    def test_matches_scans(self, family):
+        assert validate_z_axioms(family) == reference_validate_z_axioms(family)
+
+    @pytest.mark.parametrize("family, want", list(_FIXED_Z_FAMILIES.values()),
+                             ids=list(_FIXED_Z_FAMILIES))
+    def test_fixed_families(self, family, want):
+        assert validate_z_axioms(family) == reference_validate_z_axioms(family) == want
+
+    @pytest.mark.parametrize("cells", [1, 1 << 9])
+    def test_chunks(self, monkeypatch, cells):
+        """One y per chunk, and a few, on every fixed family and the
+        distinct corpus members' families."""
+        monkeypatch.setattr(constructions, "_BOUND_CELLS", cells)
+        families = [f for f, _ in _FIXED_Z_FAMILIES.values()]
+        families += {M.cyclic_flats(): CyclicFlatFamily(M.labels, M.cyclic_flats())
+                     for M in _CORPUS}.values()
+        for family in families:
+            assert validate_z_axioms(family) == reference_validate_z_axioms(family)
 
 
 # quotes, backslashes, control characters, non-ASCII and a non-BMP
