@@ -16,13 +16,7 @@ from pathlib import Path
 
 from .core import MatroidError
 from .constructions import named_matroid
-from .laminar import (
-    is_laminar,
-    is_nested,
-    is_paving,
-    min_closure_laminar_k,
-    min_laminar_k,
-)
+from .laminar import is_paving, min_closure_laminar_k, min_laminar_k
 from .minors import find_isomorphism, has_minor
 from .formats import ParseError, parse_matroid, serialize_matroid
 from .corpus import CorpusSpec, generate_corpus
@@ -100,9 +94,11 @@ def _json_sets(words: list[str], depth: int):
 
 
 def _verdicts(M) -> dict:
-    return {"nested": bool(is_nested(M)), "laminar": bool(is_laminar(M)),
-            "paving": is_paving(M), "min_laminar_k": min_laminar_k(M),
-            "min_closure_laminar_k": min_closure_laminar_k(M)}
+    # nested is 0-closure-laminar and laminar is 1-laminar, each minimum
+    # taken over the pairs that predicate scans
+    lam, cl = min_laminar_k(M), min_closure_laminar_k(M)
+    return {"nested": cl == 0, "laminar": lam <= 1, "paving": is_paving(M),
+            "min_laminar_k": lam, "min_closure_laminar_k": cl}
 
 
 def _json_report(M) -> str:

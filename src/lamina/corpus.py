@@ -30,14 +30,6 @@ from .constructions import (
 )
 from .minors import MinorSpec, minor, single_element_minors
 
-DEFAULT_WEIGHTS = {
-    "laminar": 3,
-    "nested": 2,
-    "graphic": 3,
-    "sparse_paving": 2,
-    "named_minor": 2,
-}
-
 # The smallest element cap every generator can meet: a sparse paving
 # matroid here has rank 2 <= r <= n - 1, so n >= 3.
 MIN_ELEMENTS = 3
@@ -182,12 +174,13 @@ def _random_named_minor(rng: random.Random, max_elements: int) -> Matroid:
     return minor(M, MinorSpec(D, C))
 
 
+# name: (generator, weight); a draw picks a name with odds by weight
 _GENERATORS = {
-    "laminar": _random_laminar,
-    "nested": _random_nested,
-    "graphic": _random_graphic,
-    "sparse_paving": _random_sparse_paving,
-    "named_minor": _random_named_minor,
+    "laminar": (_random_laminar, 3),
+    "nested": (_random_nested, 2),
+    "graphic": (_random_graphic, 3),
+    "sparse_paving": (_random_sparse_paving, 2),
+    "named_minor": (_random_named_minor, 2),
 }
 
 
@@ -200,10 +193,9 @@ def generate_corpus(spec: CorpusSpec) -> list[Matroid]:
     """
     out = [M for _, M in catalog_with_minors(spec.max_elements)]
     rng = random.Random(spec.seed)
-    names = [name for name, w in sorted(DEFAULT_WEIGHTS.items()) for _ in range(w)]
+    gens = [gen for _, (gen, w) in sorted(_GENERATORS.items()) for _ in range(w)]
     for _ in range(spec.count):
-        gen = _GENERATORS[rng.choice(names)]
-        out.append(gen(rng, spec.max_elements))
+        out.append(rng.choice(gens)(rng, spec.max_elements))
     at = [i for i, G in enumerate(out) if isinstance(G, Multigraph)]
     for i, M in zip(at, cycle_matroids([out[i] for i in at])):
         out[i] = M

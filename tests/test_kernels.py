@@ -18,7 +18,10 @@ search of ``find_isomorphism`` and its pair rows, the one boolean loop behind
 encoders they replaced, which are kept here as oracles.  The
 constructors that no longer re-check the rank axioms are checked here
 instead: each must still return a table for which
-``validate_rank_axioms`` is None.
+``validate_rank_axioms`` is None.  So are the round trips that
+``matroid_from_circuits`` and ``from_cyclic_flats`` no longer run on
+their own result, and the least-k scan of ``lem-hamcir`` against the
+every-k scan it replaced.
 """
 
 import contextlib
@@ -34,9 +37,9 @@ from unittest import mock
 import numpy as np
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lamina import cli, constructions, core, corpus, formats
+from lamina import checks, cli, constructions, core, corpus, formats
 from lamina.core import (
     MAX_ELEMENTS,
     AxiomViolation,
@@ -535,6 +538,30 @@ def reference_closure_witness(M: Matroid, k: int):
     return None
 
 
+def reference_hamiltonian_extensions(M: Matroid):
+    """``lem-hamcir``'s claim scanned at every k in 0..r(M) at which M
+    is k-laminar."""
+    ham = set(M.hamiltonian_flats())
+    for k in range(M.full_rank() + 1):
+        if not is_k_laminar(M, k):
+            continue
+        for C in M.circuits():
+            if C.bit_count() < 2 * k - 1:
+                continue
+            clC = M.closure(C)
+            for e in range(M.n):
+                bit = 1 << e
+                if clC & bit:
+                    continue
+                F = M.closure(C | bit)
+                if M.rank(F & ~clC) < 2:
+                    continue
+                if F not in ham:
+                    return (f"cl(C+{M.labels[e]}) not a spanning-circuit flat "
+                            f"at k={k}", C, F)
+    return None
+
+
 def reference_min_k(witness, M: Matroid) -> int:
     """Count k up from 0 until the reference scan finds no violation."""
     k = 0
@@ -1001,6 +1028,28 @@ class TestPairScans:
         self._assert_matches_oracles(named_matroid(name))
 
 
+@st.composite
+def hidden_hamiltonian_flats(draw):
+    """A corpus member and its Hamiltonian flats with up to two of them
+    hidden, so that the claim also fails and returns its witness."""
+    M = draw(st.sampled_from(_CORPUS))
+    ham = M.hamiltonian_flats()
+    hidden = draw(st.lists(st.sampled_from(ham), max_size=2)) if ham else []
+    return M, tuple(F for F in ham if F not in hidden)
+
+
+class TestHamiltonianExtensions:
+    """``lem-hamcir`` scans the circuits once, at the least k for which M
+    is k-laminar; the oracle scans them at every such k."""
+
+    @PROPERTY
+    @given(hidden_hamiltonian_flats())
+    def test_least_k_matches_every_k(self, case):
+        M, shown = case
+        with mock.patch.object(Matroid, "hamiltonian_flats", lambda self: shown):
+            assert checks._hamiltonian_extensions(M) == reference_hamiltonian_extensions(M)
+
+
 class TestOneExpressionTables:
     def test_subset_sizes(self):
         for n in range(17):
@@ -1132,6 +1181,60 @@ class TestTrustBoundary:
     def test_parsed_circuit_files_are_validated(self, validations):
         parse_matroid("%matroid v1\nn 4\nrepr circuits\n{e1 e2} {e3 e4}\n")
         assert 4 in validations
+
+    def test_constructors_derive_no_family_of_their_result(self, monkeypatch):
+        """Neither constructor lists the circuits or cyclic flats of the
+        table it has just built."""
+        families = {M.cyclic_flats(): CyclicFlatFamily(M.labels, M.cyclic_flats())
+                    for M in _CORPUS}
+        circuits = {(M.labels, M.circuits()) for M in _CORPUS}
+        calls = []
+        real_cyclic_flats, real_prime = Matroid.cyclic_flats, core.prime_circuits
+        monkeypatch.setattr(Matroid, "cyclic_flats",
+                            lambda M: calls.append("cyclic_flats") or real_cyclic_flats(M))
+        monkeypatch.setattr(core, "prime_circuits",
+                            lambda ms: calls.append("prime_circuits") or real_prime(ms))
+        for family in families.values():
+            from_cyclic_flats(family)
+        for labels, circs in circuits:
+            matroid_from_circuits(labels, circs)
+        assert calls == []
+
+
+@st.composite
+def reordered_families(draw):
+    """A corpus member and its cyclic flats in a drawn order."""
+    M = draw(st.sampled_from(_CORPUS))
+    return M, CyclicFlatFamily(M.labels, draw(st.permutations(M.cyclic_flats())))
+
+
+class TestConstructorRoundTrips:
+    """What ``matroid_from_circuits`` and ``from_cyclic_flats`` no longer
+    re-derive from their own result: the circuits of the circuit table
+    are the listed antichain, and a Z0-Z3 family is the cyclic-flat
+    lattice of the synthesized matroid (Bonin and de Mier)."""
+
+    @PROPERTY
+    @given(circuit_families())
+    # {e0 e1} and {e1 e2}: an antichain whose table fails R3
+    @example((3, [0b011, 0b110]))
+    def test_circuit_table_has_exactly_the_listed_circuits(self, family):
+        n, masks = family
+        circs = sorted(set(masks), key=lambda c: (c.bit_count(), c))
+        if any(a & b == a for a, b in itertools.combinations(circs, 2)):
+            return  # not an antichain: rejected before any table is built
+        table = reference_circuit_table(n, circs)
+        M = Matroid([f"e{i}" for i in range(n)], table, validate=False)
+        assert M.circuits() == reference_circuits(M) == tuple(circs)
+
+    @PROPERTY
+    @given(reordered_families())
+    def test_cyclic_flats_synthesize_the_member(self, case):
+        M, family = case
+        assert validate_z_axioms(family) is None
+        got = from_cyclic_flats(family)
+        assert set(got.cyclic_flats()) == set(family.entries)
+        assert (got.labels, got.rank_table) == (M.labels, M.rank_table)
 
 
 def _rank_histogram(M: Matroid) -> np.ndarray:
