@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .core import Matroid, MatroidError, prime_circuits
+from .core import Matroid, MatroidError, default_labels, prime_circuits
 from .constructions import (
     CyclicFlatFamily,
     LaminarCapacitySystem,
@@ -205,7 +205,7 @@ def _laminar_system_corpus(seed: int) -> Iterator[Matroid]:
     rng = random.Random(seed)
     for _ in range(200):
         n = rng.randint(2, 8)
-        labels = tuple(f"e{i + 1}" for i in range(n))
+        labels = default_labels(n)
         full = (1 << n) - 1
         family = [full]
         for _ in range(rng.randint(0, 4)):
@@ -402,10 +402,8 @@ def _minor_closed(holds, ks, kind: str):
 def _hamiltonian_extensions(M):
     # a k-laminar M is k'-laminar for every k' > k, where fewer circuits
     # are scanned and the test does not read k, so the least k finds the
-    # first witness
-    k = next((k for k in range(M.full_rank() + 1) if is_k_laminar(M, k)), None)
-    if k is None:
-        return None
+    # first witness; every M is r(M)-laminar, so some k qualifies
+    k = next(k for k in range(M.full_rank() + 1) if is_k_laminar(M, k))
     ham = set(M.hamiltonian_flats())
     for C in M.circuits():
         if C.bit_count() < 2 * k - 1:

@@ -29,7 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_ELEMENTS, Matroid, MatroidError, halves, subset_sizes
+from .core import (MAX_ELEMENTS, Matroid, MatroidError, check_mask, default_labels, halves,
+                   label_mask, subset_sizes)
 
 # ---------------------------------------------------------------------------
 # uniform
@@ -39,13 +40,12 @@ def uniform(r: int, n: int, labels: Sequence[str] | None = None) -> Matroid:
     """Uniform matroid U_{r,n}: rank(A) = min(|A|, r)."""
     if not 0 <= r <= n:
         raise MatroidError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
-    if n > MAX_ELEMENTS:
-        raise MatroidError(f"ground set too large: {n} > {MAX_ELEMENTS}")
+    sizes = subset_sizes(n)
     if labels is None:
-        labels = tuple(f"e{i + 1}" for i in range(n))
+        labels = default_labels(n)
     if len(labels) != n:
         raise MatroidError(f"need one label per element: {len(labels)} labels for n={n}")
-    table = np.minimum(subset_sizes(n), r).astype(np.uint8)
+    table = np.minimum(sizes, r).astype(np.uint8)
     # min(|A|, r) with 0 <= r <= n is the rank function of U_{r,n}
     return Matroid(labels, table.tobytes(), validate=False)
 
@@ -79,7 +79,7 @@ class Multigraph:
                 raise MatroidError(f"edge ({u},{v}) has an invalid endpoint")
         labels = self.labels
         if not labels:
-            labels = tuple(f"e{i + 1}" for i in range(len(edges)))
+            labels = default_labels(len(edges))
         if len(labels) != len(edges):
             raise MatroidError("need one label per edge")
         object.__setattr__(self, "labels", tuple(labels))
@@ -155,10 +155,8 @@ class LaminarCapacitySystem:
             raise MatroidError("need one capacity per family member")
         if any(c < 0 for c in self.capacities):
             raise MatroidError("capacities must be nonnegative")
-        full = (1 << len(self.labels)) - 1
         for A in self.family:
-            if A & ~full:
-                raise MatroidError("family member not within ground set")
+            check_mask(A, len(self.labels), "family member")
 
     def check_laminar(self) -> None:
         """Raise unless any two intersecting members are nested."""
@@ -216,10 +214,8 @@ class NestedPresentation:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        full = (1 << len(self.labels)) - 1
         for B in self.blocks:
-            if B & ~full:
-                raise MatroidError("block not within ground set")
+            check_mask(B, len(self.labels), "block")
 
     def check_chain(self) -> None:
         for a, b in zip(self.blocks, self.blocks[1:]):
@@ -304,12 +300,10 @@ def matroid_from_circuits(labels: Sequence[str], circuits: Iterable[int]) -> Mat
     """
     labels = tuple(labels)
     n = len(labels)
-    if n > MAX_ELEMENTS:
-        raise MatroidError(f"ground set too large: {n} > {MAX_ELEMENTS}")
-    circs = sorted(set(int(C) for C in circuits), key=lambda c: (c.bit_count(), c))
-    full = (1 << n) - 1
+    sizes = subset_sizes(n)
+    circs = [int(C) for C in circuits]
     for C in circs:
-        if C == 0 or C & ~full:
+        if C == 0 or C >> n:
             raise MatroidError(f"invalid circuit mask {C:#x}")
 
     def up(table, op):
@@ -326,7 +320,7 @@ def matroid_from_circuits(labels: Sequence[str], circuits: Iterable[int]) -> Mat
     C = np.array(circs, dtype=np.intp)
     if any(dep[C[C >> i & 1 == 1] ^ 1 << i].any() for i in range(n)):
         raise MatroidError("circuit family is not an antichain")
-    table = up(np.where(dep, 0, subset_sizes(n)).astype(np.uint8), np.maximum)
+    table = up(np.where(dep, 0, sizes).astype(np.uint8), np.maximum)
     # an antichain need not be a circuit family: check the axioms
     return Matroid(labels, table.tobytes())
 
@@ -418,25 +412,16 @@ class CyclicFlatFamily:
         object.__setattr__(
             self, "entries", tuple((int(m), int(r)) for m, r in self.entries)
         )
-        full = (1 << len(self.labels)) - 1
         masks = [m for m, _ in self.entries]
         if len(set(masks)) != len(masks):
             raise MatroidError("cyclic-flat members must be distinct")
         for m, r in self.entries:
-            if m & ~full:
-                raise MatroidError(f"member {m:#x} not within ground set")
+            check_mask(m, len(self.labels), "member")
             if r < 0:
                 raise MatroidError("ranks must be nonnegative")
 
     def mask(self, names: Iterable[str]) -> int:
-        idx = {lab: i for i, lab in enumerate(self.labels)}
-        out = 0
-        for name in names:
-            try:
-                out |= 1 << idx[name]
-            except KeyError:
-                raise MatroidError(f"unknown element label {name!r}") from None
-        return out
+        return label_mask({lab: i for i, lab in enumerate(self.labels)}, names)
 
 
 # Cells of one chunk of the pair-by-member ORs in _bounds

@@ -55,6 +55,28 @@ def subset_sizes(n: int) -> np.ndarray:
     return _POPCOUNTS[:1 << n]
 
 
+def default_labels(n: int) -> tuple[str, ...]:
+    """The labels ``e1 .. en`` of a ground set given no labels."""
+    return tuple(f"e{i + 1}" for i in range(n))
+
+
+def label_mask(index: dict[str, int], names: Iterable[str]) -> int:
+    """Mask of the labels ``names`` under ``index`` (label to position)."""
+    out = 0
+    for name in names:
+        try:
+            out |= 1 << index[name]
+        except KeyError:
+            raise MatroidError(f"unknown element label {name!r}") from None
+    return out
+
+
+def check_mask(A: int, n: int, what: str = "mask") -> None:
+    """Raise unless ``A`` is a mask over ``n`` elements."""
+    if A >> n:
+        raise MatroidError(f"{what} {A:#x} not within ground set")
+
+
 def subset_index(bits: np.ndarray) -> np.ndarray:
     """``out[..., A]`` is the union of ``bits[..., j]`` over the bits j of
     ``A``: the mask, over a larger ground set, of the subset whose mask
@@ -217,22 +239,19 @@ class Matroid:
         """Rank of subset mask ``A`` (whole ground set when omitted)."""
         if A is None:
             A = self.E
-        if A & ~self.E:
-            raise MatroidError(f"mask {A:#x} not within ground set")
+        check_mask(A, self.n)
         return self.rank_table[A]
 
     def full_rank(self) -> int:
         return self.rank_table[self.E]
 
     def is_independent(self, A: int) -> bool:
-        if A & ~self.E:
-            raise MatroidError(f"mask {A:#x} not within ground set")
+        check_mask(A, self.n)
         return self.rank_table[A] == A.bit_count()
 
     def closure(self, A: int) -> int:
         """All elements whose addition to ``A`` does not raise the rank."""
-        if A & ~self.E:
-            raise MatroidError(f"mask {A:#x} not within ground set")
+        check_mask(A, self.n)
         rt = self.rank_table
         rA = rt[A]
         out = A
@@ -252,8 +271,7 @@ class Matroid:
         return self.closure(A) == A
 
     def is_circuit(self, A: int) -> bool:
-        if A & ~self.E:
-            raise MatroidError(f"mask {A:#x} not within ground set")
+        check_mask(A, self.n)
         rt = self.rank_table
         pc = A.bit_count()
         if A == 0 or rt[A] != pc - 1:
@@ -268,25 +286,12 @@ class Matroid:
 
     def mask(self, names: Iterable[str]) -> int:
         """Mask for a collection of element labels."""
-        idx = self._label_index()
-        out = 0
-        for name in names:
-            try:
-                out |= 1 << idx[name]
-            except KeyError:
-                raise MatroidError(f"unknown element label {name!r}") from None
-        return out
+        return label_mask({lab: i for i, lab in enumerate(self.labels)}, names)
 
     def names(self, A: int) -> tuple[str, ...]:
         """Labels of the elements in mask ``A``, in ground-set order."""
+        check_mask(A, self.n)
         return tuple(self.labels[i] for i in range(self.n) if A >> i & 1)
-
-    def _label_index(self) -> dict:
-        idx = self._cache.get("label_index")
-        if idx is None:
-            idx = {lab: i for i, lab in enumerate(self.labels)}
-            self._cache["label_index"] = idx
-        return idx
 
     # -- derived families ----------------------------------------------
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import MAX_ELEMENTS, Matroid, MatroidError
+from .core import MAX_ELEMENTS, Matroid, MatroidError, default_labels
 from .constructions import (
     LaminarCapacitySystem,
     Multigraph,
@@ -89,7 +89,7 @@ def catalog_with_minors(max_elements: int) -> list[tuple[str, Matroid]]:
 
 def _random_laminar(rng: random.Random, max_elements: int) -> Matroid:
     n = rng.randint(2, max_elements)
-    labels = tuple(f"e{i + 1}" for i in range(n))
+    labels = default_labels(n)
     full = (1 << n) - 1
     family = [full]
     # random laminar refinement: repeatedly split an unused sub-block off
@@ -114,7 +114,7 @@ def _random_laminar(rng: random.Random, max_elements: int) -> Matroid:
 
 def _random_nested(rng: random.Random, max_elements: int) -> Matroid:
     n = rng.randint(2, max_elements)
-    labels = tuple(f"e{i + 1}" for i in range(n))
+    labels = default_labels(n)
     order = list(range(n))
     rng.shuffle(order)
     blocks = []
@@ -150,7 +150,7 @@ def _random_graphic(rng: random.Random, max_elements: int) -> Multigraph:
 def _random_sparse_paving(rng: random.Random, max_elements: int) -> Matroid:
     n = rng.randint(3, max_elements)
     r = rng.randint(2, n - 1)
-    labels = tuple(f"e{i + 1}" for i in range(n))
+    labels = default_labels(n)
     all_rsets = [sum(1 << i for i in c) for c in itertools.combinations(range(n), r)]
     rng.shuffle(all_rsets)
     chosen: list[int] = []

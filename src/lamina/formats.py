@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import re
 
-from .core import MAX_ELEMENTS, Matroid, MatroidError, validate_rank_axioms
+from .core import (MAX_ELEMENTS, Matroid, MatroidError, default_labels, label_mask,
+                   validate_rank_axioms)
 from .constructions import (
     CyclicFlatFamily,
     LaminarCapacitySystem,
@@ -94,10 +95,10 @@ def _parse_sets(lineno: int, text: str) -> list[list[str]]:
 
 
 def _mask(lineno: int, names: list[str], index: dict[str, int]) -> int:
-    for nm in names:
-        if nm not in index:
-            raise ParseError(lineno, f"unknown element label {nm!r}")
-    return sum({1 << index[nm] for nm in names})
+    try:
+        return label_mask(index, names)
+    except MatroidError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def _reader(usage: str, pattern: str, what: str | None) -> tuple:
@@ -169,7 +170,7 @@ def parse_matroid(text: str) -> Matroid:
         # before the default labels are built, which a huge n would exhaust memory on
         raise ParseError(lineno, f"ground set too large: {n} > {MAX_ELEMENTS}")
 
-    labels = tuple(f"e{i + 1}" for i in range(n))
+    labels = default_labels(n)
     lineno, line = take()
     parts = line.split()
     if parts[0] == "labels":

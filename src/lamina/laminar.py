@@ -37,7 +37,6 @@ class ClassVerdict:
     the least-mask independent k-subset of F1 ∩ F2 (0 when nested).
     """
 
-    name: str
     holds: bool
     witness: tuple[int, ...] | None = None
 
@@ -85,8 +84,8 @@ def is_k_laminar(M: Matroid, k: int) -> ClassVerdict:
     _check_k(k)
     for C1, C2 in _unnested_pairs(M):
         if (C1 & C2).bit_count() >= k:
-            return ClassVerdict(f"{k}-laminar", False, (C1, C2))
-    return ClassVerdict(f"{k}-laminar", True)
+            return ClassVerdict(False, (C1, C2))
+    return ClassVerdict(True)
 
 
 def is_k_closure_laminar(M: Matroid, k: int) -> ClassVerdict:
@@ -100,21 +99,18 @@ def is_k_closure_laminar(M: Matroid, k: int) -> ClassVerdict:
     rt = M.rank_table
     for F1, F2 in _incomparable(M.hamiltonian_flats()):
         if rt[F1 & F2] >= k:
-            return ClassVerdict(f"{k}-closure-laminar", False,
-                                (_least_independent(M, F1 & F2, k), F1, F2))
-    return ClassVerdict(f"{k}-closure-laminar", True)
+            return ClassVerdict(False, (_least_independent(M, F1 & F2, k), F1, F2))
+    return ClassVerdict(True)
 
 
 def is_nested(M: Matroid) -> ClassVerdict:
     """Nested = 0-closure-laminar: the Hamiltonian flats form a chain."""
-    inner = is_k_closure_laminar(M, 0)
-    return ClassVerdict("nested", inner.holds, inner.witness)
+    return is_k_closure_laminar(M, 0)
 
 
 def is_laminar(M: Matroid) -> ClassVerdict:
     """Laminar = 1-laminar: intersecting circuit pairs are closure-nested."""
-    inner = is_k_laminar(M, 1)
-    return ClassVerdict("laminar", inner.holds, inner.witness)
+    return is_k_laminar(M, 1)
 
 
 def min_laminar_k(M: Matroid) -> int:

@@ -241,7 +241,7 @@ class TestForcedFailures:
         real = checks.is_laminar
 
         def is_laminar(M):
-            return ClassVerdict("laminar", False, pair) if M == member else real(M)
+            return ClassVerdict(False, pair) if M == member else real(M)
 
         monkeypatch.setattr(checks, "is_laminar", is_laminar)
         note = _assert_witness(run_check(cid), member, [member.names(C) for C in pair])

@@ -157,6 +157,10 @@ class TestLaminarMatroid:
         with pytest.raises(MatroidError):
             LaminarCapacitySystem(("a", "b", "c"), (0b011, 0b110), (1, 1)).check_laminar()
 
+    def test_member_outside_ground_set_names_the_mask(self):
+        with pytest.raises(MatroidError, match=r"^family member 0x4 not within ground set$"):
+            LaminarCapacitySystem(("a", "b"), (0b11, 0b100), (1, 1))
+
     def test_rejects_17_elements(self):
         labels = tuple(f"e{i}" for i in range(17))
         system = LaminarCapacitySystem(labels, ((1 << 17) - 1,), (3,))
@@ -202,6 +206,10 @@ class TestTransversalMatroid:
     def test_chain_presentation_required(self):
         with pytest.raises(MatroidError):
             transversal_matroid(NestedPresentation(("a", "b"), (0b01, 0b10)))
+
+    def test_block_outside_ground_set_names_the_mask(self):
+        with pytest.raises(MatroidError, match=r"^block 0x2 not within ground set$"):
+            NestedPresentation(("a",), (0b1, 0b10))
 
     def test_rejects_17_elements(self):
         labels = tuple(f"e{i}" for i in range(17))
@@ -265,6 +273,13 @@ class TestCompositions:
     def test_matroid_from_circuits_rejects_non_antichain(self):
         with pytest.raises(MatroidError):
             matroid_from_circuits(("a", "b"), (0b01, 0b11))
+
+    def test_matroid_from_circuits_reads_input_order(self):
+        labels = ("a", "b", "c")
+        # the first invalid mask as given, not the least one
+        with pytest.raises(MatroidError, match=r"^invalid circuit mask 0x20$"):
+            matroid_from_circuits(labels, [1 << 5, 0])
+        assert matroid_from_circuits(labels, [0b11, 0b11]) == matroid_from_circuits(labels, [0b11])
 
 
 class TestCyclicFlatSynthesis:

@@ -220,6 +220,12 @@ class TestDerivedStructure:
         with pytest.raises(MatroidError):
             M.mask(["nope"])
 
+    @pytest.mark.parametrize("A", [1 << 3, -1])
+    def test_names_bounds_check(self, A):
+        # without the check, -1 would name every element and 1 << 3 none
+        with pytest.raises(MatroidError, match=rf"^mask {A:#x} not within ground set$"):
+            uniform(2, 3).names(A)
+
     def test_equality_is_labeled(self):
         A = uniform(1, 2)
         B = uniform(1, 2, ("x", "y"))

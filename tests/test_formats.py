@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lamina import core, formats
 from lamina.constructions import (
-    Multigraph, _sparse_paving, cycle_matroid, named_matroid, uniform)
+    CyclicFlatFamily, Multigraph, _sparse_paving, cycle_matroid, named_matroid, uniform)
 from lamina.corpus import CorpusSpec, catalog_matroids, generate_corpus
 from lamina.formats import ParseError, parse_matroid, serialize_matroid
 
@@ -199,6 +199,19 @@ class TestParseErrors:
             parse_matroid(text)
         assert exc.value.line == line
         assert f"line {line}" in str(exc.value)
+
+    @pytest.mark.parametrize("lookup,prefix", [
+        (lambda names: uniform(1, 2, ("a", "b")).mask(names), ""),
+        (lambda names: CyclicFlatFamily(("a", "b"), ()).mask(names), ""),
+        (lambda names: parse_matroid("%matroid v1\nn 2\nlabels a b\nrepr cyclic-flats\n"
+                                     "set {} rank 0\nset {" + " ".join(names) + "} rank 1\n"),
+         "line 6: "),
+    ], ids=["Matroid.mask", "CyclicFlatFamily.mask", "parsed-set-line"])
+    def test_unknown_label_has_one_text(self, lookup, prefix):
+        # one lookup in core; the parser adds only its line number
+        with pytest.raises(ValueError) as exc:
+            lookup(["a", "z"])
+        assert str(exc.value) == prefix + "unknown element label 'z'"
 
     def test_cap_without_a_set(self):
         # the capacity line's set runs up to its last '}'; here there is none

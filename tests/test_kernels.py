@@ -21,7 +21,8 @@ instead: each must still return a table for which
 ``validate_rank_axioms`` is None.  So are the round trips that
 ``matroid_from_circuits`` and ``from_cyclic_flats`` no longer run on
 their own result, and the least-k scan of ``lem-hamcir`` against the
-every-k scan it replaced.
+every-k scan it replaced, with the bound ``min_laminar_k(M) <= r(M)``
+that lets the scan always find its k.
 """
 
 import contextlib
@@ -31,7 +32,6 @@ import json
 import random
 import re
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -1013,7 +1013,7 @@ class TestPairScans:
             assert verdict.holds == (reference_chain_form(M, k) is None)
             assert verdict.witness == reference_closure_witness(M, k)
         nested = is_nested(M)
-        assert nested == replace(is_k_closure_laminar(M, 0), name="nested")
+        assert nested == is_k_closure_laminar(M, 0)
         assert nested.witness == reference_nested(M)
         assert min_laminar_k(M) == reference_min_k(reference_k_laminar, M)
         assert min_closure_laminar_k(M) == reference_min_k(reference_chain_form, M)
@@ -1048,6 +1048,12 @@ class TestHamiltonianExtensions:
         M, shown = case
         with mock.patch.object(Matroid, "hamiltonian_flats", lambda self: shown):
             assert checks._hamiltonian_extensions(M) == reference_hamiltonian_extensions(M)
+
+    def test_every_matroid_is_rank_laminar(self):
+        # two nonspanning circuits share at most r(M) - 1 elements, so the
+        # least k searched in 0..r(M) always exists
+        for M in _CORPUS + [M for _, M in catalog_matroids(MAX_ELEMENTS)]:
+            assert min_laminar_k(M) <= M.full_rank()
 
 
 class TestOneExpressionTables:
