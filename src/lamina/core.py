@@ -43,7 +43,7 @@ for _ in range(MAX_ELEMENTS):
     _POPCOUNTS = np.concatenate((_POPCOUNTS, _POPCOUNTS + 1))
 _POPCOUNTS.flags.writeable = False
 
-# Table entries of one stacked circuits pass: its gathers stay under 1 MiB
+# Table entries of one stacked pass; a larger table is a pass of its own
 _STACK_CELLS = 1 << 13
 
 
@@ -295,24 +295,6 @@ class Matroid:
 
     # -- derived families ----------------------------------------------
 
-    def _closed_and_cyclic(self) -> tuple[np.ndarray, np.ndarray]:
-        """Whether each A is *closed* (adding any x outside A raises its
-        rank: a flat) and *cyclic* (removing any x in A keeps it)."""
-        r = np.frombuffer(self.rank_table, dtype=np.uint8)
-        closed = np.ones(len(r), dtype=bool)
-        cyclic = np.ones(len(r), dtype=bool)
-        for i in range(self.n):
-            same = np.equal(*halves(r, i))
-            (outside, _), (_, inside) = halves(closed, i), halves(cyclic, i)
-            outside &= ~same
-            inside &= same
-        return closed, cyclic
-
-    def _by_size(self, found: np.ndarray) -> np.ndarray:
-        """The masks where ``found`` holds, in (size, mask) order."""
-        masks = np.flatnonzero(found)
-        return masks[np.argsort(subset_sizes(self.n)[masks], kind="stable")]
-
     def circuits(self) -> tuple[int, ...]:
         """All minimal dependent subsets, ordered by (size, mask)."""
         if "circuits" not in self._cache:
@@ -335,19 +317,17 @@ class Matroid:
         """All closure-closed subsets, ordered by (size, mask)."""
         out = self._cache.get("flats")
         if out is None:
-            out = tuple(self._by_size(self._closed_and_cyclic()[0]).tolist())
+            R = np.frombuffer(self.rank_table, dtype=np.uint8)
+            found, _ = _in_order(_sweep(R, self.n, cyclic=False), self.n, 1)
+            out = tuple(found.tolist())
             self._cache["flats"] = out
         return out
 
     def cyclic_flats(self) -> tuple[tuple[int, int], ...]:
         """All coloop-free flats as (mask, rank) pairs, (size, mask) order."""
-        out = self._cache.get("cyclic_flats")
-        if out is None:
-            found = self._by_size(np.logical_and(*self._closed_and_cyclic()))
-            r = np.frombuffer(self.rank_table, dtype=np.uint8)
-            out = tuple(zip(found.tolist(), r[found].tolist()))
-            self._cache["cyclic_flats"] = out
-        return out
+        if "cyclic_flats" not in self._cache:
+            prime_cyclic_flats((self,))
+        return self._cache["cyclic_flats"]
 
     def hamiltonian_flats(self) -> tuple[int, ...]:
         """Flats that contain a spanning circuit, i.e. circuit closures."""
@@ -394,42 +374,91 @@ class Matroid:
 
 def prime_circuits(matroids: Iterable[Matroid]) -> None:
     """Fill the ``circuits``, ``nonspanning`` and ``nonspanning_closures``
-    caches of every matroid not yet primed: one numpy pass per stack of
-    same-size tables, of at most ``_STACK_CELLS`` entries."""
+    caches of every matroid not yet primed."""
+    _prime(matroids, "circuits", _circuit_pass)
+
+
+def prime_cyclic_flats(matroids: Iterable[Matroid]) -> None:
+    """Fill the ``cyclic_flats`` cache of every matroid not yet primed."""
+    _prime(matroids, "cyclic_flats", _cyclic_flat_pass)
+
+
+def _prime(matroids: Iterable[Matroid], key: str, pass_) -> None:
+    """Run ``pass_(stack, n)`` over the matroids whose cache lacks
+    ``key``: one pass per stack of same-size tables, of at most
+    ``_STACK_CELLS`` entries."""
     by_n: dict[int, list[Matroid]] = {}
     for M in matroids:
-        if "circuits" not in M._cache:
+        if key not in M._cache:
             by_n.setdefault(M.n, []).append(M)
     for n, ms in by_n.items():
         rows = max(1, _STACK_CELLS >> n)
         for start in range(0, len(ms), rows):
-            _circuit_pass(ms[start:start + rows], n)
+            pass_(ms[start:start + rows], n)
+
+
+def _sweep(R: np.ndarray, n: int, cyclic: bool) -> np.ndarray:
+    """Whether each A of a stack of tables over ``n`` elements is closed
+    (adding any x outside A changes its rank: a flat) and, with
+    ``cyclic``, also cyclic (removing any x in A keeps it)."""
+    found = np.ones(len(R), dtype=bool)
+    for i in range(n):
+        grows = np.not_equal(*halves(R, i))
+        lower, upper = halves(found, i)
+        lower &= grows
+        if cyclic:
+            upper &= ~grows
+    return found
+
+
+def _in_order(found: np.ndarray, n: int, rows: int) -> tuple[np.ndarray, list[int]]:
+    """The positions ``row << n | A`` where a stack of ``rows`` tables
+    over ``n`` elements has ``found`` set, in (row, size, mask) order,
+    and the ``rows + 1`` bounds that split them by row."""
+    at = np.flatnonzero(found)
+    ends = np.searchsorted(at, np.arange(rows + 1) << n).tolist()
+    # positions ascend, so a stable sort on (row, size) keeps masks
+    # ascending; in the least dtype that holds the key, it is a radix sort
+    key = (at >> n) * (n + 1) + _POPCOUNTS[at & ((1 << n) - 1)]
+    key = key.astype(np.min_scalar_type(rows * (n + 1)))
+    return at[np.argsort(key, kind="stable")], ends
+
+
+def _stack(ms: Sequence[Matroid]) -> np.ndarray:
+    """The rank tables of ``ms``, end to end: set A of row i at ``i << n | A``."""
+    return np.frombuffer(b"".join(M.rank_table for M in ms), dtype=np.uint8)
 
 
 def _circuit_pass(ms: Sequence[Matroid], n: int) -> None:
-    """The circuit caches of a stack of tables over ``n`` elements.  Set
-    A of row i sits at ``i << n | A`` of the flat stack; ``at`` counts
-    the same positions with each row read in (size, mask) order, so it
-    ascends and ``i << n`` splits off the rows before i."""
-    R = np.frombuffer(b"".join(M.rank_table for M in ms), dtype=np.uint8)
+    """The circuit caches of a stack of tables over ``n`` elements: A is a
+    circuit when it is dependent and every A - x is independent."""
+    R = _stack(ms)
+    sizes = subset_sizes(n)
+    ind = R.reshape(-1, 1 << n) == sizes
+    circ = ~ind
+    for i in range(n):
+        with_i = halves(circ, i)[1]
+        with_i &= halves(ind, i)[0]
+    at, ends = _in_order(circ, n, len(ms))
     E = (1 << n) - 1
-    bits = 1 << np.arange(n)
-    # sets of rank |A| - 1
-    order = np.argsort(subset_sizes(n), kind="stable")
-    at = np.flatnonzero(R.reshape(-1, E + 1)[:, order] == subset_sizes(n)[order] - 1)
-    F = at >> n << n | order[at & E]
-    rF = R[F]
-    # a circuit keeps its rank when any one element goes
-    keep = (R[F[:, None] & ~bits] == rF[:, None]).all(1)
-    at, F, rF = at[keep], F[keep], rF[keep]
+    A, rA = at & E, R[at]
     # a spanning circuit closes to E, so only the others are gathered
-    ns = rF < R[F | E]
-    Fn, rFn = F[ns], rF[ns]
-    closures = ((R[Fn[:, None] | bits] == rFn[:, None]) @ bits).tolist()
-    circs, nonspanning = (F & E).tolist(), (Fn & E).tolist()
-    bounds = np.arange(len(ms) + 1) << n
-    ends, ns_ends = (np.searchsorted(x, bounds).tolist() for x in (at, at[ns]))
+    ns = rA < R[at | E]
+    An, rAn, bits = at[ns], rA[ns], 1 << np.arange(n)
+    closures = ((R[An[:, None] | bits] == rAn[:, None]) @ bits).tolist()
+    circs, nonspanning = A.tolist(), (An & E).tolist()
+    # the nonspanning circuits before each row bound
+    ns_ends = np.concatenate(([0], np.cumsum(ns)))[ends].tolist()
     for M, a, b, c, d in zip(ms, ends, ends[1:], ns_ends, ns_ends[1:]):
         M._cache["circuits"] = tuple(circs[a:b])
         M._cache["nonspanning"] = tuple(nonspanning[c:d])
         M._cache["nonspanning_closures"] = tuple(closures[c:d])
+
+
+def _cyclic_flat_pass(ms: Sequence[Matroid], n: int) -> None:
+    """The cyclic-flat caches of a stack of tables over ``n`` elements."""
+    R = _stack(ms)
+    at, ends = _in_order(_sweep(R, n, cyclic=True), n, len(ms))
+    found = list(zip((at & ((1 << n) - 1)).tolist(), R[at].tolist()))
+    for M, a, b in zip(ms, ends, ends[1:]):
+        M._cache["cyclic_flats"] = tuple(found[a:b])

@@ -244,6 +244,35 @@ class TestCorpus:
         for f in files:
             parse_matroid(f.read_text())
 
+    def test_members_are_primed_before_writing(self, tmp_path, monkeypatch):
+        """One stacked pass finds every member's cyclic flats before the
+        first file is written."""
+        written = []
+
+        def serialize(M):
+            assert "cyclic_flats" in M._cache
+            written.append(M)
+            return serialize_matroid(M)
+
+        monkeypatch.setattr(cli, "serialize_matroid", serialize)
+        assert main(["corpus", "--seed", "3", "--count", "10",
+                     "--max-elements", "8", "-o", str(tmp_path / "corpus")]) == 0
+        assert len(written) == len(list((tmp_path / "corpus").iterdir())) > 10
+
+    def test_output_bytes_are_pinned(self, tmp_path, capsys):
+        # sha256 over each file's name, a NUL and its bytes, in name
+        # order, as written before the cyclic flats were stacked
+        out_dir = tmp_path / "corpus"
+        assert main(["corpus", "--seed", "3", "--count", "40",
+                     "--max-elements", "10", "-o", str(out_dir)]) == 0
+        digest = hashlib.sha256()
+        files = sorted(out_dir.iterdir())
+        for f in files:
+            digest.update(f.name.encode() + b"\0" + f.read_bytes())
+        assert len(files) == 409
+        assert digest.hexdigest() == (
+            "c869fd91dea898c759e8306db6ec71c9e9225d7b5d58c199ec8c92bb340512ea")
+
     @pytest.mark.parametrize("count,cap,message", [
         ("5", "0", "max_elements must be at least 3"),
         ("5", "1", "max_elements must be at least 3"),

@@ -9,9 +9,10 @@ formulas of ``laminar_matroid``, ``transversal_matroid``,
 of ``matroid_from_circuits``, the sparse paving tables of the Fano plane
 and the corpus, the pair generators behind the laminar predicates,
 the batched candidate filter of ``has_minor``, the prefix image
-search of ``find_isomorphism`` and its pair rows, the one boolean loop behind
-``flats`` and ``cyclic_flats``, the stacked circuits pass of
-``prime_circuits``, the stacked gains and per-element R3 passes of
+search of ``find_isomorphism`` and its pair rows, the one halves sweep
+behind ``flats`` and the stacked passes of ``prime_circuits`` and
+``prime_cyclic_flats`` (the circuit pass also against the candidate
+gather it replaced), the stacked gains and per-element R3 passes of
 ``validate_rank_axioms``, the member-inclusion products of
 ``validate_z_axioms`` and the byte-table report writer of
 ``lamina analyze`` must agree exactly with the plain loops, gathers and
@@ -45,6 +46,7 @@ from lamina.core import (
     AxiomViolation,
     Matroid,
     prime_circuits,
+    prime_cyclic_flats,
     subset_index,
     subset_sizes,
     validate_rank_axioms,
@@ -630,6 +632,34 @@ def reference_cyclic_flats(M: Matroid) -> tuple[tuple[int, int], ...]:
         if cyclic:
             found.append((F, rF))
     return tuple(found)
+
+
+def reference_circuit_pass(ms, n: int) -> None:
+    """The circuit caches of a stack of tables over ``n`` elements, by
+    gathers: every set of rank |A| - 1, read in (size, mask) order, is
+    kept when every A - x has its rank.  Set A of row i sits at
+    ``i << n | A`` of the flat stack; ``at`` counts the same positions
+    with each row read in (size, mask) order, so it ascends and
+    ``i << n`` splits off the rows before i."""
+    R = np.frombuffer(b"".join(M.rank_table for M in ms), dtype=np.uint8)
+    E = (1 << n) - 1
+    bits = 1 << np.arange(n)
+    order = np.argsort(subset_sizes(n), kind="stable")
+    at = np.flatnonzero(R.reshape(-1, E + 1)[:, order] == subset_sizes(n)[order] - 1)
+    F = at >> n << n | order[at & E]
+    rF = R[F]
+    keep = (R[F[:, None] & ~bits] == rF[:, None]).all(1)
+    at, F, rF = at[keep], F[keep], rF[keep]
+    ns = rF < R[F | E]
+    Fn, rFn = F[ns], rF[ns]
+    closures = ((R[Fn[:, None] | bits] == rFn[:, None]) @ bits).tolist()
+    circs, nonspanning = (F & E).tolist(), (Fn & E).tolist()
+    bounds = np.arange(len(ms) + 1) << n
+    ends, ns_ends = (np.searchsorted(x, bounds).tolist() for x in (at, at[ns]))
+    for M, a, b, c, d in zip(ms, ends, ends[1:], ns_ends, ns_ends[1:]):
+        M._cache["circuits"] = tuple(circs[a:b])
+        M._cache["nonspanning"] = tuple(nonspanning[c:d])
+        M._cache["nonspanning_closures"] = tuple(closures[c:d])
 
 
 def reference_validate_rank_axioms(table, n: int) -> AxiomViolation | None:
@@ -1555,9 +1585,9 @@ def wide_matroids(draw):
 
 
 class TestFamilyScans:
-    """Circuits come from one stacked pass, flats and cyclic flats from
-    one boolean loop over the rank table's halves; the oracles visit
-    every mask one bit at a time."""
+    """Circuits, flats and cyclic flats come from one sweep over the
+    rank table's halves; the oracles visit every mask one bit at a
+    time."""
 
     @PROPERTY
     @given(small_matroids())
@@ -1595,14 +1625,25 @@ class TestFamilyScans:
         assert len(list(out.iterdir())) > 20
 
 
-def _primed(ms) -> list[tuple]:
-    """The caches that one ``prime_circuits`` call fills on fresh copies."""
+_CIRCUIT_CACHES = ("circuits", "nonspanning", "nonspanning_closures")
+
+
+def _leaves(x):
+    """The non-tuple values inside nested tuples and lists."""
+    for y in x:
+        if isinstance(y, (tuple, list)):
+            yield from _leaves(y)
+        else:
+            yield y
+
+
+def _primed(ms, prime=prime_circuits, keys=_CIRCUIT_CACHES) -> list[tuple]:
+    """The caches ``keys`` that one ``prime`` call fills on fresh copies."""
     fresh = [Matroid(M.labels, M.rank_table, validate=False) for M in ms]
-    prime_circuits(fresh)
-    out = [tuple(M._cache[key] for key in ("circuits", "nonspanning", "nonspanning_closures"))
-           for M in fresh]
+    prime(fresh)
+    out = [tuple(M._cache[key] for key in keys) for M in fresh]
     # numpy integers would pass the comparison but not json.dumps
-    assert all(type(v) is int for caches in out for family in caches for v in family)
+    assert all(type(v) is int for v in _leaves(out))
     return out
 
 
@@ -1614,13 +1655,21 @@ def _circuit_loops(M: Matroid) -> tuple:
 
 
 class TestStackedCircuits:
-    """One pass over a stack of same-size tables fills each matroid's
-    circuit caches; the oracles scan one table at a time."""
+    """One halves pass over a stack of same-size tables fills each
+    matroid's circuit caches; the oracles scan one table at a time, or
+    gather each candidate's A - x as the pass once did."""
 
     @PROPERTY
     @given(st.lists(small_matroids(), max_size=8))
     def test_mixed_stacks_match_loops(self, ms):
         assert _primed(ms) == [_circuit_loops(M) for M in ms]
+
+    @PROPERTY
+    @given(st.lists(small_matroids(), max_size=8))
+    def test_mixed_stacks_match_gather_pass(self, ms):
+        with mock.patch.object(core, "_circuit_pass", reference_circuit_pass):
+            want = _primed(ms)
+        assert _primed(ms) == want
 
     @pytest.mark.parametrize("M", [_FIXED_TABLES[k] for k in ("n0", "u8_16", "m8_0")],
                              ids=["n0", "u8_16", "m8_0"])
@@ -1646,6 +1695,37 @@ class TestStackedCircuits:
     def test_cyclic_flat_matroids_match_family(self, M):
         family = CyclicFlatFamily(M.labels, M.cyclic_flats())
         assert from_cyclic_flats(family).circuits() == circuits_from_cyclic_flats(family)
+
+
+def _cyclic_primed(ms) -> list[tuple]:
+    return [caches[0] for caches in _primed(ms, prime_cyclic_flats, ("cyclic_flats",))]
+
+
+class TestStackedCyclicFlats:
+    """One halves sweep over a stack of same-size tables fills each
+    matroid's cyclic flats; the oracle scans one table at a time."""
+
+    @PROPERTY
+    @given(st.lists(small_matroids(), max_size=8))
+    def test_mixed_stacks_match_loops(self, ms):
+        assert _cyclic_primed(ms) == [reference_cyclic_flats(M) for M in ms]
+
+    @pytest.mark.parametrize("M", [_FIXED_TABLES[k] for k in ("n0", "u8_16", "m8_0")],
+                             ids=["n0", "u8_16", "m8_0"])
+    def test_one_row_stacks(self, M):
+        assert _cyclic_primed([M]) == [reference_cyclic_flats(M)]
+        assert M.cyclic_flats() == reference_cyclic_flats(M)
+
+    @pytest.mark.parametrize("cells", [1 << 9, core._STACK_CELLS])
+    def test_stacks_split_across_passes(self, monkeypatch, cells):
+        monkeypatch.setattr(core, "_STACK_CELLS", cells)
+        assert _cyclic_primed(_CORPUS) == [reference_cyclic_flats(M) for M in _CORPUS]
+
+    def test_primed_matroids_are_skipped(self):
+        M = Matroid(("a", "b"), bytes([0, 1, 1, 1]))
+        found = M.cyclic_flats()
+        prime_cyclic_flats([M, M])
+        assert M.cyclic_flats() is found
 
 
 @st.composite
@@ -1923,11 +2003,14 @@ class TestHalves:
     @pytest.mark.parametrize("derive, limit", [
         (Matroid.cyclic_flats, 1 << 20),
         (single_element_minors, 2 << 20),
+        (Matroid.circuits, 3 << 19),
     ])
     def test_peak_memory_on_sixteen_elements(self, derive, limit):
-        """Neither scan gathers through an index array of the whole
-        table per element: on a fresh 16-element M_8(0) the cyclic flats
-        peak under 1 MiB, the 32 single-element minors under 2 MiB."""
+        """No scan gathers through an index array of the whole table, or
+        of every candidate, per element: on a fresh 16-element M_8(0) the
+        cyclic flats peak under 1 MiB, the 32 single-element minors under
+        2 MiB, and the circuits with their nonspanning closures under
+        1.5 MiB."""
         M = mn_family(8, 0)
         M = Matroid(M.labels, M.rank_table, validate=False)
         assert M.n == 16
