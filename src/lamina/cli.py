@@ -14,7 +14,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .core import MatroidError, prime_cyclic_flats
+from .core import MatroidError, prime
 from .constructions import named_matroid
 from .laminar import is_paving, min_closure_laminar_k, min_laminar_k
 from .minors import find_isomorphism, has_minor
@@ -195,8 +195,7 @@ def _cmd_corpus(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     members = generate_corpus(spec)
-    # the files list cyclic flats: one stacked pass finds them all
-    prime_cyclic_flats(members)
+    prime(members, "cyclic_flats")  # the files list them: stacked passes find all
     width = len(str(max(len(members) - 1, 0)))
     for i, M in enumerate(members):
         (out / f"corpus-{i:0{width}d}.matroid").write_text(

@@ -8,6 +8,7 @@ computed by subset scan, never by representation-specific shortcuts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -188,9 +189,9 @@ class Matroid:
 
     Equality is labeled equality (same labels in order, identical rank
     table); isomorphism is a separate operation in :mod:`lamina.minors`.
-    Derived structure (circuits, flats, ...) is computed lazily and
-    cached; instances are safe to share since nothing mutates after
-    construction.
+    Derived families (circuits, flats, ...) are computed lazily and
+    cached; :func:`prime` fills them for many matroids at once.
+    Instances are safe to share since nothing mutates after construction.
 
     The rank axioms are checked only where a table comes from outside
     the library: by default here, when a caller supplies the table, and
@@ -297,50 +298,33 @@ class Matroid:
 
     def circuits(self) -> tuple[int, ...]:
         """All minimal dependent subsets, ordered by (size, mask)."""
-        if "circuits" not in self._cache:
-            prime_circuits((self,))
-        return self._cache["circuits"]
+        return self._family("circuits")
 
     def nonspanning_circuits(self) -> tuple[int, ...]:
         """Circuits of rank below r(E), in :meth:`circuits` order."""
-        if "circuits" not in self._cache:
-            prime_circuits((self,))
-        return self._cache["nonspanning"]
+        return self._family("nonspanning")
 
     def nonspanning_closures(self) -> tuple[int, ...]:
         """``cl C`` for each of :meth:`nonspanning_circuits`, in its order."""
-        if "circuits" not in self._cache:
-            prime_circuits((self,))
-        return self._cache["nonspanning_closures"]
+        return self._family("nonspanning_closures")
 
     def flats(self) -> tuple[int, ...]:
         """All closure-closed subsets, ordered by (size, mask)."""
-        out = self._cache.get("flats")
-        if out is None:
-            R = np.frombuffer(self.rank_table, dtype=np.uint8)
-            found, _ = _in_order(_sweep(R, self.n, cyclic=False), self.n, 1)
-            out = tuple(found.tolist())
-            self._cache["flats"] = out
-        return out
+        return self._family("flats")
 
     def cyclic_flats(self) -> tuple[tuple[int, int], ...]:
         """All coloop-free flats as (mask, rank) pairs, (size, mask) order."""
-        if "cyclic_flats" not in self._cache:
-            prime_cyclic_flats((self,))
-        return self._cache["cyclic_flats"]
+        return self._family("cyclic_flats")
 
     def hamiltonian_flats(self) -> tuple[int, ...]:
         """Flats that contain a spanning circuit, i.e. circuit closures."""
-        out = self._cache.get("ham_flats")
-        if out is None:
-            # a spanning circuit closes to E and no nonspanning one does,
-            # so the cached nonspanning closures are all the other flats
-            seen = set(self.nonspanning_closures())
-            if len(self.nonspanning_circuits()) < len(self.circuits()):
-                seen.add(self.E)
-            out = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
-            self._cache["ham_flats"] = out
-        return out
+        return self._family("ham_flats")
+
+    def _family(self, key: str):
+        """The cached family ``key``; a miss runs its pass on a one-row stack."""
+        if key not in self._cache:
+            prime((self,), key)
+        return self._cache[key]
 
     def is_hamiltonian_flat(self, F: int) -> bool:
         """Whether flat ``F`` has a spanning circuit.  Rejects non-flats."""
@@ -372,21 +356,10 @@ class Matroid:
         return f"Matroid(n={self.n}, rank={self.full_rank()}, labels={self.labels!r})"
 
 
-def prime_circuits(matroids: Iterable[Matroid]) -> None:
-    """Fill the ``circuits``, ``nonspanning`` and ``nonspanning_closures``
-    caches of every matroid not yet primed."""
-    _prime(matroids, "circuits", _circuit_pass)
-
-
-def prime_cyclic_flats(matroids: Iterable[Matroid]) -> None:
-    """Fill the ``cyclic_flats`` cache of every matroid not yet primed."""
-    _prime(matroids, "cyclic_flats", _cyclic_flat_pass)
-
-
-def _prime(matroids: Iterable[Matroid], key: str, pass_) -> None:
-    """Run ``pass_(stack, n)`` over the matroids whose cache lacks
-    ``key``: one pass per stack of same-size tables, of at most
-    ``_STACK_CELLS`` entries."""
+def prime(matroids: Iterable[Matroid], key: str) -> None:
+    """Fill the cache ``key`` (a key of ``_PASSES``) of every matroid that
+    lacks it, with whatever else its pass fills: one pass per stack of
+    same-size tables, of at most ``_STACK_CELLS`` entries."""
     by_n: dict[int, list[Matroid]] = {}
     for M in matroids:
         if key not in M._cache:
@@ -394,7 +367,7 @@ def _prime(matroids: Iterable[Matroid], key: str, pass_) -> None:
     for n, ms in by_n.items():
         rows = max(1, _STACK_CELLS >> n)
         for start in range(0, len(ms), rows):
-            pass_(ms[start:start + rows], n)
+            _PASSES[key](ms[start:start + rows], n)
 
 
 def _sweep(R: np.ndarray, n: int, cyclic: bool) -> np.ndarray:
@@ -429,12 +402,18 @@ def _stack(ms: Sequence[Matroid]) -> np.ndarray:
     return np.frombuffer(b"".join(M.rank_table for M in ms), dtype=np.uint8)
 
 
+def _fill(ms: Sequence[Matroid], key: str, values: Iterable, ends: list[int]) -> None:
+    """Cache items ``ends[i]:ends[i + 1]`` of ``values`` as ``key`` of ``ms[i]``."""
+    it = iter(values)
+    for M, a, b in zip(ms, ends, ends[1:]):
+        M._cache[key] = tuple(itertools.islice(it, b - a))
+
+
 def _circuit_pass(ms: Sequence[Matroid], n: int) -> None:
     """The circuit caches of a stack of tables over ``n`` elements: A is a
     circuit when it is dependent and every A - x is independent."""
     R = _stack(ms)
-    sizes = subset_sizes(n)
-    ind = R.reshape(-1, 1 << n) == sizes
+    ind = R.reshape(-1, 1 << n) == subset_sizes(n)
     circ = ~ind
     for i in range(n):
         with_i = halves(circ, i)[1]
@@ -446,19 +425,38 @@ def _circuit_pass(ms: Sequence[Matroid], n: int) -> None:
     ns = rA < R[at | E]
     An, rAn, bits = at[ns], rA[ns], 1 << np.arange(n)
     closures = ((R[An[:, None] | bits] == rAn[:, None]) @ bits).tolist()
-    circs, nonspanning = A.tolist(), (An & E).tolist()
     # the nonspanning circuits before each row bound
     ns_ends = np.concatenate(([0], np.cumsum(ns)))[ends].tolist()
-    for M, a, b, c, d in zip(ms, ends, ends[1:], ns_ends, ns_ends[1:]):
-        M._cache["circuits"] = tuple(circs[a:b])
-        M._cache["nonspanning"] = tuple(nonspanning[c:d])
-        M._cache["nonspanning_closures"] = tuple(closures[c:d])
+    _fill(ms, "circuits", A.tolist(), ends)
+    _fill(ms, "nonspanning", (An & E).tolist(), ns_ends)
+    _fill(ms, "nonspanning_closures", closures, ns_ends)
+
+
+def _flat_pass(ms: Sequence[Matroid], n: int) -> None:
+    """The flat caches of a stack of tables over ``n`` elements."""
+    at, ends = _in_order(_sweep(_stack(ms), n, cyclic=False), n, len(ms))
+    at &= (1 << n) - 1
+    _fill(ms, "flats", at.tolist(), ends)
 
 
 def _cyclic_flat_pass(ms: Sequence[Matroid], n: int) -> None:
     """The cyclic-flat caches of a stack of tables over ``n`` elements."""
     R = _stack(ms)
     at, ends = _in_order(_sweep(R, n, cyclic=True), n, len(ms))
-    found = list(zip((at & ((1 << n) - 1)).tolist(), R[at].tolist()))
-    for M, a, b in zip(ms, ends, ends[1:]):
-        M._cache["cyclic_flats"] = tuple(found[a:b])
+    _fill(ms, "cyclic_flats", zip((at & ((1 << n) - 1)).tolist(), R[at].tolist()), ends)
+
+
+def _ham_flat_pass(ms: Sequence[Matroid], n: int) -> None:
+    """The Hamiltonian flats of a stack: the nonspanning circuits' closures,
+    plus E when some circuit spans (and so closes to E)."""
+    prime(ms, "circuits")
+    for M in ms:
+        seen = set(M._cache["nonspanning_closures"])
+        if len(M._cache["nonspanning"]) < len(M._cache["circuits"]):
+            seen.add(M.E)
+        M._cache["ham_flats"] = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
+
+
+# The pass that fills each cached family
+_PASSES = dict.fromkeys(("circuits", "nonspanning", "nonspanning_closures"), _circuit_pass)
+_PASSES.update(flats=_flat_pass, cyclic_flats=_cyclic_flat_pass, ham_flats=_ham_flat_pass)

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Matroid, MatroidError, halves, prime_circuits, subset_index, subset_sizes
+from .core import Matroid, MatroidError, halves, prime, subset_index, subset_sizes
 from .constructions import direct_sum, mn_family, named_matroid, nn_family, pn_family, uniform
 from .laminar import (
     is_k_closure_laminar,
@@ -339,7 +339,7 @@ def is_excluded_minor(M: Matroid, predicate: str) -> ExcludedMinorResult:
     if P(M):
         return ExcludedMinorResult(False, f"matroid already satisfies {predicate}")
     minors = single_element_minors(M)
-    prime_circuits(minors)
+    prime(minors, "circuits")
     for j, N in enumerate(minors):
         if not P(N):
             i, contracted = divmod(j, 2)

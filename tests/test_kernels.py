@@ -9,10 +9,10 @@ formulas of ``laminar_matroid``, ``transversal_matroid``,
 of ``matroid_from_circuits``, the sparse paving tables of the Fano plane
 and the corpus, the pair generators behind the laminar predicates,
 the batched candidate filter of ``has_minor``, the prefix image
-search of ``find_isomorphism`` and its pair rows, the one halves sweep
-behind ``flats`` and the stacked passes of ``prime_circuits`` and
-``prime_cyclic_flats`` (the circuit pass also against the candidate
-gather it replaced), the stacked gains and per-element R3 passes of
+search of ``find_isomorphism`` and its pair rows, the stacked pass that
+``prime(matroids, key)`` runs for each cached family (circuits, flats,
+cyclic flats and Hamiltonian flats; the circuit pass also against the
+candidate gather it replaced), the stacked gains and per-element R3 passes of
 ``validate_rank_axioms``, the member-inclusion products of
 ``validate_z_axioms`` and the byte-table report writer of
 ``lamina analyze`` must agree exactly with the plain loops, gathers and
@@ -45,8 +45,7 @@ from lamina.core import (
     MAX_ELEMENTS,
     AxiomViolation,
     Matroid,
-    prime_circuits,
-    prime_cyclic_flats,
+    prime,
     subset_index,
     subset_sizes,
     validate_rank_axioms,
@@ -1219,17 +1218,15 @@ class TestTrustBoundary:
         assert 4 in validations
 
     def test_constructors_derive_no_family_of_their_result(self, monkeypatch):
-        """Neither constructor lists the circuits or cyclic flats of the
-        table it has just built."""
+        """Neither constructor derives a cached family (circuits, cyclic
+        flats, ...) of the table it has just built."""
         families = {M.cyclic_flats(): CyclicFlatFamily(M.labels, M.cyclic_flats())
                     for M in _CORPUS}
         circuits = {(M.labels, M.circuits()) for M in _CORPUS}
         calls = []
-        real_cyclic_flats, real_prime = Matroid.cyclic_flats, core.prime_circuits
-        monkeypatch.setattr(Matroid, "cyclic_flats",
-                            lambda M: calls.append("cyclic_flats") or real_cyclic_flats(M))
-        monkeypatch.setattr(core, "prime_circuits",
-                            lambda ms: calls.append("prime_circuits") or real_prime(ms))
+        real_prime = core.prime
+        monkeypatch.setattr(core, "prime",
+                            lambda ms, key: calls.append(key) or real_prime(ms, key))
         for family in families.values():
             from_cyclic_flats(family)
         for labels, circs in circuits:
@@ -1627,6 +1624,16 @@ class TestFamilyScans:
 
 _CIRCUIT_CACHES = ("circuits", "nonspanning", "nonspanning_closures")
 
+# The public accessor of each cached family
+_ACCESSORS = {
+    "circuits": Matroid.circuits,
+    "nonspanning": Matroid.nonspanning_circuits,
+    "nonspanning_closures": Matroid.nonspanning_closures,
+    "flats": Matroid.flats,
+    "cyclic_flats": Matroid.cyclic_flats,
+    "ham_flats": Matroid.hamiltonian_flats,
+}
+
 
 def _leaves(x):
     """The non-tuple values inside nested tuples and lists."""
@@ -1637,16 +1644,6 @@ def _leaves(x):
             yield y
 
 
-def _primed(ms, prime=prime_circuits, keys=_CIRCUIT_CACHES) -> list[tuple]:
-    """The caches ``keys`` that one ``prime`` call fills on fresh copies."""
-    fresh = [Matroid(M.labels, M.rank_table, validate=False) for M in ms]
-    prime(fresh)
-    out = [tuple(M._cache[key] for key in keys) for M in fresh]
-    # numpy integers would pass the comparison but not json.dumps
-    assert all(type(v) is int for v in _leaves(out))
-    return out
-
-
 def _circuit_loops(M: Matroid) -> tuple:
     """Circuits, the nonspanning ones and their closures, per table."""
     circs = reference_circuits(M)
@@ -1654,41 +1651,71 @@ def _circuit_loops(M: Matroid) -> tuple:
     return circs, nonspanning, tuple(M.closure(C) for C in nonspanning)
 
 
-class TestStackedCircuits:
-    """One halves pass over a stack of same-size tables fills each
-    matroid's circuit caches; the oracles scan one table at a time, or
-    gather each candidate's A - x as the pass once did."""
+def _circuit_closures(M: Matroid) -> tuple[int, ...]:
+    """The closures of all circuits, in (size, mask) order."""
+    return tuple(sorted({M.closure(C) for C in reference_circuits(M)},
+                        key=lambda f: (f.bit_count(), f)))
 
-    @PROPERTY
-    @given(st.lists(small_matroids(), max_size=8))
-    def test_mixed_stacks_match_loops(self, ms):
-        assert _primed(ms) == [_circuit_loops(M) for M in ms]
 
-    @PROPERTY
-    @given(st.lists(small_matroids(), max_size=8))
-    def test_mixed_stacks_match_gather_pass(self, ms):
-        with mock.patch.object(core, "_circuit_pass", reference_circuit_pass):
-            want = _primed(ms)
-        assert _primed(ms) == want
+class _StackedFamily:
+    """One pass over a stack of same-size tables fills the caches
+    ``keys`` of each matroid, on ``prime(ms, keys[0])``; ``loops(M)``
+    derives the same caches one table at a time."""
+
+    keys: tuple[str, ...]
+
+    def primed(self, ms) -> list[tuple]:
+        """The caches ``keys`` that one ``prime(ms, keys[0])`` call fills
+        on fresh copies."""
+        fresh = [Matroid(M.labels, M.rank_table, validate=False) for M in ms]
+        prime(fresh, self.keys[0])
+        out = [tuple(M._cache[k] for k in self.keys) for M in fresh]
+        # numpy integers would pass the comparison but not json.dumps
+        assert all(type(v) is int for v in _leaves(out))
+        return out
+
+    def test_mixed_stacks_match_loops(self):
+        # a property per subclass: hypothesis runs each test on one class
+        @PROPERTY
+        @given(st.lists(small_matroids(), max_size=8))
+        def match(ms):
+            assert self.primed(ms) == [self.loops(M) for M in ms]
+        match()
 
     @pytest.mark.parametrize("M", [_FIXED_TABLES[k] for k in ("n0", "u8_16", "m8_0")],
                              ids=["n0", "u8_16", "m8_0"])
     def test_one_row_stacks(self, M):
-        assert _primed([M]) == [_circuit_loops(M)]
-        assert M.circuits() == reference_circuits(M)
+        assert self.primed([M]) == [self.loops(M)]
+        assert tuple(_ACCESSORS[k](M) for k in self.keys) == self.loops(M)
 
     @pytest.mark.parametrize("cells", [1 << 9, core._STACK_CELLS])
     def test_stacks_split_across_passes(self, monkeypatch, cells):
         # 119 six-element and 88 seven-element members: 8 and 4 rows per
         # pass at the smaller cap
         monkeypatch.setattr(core, "_STACK_CELLS", cells)
-        assert _primed(_CORPUS) == [_circuit_loops(M) for M in _CORPUS]
+        assert self.primed(_CORPUS) == [self.loops(M) for M in _CORPUS]
 
     def test_primed_matroids_are_skipped(self):
         M = Matroid(("a", "b"), bytes([0, 1, 1, 1]))
-        circs = M.circuits()
-        prime_circuits([M, M])
-        assert M.circuits() is circs
+        found = [_ACCESSORS[k](M) for k in self.keys]
+        with mock.patch.dict(core._PASSES, {self.keys[0]: None}):
+            prime([M, M], self.keys[0])
+        assert all(_ACCESSORS[k](M) is f for k, f in zip(self.keys, found))
+
+
+class TestStackedCircuits(_StackedFamily):
+    """The circuit pass; the oracles scan one table at a time, or gather
+    each candidate's A - x as the pass once did."""
+
+    keys = _CIRCUIT_CACHES
+    loops = staticmethod(_circuit_loops)
+
+    @PROPERTY
+    @given(st.lists(small_matroids(), max_size=8))
+    def test_mixed_stacks_match_gather_pass(self, ms):
+        with mock.patch.dict(core._PASSES, dict.fromkeys(self.keys, reference_circuit_pass)):
+            want = self.primed(ms)
+        assert self.primed(ms) == want
 
     @PROPERTY
     @given(st.sampled_from(_CORPUS))
@@ -1697,35 +1724,46 @@ class TestStackedCircuits:
         assert from_cyclic_flats(family).circuits() == circuits_from_cyclic_flats(family)
 
 
-def _cyclic_primed(ms) -> list[tuple]:
-    return [caches[0] for caches in _primed(ms, prime_cyclic_flats, ("cyclic_flats",))]
+class TestStackedFlats(_StackedFamily):
+    """The closed half of the halves sweep."""
+
+    keys = ("flats",)
+
+    @staticmethod
+    def loops(M):
+        return (reference_flats(M),)
 
 
-class TestStackedCyclicFlats:
-    """One halves sweep over a stack of same-size tables fills each
-    matroid's cyclic flats; the oracle scans one table at a time."""
+class TestStackedCyclicFlats(_StackedFamily):
+    """Both halves of the halves sweep."""
 
-    @PROPERTY
-    @given(st.lists(small_matroids(), max_size=8))
-    def test_mixed_stacks_match_loops(self, ms):
-        assert _cyclic_primed(ms) == [reference_cyclic_flats(M) for M in ms]
+    keys = ("cyclic_flats",)
 
-    @pytest.mark.parametrize("M", [_FIXED_TABLES[k] for k in ("n0", "u8_16", "m8_0")],
-                             ids=["n0", "u8_16", "m8_0"])
-    def test_one_row_stacks(self, M):
-        assert _cyclic_primed([M]) == [reference_cyclic_flats(M)]
-        assert M.cyclic_flats() == reference_cyclic_flats(M)
+    @staticmethod
+    def loops(M):
+        return (reference_cyclic_flats(M),)
 
-    @pytest.mark.parametrize("cells", [1 << 9, core._STACK_CELLS])
-    def test_stacks_split_across_passes(self, monkeypatch, cells):
-        monkeypatch.setattr(core, "_STACK_CELLS", cells)
-        assert _cyclic_primed(_CORPUS) == [reference_cyclic_flats(M) for M in _CORPUS]
 
-    def test_primed_matroids_are_skipped(self):
-        M = Matroid(("a", "b"), bytes([0, 1, 1, 1]))
-        found = M.cyclic_flats()
-        prime_cyclic_flats([M, M])
-        assert M.cyclic_flats() is found
+class TestStackedHamiltonianFlats(_StackedFamily):
+    """The Hamiltonian flats, derived from a stacked circuit pass, are the
+    closures of all circuits."""
+
+    keys = ("ham_flats",)
+
+    @staticmethod
+    def loops(M):
+        return (_circuit_closures(M),)
+
+
+@pytest.mark.parametrize("key", list(_ACCESSORS))
+def test_every_cached_family_has_an_accessor(key):
+    """Each key of the pass table has a public accessor, and it returns
+    the value that ``prime`` cached, not a copy."""
+    assert set(_ACCESSORS) == set(core._PASSES)
+    M = _CORPUS[3]
+    M = Matroid(M.labels, M.rank_table, validate=False)
+    prime([M], key)
+    assert _ACCESSORS[key](M) is M._cache[key]
 
 
 @st.composite
@@ -2004,13 +2042,14 @@ class TestHalves:
         (Matroid.cyclic_flats, 1 << 20),
         (single_element_minors, 2 << 20),
         (Matroid.circuits, 3 << 19),
+        (Matroid.flats, 3 << 19),
     ])
     def test_peak_memory_on_sixteen_elements(self, derive, limit):
         """No scan gathers through an index array of the whole table, or
         of every candidate, per element: on a fresh 16-element M_8(0) the
         cyclic flats peak under 1 MiB, the 32 single-element minors under
-        2 MiB, and the circuits with their nonspanning closures under
-        1.5 MiB."""
+        2 MiB, the circuits with their nonspanning closures under 1.5 MiB,
+        and the 26,320 flats under 1.5 MiB."""
         M = mn_family(8, 0)
         M = Matroid(M.labels, M.rank_table, validate=False)
         assert M.n == 16
