@@ -58,6 +58,7 @@ from .laminar import (
     is_laminar,
     is_nested,
     is_paving,
+    min_laminar_k,
 )
 from .minors import (
     BINARY, NAMED_MINORS, TERNARY, contract, has_minor, is_binary, is_ternary,
@@ -400,10 +401,8 @@ def _minor_closed(holds, ks, kind: str):
 
 
 def _hamiltonian_extensions(M):
-    # a k-laminar M is k'-laminar for every k' > k, where fewer circuits
-    # are scanned and the test does not read k, so the least k finds the
-    # first witness; every M is r(M)-laminar, so some k qualifies
-    k = next(k for k in range(M.full_rank() + 1) if is_k_laminar(M, k))
+    # the least k scans the most circuits, and the test does not read k
+    k = min_laminar_k(M)
     ham = set(M.hamiltonian_flats())
     for C in M.circuits():
         if C.bit_count() < 2 * k - 1:

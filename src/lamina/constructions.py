@@ -45,9 +45,8 @@ def uniform(r: int, n: int, labels: Sequence[str] | None = None) -> Matroid:
         labels = default_labels(n)
     if len(labels) != n:
         raise MatroidError(f"need one label per element: {len(labels)} labels for n={n}")
-    table = np.minimum(sizes, r).astype(np.uint8)
     # min(|A|, r) with 0 <= r <= n is the rank function of U_{r,n}
-    return Matroid(labels, table.tobytes(), validate=False)
+    return Matroid(labels, np.minimum(sizes, r), validate=False)
 
 
 def circuit_matroid(m: int, prefix: str = "e") -> Matroid:
@@ -131,7 +130,7 @@ def cycle_matroids(graphs: Sequence[Multigraph]) -> list[Matroid]:
                 lab = np.concatenate((lab, np.where(lab == lu[:, None], lv[:, None], lab)), axis=2)
             for i, table in zip(members[start:start + rows], rank):
                 # the forests of a graph are the independent sets of a matroid
-                out[i] = Matroid(graphs[i].labels, table.tobytes(), validate=False)
+                out[i] = Matroid(graphs[i].labels, table, validate=False)
     return out
 
 
@@ -195,9 +194,8 @@ def laminar_matroid(system: LaminarCapacitySystem) -> Matroid:
         # r_A(X) <= |A|, so a larger capacity never binds
         roots[A] = np.minimum(value, min(c, A.bit_count()))
     covered = functools.reduce(operator.or_, roots, 0)
-    table = sizes[X & ~covered] + sum(roots.values())
     # capacities on a laminar family define a matroid (laminar matroid)
-    return Matroid(system.labels, table.astype(np.uint8).tobytes(), validate=False)
+    return Matroid(system.labels, sizes[X & ~covered] + sum(roots.values()), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +242,7 @@ def transversal_matroid(presentation: NestedPresentation) -> Matroid:
     for j, B in enumerate(blocks, 1):
         np.minimum(table, sizes[X & B] + min(m - j, n), out=table)
     # partial transversals of a set system form a matroid (Edmonds-Fulkerson)
-    return Matroid(presentation.labels, table.astype(np.uint8).tobytes(), validate=False)
+    return Matroid(presentation.labels, table, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +253,8 @@ def truncate(M: Matroid, t: int) -> Matroid:
     """Cap the rank function at ``t``."""
     if not 0 <= t <= M.full_rank():
         raise MatroidError(f"truncation rank {t} out of range [0, {M.full_rank()}]")
-    table = np.minimum(np.frombuffer(M.rank_table, dtype=np.uint8), t)
     # a truncation of a matroid is a matroid
-    return Matroid(M.labels, table.tobytes(), validate=False)
+    return Matroid(M.labels, np.minimum(M.ranks, t), validate=False)
 
 
 def _disjoint_labels(first: Sequence[str], second: Sequence[str]) -> tuple[str, ...]:
@@ -279,12 +276,9 @@ def direct_sum(M1: Matroid, M2: Matroid) -> Matroid:
     if n > MAX_ELEMENTS:
         raise MatroidError(f"direct sum too large: {n} > {MAX_ELEMENTS}")
     labels = M1.labels + _disjoint_labels(M1.labels, M2.labels)
-    r1 = np.frombuffer(M1.rank_table, dtype=np.uint8)
-    r2 = np.frombuffer(M2.rank_table, dtype=np.uint8)
-    # mask A = (A >> n1) * 2**n1 + (A & E1), so row A >> n1, column A & E1
-    table = r2[:, None] + r1[None, :]
+    # mask A = (A >> n1) * 2**n1 + (A & E1), so row A >> n1, column A & E1;
     # a direct sum of matroids is a matroid
-    return Matroid(labels, table.tobytes(), validate=False)
+    return Matroid(labels, M2.ranks[:, None] + M1.ranks, validate=False)
 
 
 def matroid_from_circuits(labels: Sequence[str], circuits: Iterable[int]) -> Matroid:
@@ -320,9 +314,8 @@ def matroid_from_circuits(labels: Sequence[str], circuits: Iterable[int]) -> Mat
     C = np.array(circs, dtype=np.intp)
     if any(dep[C[C >> i & 1 == 1] ^ 1 << i].any() for i in range(n)):
         raise MatroidError("circuit family is not an antichain")
-    table = up(np.where(dep, 0, sizes).astype(np.uint8), np.maximum)
     # an antichain need not be a circuit family: check the axioms
-    return Matroid(labels, table.tobytes())
+    return Matroid(labels, up(np.where(dep, 0, sizes).astype(np.uint8), np.maximum))
 
 
 def parallel_connection(M1: Matroid, p1: str, M2: Matroid, p2: str) -> Matroid:
@@ -350,8 +343,7 @@ def parallel_connection(M1: Matroid, p1: str, M2: Matroid, p2: str) -> Matroid:
         raise MatroidError(f"parallel connection too large: {n} > {MAX_ELEMENTS}")
 
     labels = M1.labels + _disjoint_labels(M1.labels, M2.labels[:i2] + M2.labels[i2 + 1:])
-    rt1 = np.frombuffer(M1.rank_table, dtype=np.uint8)
-    rt2 = np.frombuffer(M2.rank_table, dtype=np.uint8)
+    rt1, rt2 = M1.ranks, M2.ranks
     # r2(X2) - [p ∈ cl2(X2)] is the same with p taken out of X2, so row
     # X >> n1 reads M2 at X2 - p and column X & E1 reads M1 at X1
     without2, with2 = halves(rt2, i2)
@@ -362,7 +354,7 @@ def parallel_connection(M1: Matroid, p1: str, M2: Matroid, p2: str) -> Matroid:
     # p is no loop, so r1(X1) >= 1 wherever p ∈ cl1(X1)
     table = without2.reshape(-1, 1) + rt1 - (in_cl2[:, None] & in_cl1)
     # the rank function of a parallel connection (Oxley, Matroid Theory, §7.1)
-    return Matroid(labels, table.tobytes(), validate=False)
+    return Matroid(labels, table, validate=False)
 
 
 def relax_circuit_hyperplane(M: Matroid, X: int) -> Matroid:
@@ -371,10 +363,10 @@ def relax_circuit_hyperplane(M: Matroid, X: int) -> Matroid:
         raise MatroidError(f"mask {X:#x} is not a circuit")
     if not (M.is_flat(X) and M.rank_table[X] == M.full_rank() - 1):
         raise MatroidError(f"mask {X:#x} is not a hyperplane")
-    table = bytearray(M.rank_table)
+    table = M.ranks.copy()
     table[X] = X.bit_count()
     # relaxing a circuit-hyperplane yields a matroid
-    return Matroid(M.labels, bytes(table), validate=False)
+    return Matroid(M.labels, table, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +531,7 @@ def from_cyclic_flats(family: CyclicFlatFamily) -> Matroid:
     table = functools.reduce(np.minimum, (sizes[X & ~Z] + r for Z, r in family.entries))
     # a family satisfying Z0-Z3 is the cyclic-flat lattice of this matroid
     # (Bonin and de Mier)
-    return Matroid(family.labels, table.astype(np.uint8).tobytes(), validate=False)
+    return Matroid(family.labels, table, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +541,10 @@ def from_cyclic_flats(family: CyclicFlatFamily) -> Matroid:
 def _sparse_paving(labels: Sequence[str], r: int, hyperplanes: Iterable[int]) -> Matroid:
     """U_{r,n} with the given r-sets lowered to rank r - 1.  Callers pass
     r-sets that meet pairwise in at most r - 2 elements."""
-    table = np.minimum(subset_sizes(len(labels)), r).astype(np.uint8)
+    table = np.minimum(subset_sizes(len(labels)), r)
     table[list(hyperplanes)] = r - 1
     # such r-sets are the circuit-hyperplanes of a sparse paving matroid
-    return Matroid(labels, table.tobytes(), validate=False)
+    return Matroid(labels, table, validate=False)
 
 
 def _fano() -> Matroid:

@@ -105,8 +105,8 @@ def halves(x: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     return pair[:, 0], pair[:, 1]
 
 
-def validate_rank_axioms(table: Sequence[int], n: int) -> AxiomViolation | None:
-    """Check the rank axioms R1-R3 on a candidate rank table.
+def validate_rank_axioms(table: Sequence[int] | np.ndarray, n: int) -> AxiomViolation | None:
+    """Check the rank axioms R1-R3 on bytes, a flat integer array or a sequence.
 
     Monotonicity and submodularity are verified in their single-element
     local forms (``r(A) <= r(A+x)`` and
@@ -127,12 +127,11 @@ def validate_rank_axioms(table: Sequence[int], n: int) -> AxiomViolation | None:
     size = 1 << n
     if len(table) != size:
         raise ValueError(f"rank table must have {size} entries, got {len(table)}")
-    if isinstance(table, (bytes, bytearray)):
-        r = np.frombuffer(table, dtype=np.uint8)
-    else:
-        # no fixed dtype, so an entry too large for any table is an R1
-        # violation rather than an OverflowError; a non-integer entry
-        # reads as -1, an R1 violation at its mask
+    r = np.frombuffer(table, dtype=np.uint8) if isinstance(table, (bytes, bytearray)) else table
+    if not (isinstance(r, np.ndarray) and r.dtype.kind in "iu"):
+        # read by value with no fixed dtype, so an entry too large for any
+        # table is an R1 violation rather than an OverflowError; a
+        # non-integer entry reads as -1, an R1 violation at its mask
         r = np.array([x if isinstance(x, (int, np.integer)) else -1 for x in table])
 
     bad = (r < 0) | (r > subset_sizes(n))
@@ -204,7 +203,7 @@ class Matroid:
     def __init__(
         self,
         labels: Iterable[str],
-        rank_table: Sequence[int],
+        rank_table: Sequence[int] | np.ndarray,
         validate: bool = True,
     ):
         labels = tuple(str(x) for x in labels)
@@ -213,8 +212,10 @@ class Matroid:
             raise MatroidError(f"ground set too large: {n} > {MAX_ELEMENTS}")
         if len(set(labels)) != n:
             raise MatroidError("element labels must be distinct")
-        # read by value unless bytes: no array is taken as a raw buffer
-        if not isinstance(rank_table, (bytes, bytearray)):
+        # an array of any shape is read in C order, any other table but bytes by value
+        if isinstance(rank_table, np.ndarray):
+            rank_table = rank_table.ravel()
+        elif not isinstance(rank_table, (bytes, bytearray)):
             rank_table = list(rank_table)
         if len(rank_table) != 1 << n:
             raise MatroidError(
@@ -224,6 +225,9 @@ class Matroid:
             v = validate_rank_axioms(rank_table, n)
             if v is not None:
                 raise MatroidError(str(v))
+        if isinstance(rank_table, np.ndarray):
+            # cast once checked, so that no entry wraps
+            rank_table = rank_table.astype(np.uint8, copy=False).tobytes()
         table = bytes(rank_table)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "n", n)
@@ -233,6 +237,11 @@ class Matroid:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matroid instances are immutable")
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """``rank_table`` as a read-only uint8 array, made without a copy."""
+        return np.frombuffer(self.rank_table, dtype=np.uint8)
 
     # -- basic queries -------------------------------------------------
 
@@ -336,11 +345,10 @@ class Matroid:
 
     def dual(self) -> "Matroid":
         """Dual matroid: r*(A) = |A| + r(E-A) - r(E)."""
-        rt = np.frombuffer(self.rank_table, dtype=np.uint8)
-        # E - A is the mask E ^ A, so r(E - A) is the table reversed
-        table = (subset_sizes(self.n) + rt[::-1] - rt[-1]).astype(np.uint8)
-        # the dual of a matroid is a matroid
-        return Matroid(self.labels, table.tobytes(), validate=False)
+        rt = self.ranks
+        # E - A is the mask E ^ A, so r(E - A) is the table reversed; the
+        # dual of a matroid is a matroid
+        return Matroid(self.labels, subset_sizes(self.n) + rt[::-1] - rt[-1], validate=False)
 
     # -- identity ------------------------------------------------------
 
@@ -436,7 +444,8 @@ def _flat_pass(ms: Sequence[Matroid], n: int) -> None:
     """The flat caches of a stack of tables over ``n`` elements."""
     at, ends = _in_order(_sweep(_stack(ms), n, cyclic=False), n, len(ms))
     at &= (1 << n) - 1
-    _fill(ms, "flats", at.tolist(), ends)
+    at = at.tolist()  # drops the array before _fill builds the tuples
+    _fill(ms, "flats", at, ends)
 
 
 def _cyclic_flat_pass(ms: Sequence[Matroid], n: int) -> None:

@@ -80,9 +80,9 @@ def contract(M: Matroid, C: int) -> Matroid:
 def single_element_minors(M: Matroid) -> list[Matroid]:
     """M \\ p then M / p for each position p in order: the two halves of
     M's table at p, the upper one less r({p})."""
-    rt = np.frombuffer(M.rank_table, dtype=np.uint8)
+    rt = M.ranks
     # deletions and contractions of a matroid are matroids
-    return [Matroid(M.labels[:p] + M.labels[p + 1:], t.tobytes(), validate=False)
+    return [Matroid(M.labels[:p] + M.labels[p + 1:], t, validate=False)
             for p in range(M.n) for t in (halves(rt, p)[0], halves(rt, p)[1] - rt[1 << p])]
 
 
@@ -95,13 +95,13 @@ def minor(M: Matroid, spec: MinorSpec) -> Matroid:
     if drop & ~M.E:
         raise MatroidError(
             f"minor spec {spec.delete:#x}/{spec.contract:#x} not within ground set")
-    table = rt = np.frombuffer(M.rank_table, dtype=np.uint8)
+    table = rt = M.ranks
     for p in reversed(range(M.n)):
         if drop >> p & 1:
             table = halves(table, p)[C >> p & 1]
     labels = tuple(M.labels[p] for p in range(M.n) if not drop >> p & 1)
     # deletions and contractions of a matroid are matroids
-    return Matroid(labels, (table - rt[C]).tobytes(), validate=False)
+    return Matroid(labels, table - rt[C], validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def _element_histograms(M: Matroid) -> list[bytes]:
     """Per position i, the counts of (|A|, r(A)) over the sets A that
     contain i: an invariant of i under every isomorphism."""
     n = M.n
-    keys = _rank_keys(n, np.frombuffer(M.rank_table, dtype=np.uint8))
+    keys = _rank_keys(n, M.ranks)
     return [np.bincount(halves(keys, i)[1].ravel(), minlength=(n + 1) ** 2).tobytes()
             for i in range(n)]
 
@@ -128,7 +128,7 @@ def _pair_row(M: Matroid, a: int) -> np.ndarray:
     sets A that hold both a and b, so entry a is a's element histogram."""
     n = M.n
     width = (n + 1) ** 2
-    keys = _rank_keys(n, np.frombuffer(M.rank_table, dtype=np.uint8))
+    keys = _rank_keys(n, M.ranks)
     # the sets through a, by their mask with bit a taken out
     through = halves(keys, a)[1].ravel()
     row = np.empty((n, width), dtype=np.intp)
@@ -164,7 +164,7 @@ def find_isomorphism(M1: Matroid, M2: Matroid) -> tuple[int, ...] | None:
         return None
     candidates = [[j for j in range(n) if h2[j] == h] for h in h1]
     r1 = M1.rank_table
-    r2 = np.frombuffer(M2.rank_table, dtype=np.uint8)
+    r2 = M2.ranks
     mapping: list[int] = []
     dead_ends = 0
     rows1: dict[int, np.ndarray] = {}
@@ -226,9 +226,8 @@ def has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
         return None
     m = N.n
     width = (m + 1) ** 2
-    target = np.bincount(_rank_keys(m, np.frombuffer(N.rank_table, dtype=np.uint8)),
-                         minlength=width)
-    rt = np.frombuffer(M.rank_table, dtype=np.uint8)
+    target = np.bincount(_rank_keys(m, N.ranks), minlength=width)
+    rt = M.ranks
     Cs = np.flatnonzero((subset_sizes(M.n) == dr) & (rt == dr))
     # bits of the n - dr positions outside each C, ascending
     free = M.n - dr

@@ -6,11 +6,14 @@ from the rank table alone, so the oracles share no code with the
 implementation under test.
 """
 
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 
+import lamina
 from lamina.core import (
     MAX_ELEMENTS,
     Matroid,
@@ -117,15 +120,54 @@ class TestAxiomValidation:
         v = validate_rank_axioms(table, 1)
         assert v is not None and (v.axiom, v.witness) == ("R1", (mask,))
 
-    @pytest.mark.parametrize("table", [[0, 300], [0, -1], [0, 0.5], [0, None]],
-                             ids=["above_byte", "negative", "half", "none"])
-    def test_constructor_reports_bad_entry_as_r1(self, table):
-        with pytest.raises(MatroidError, match=r"R1 violated at masks \(1,\)"):
+    @pytest.mark.parametrize("table, mask", [
+        ([0, 300], 1),
+        ([0, -1], 1),
+        ([0, 0.5], 1),
+        ([0, None], 1),
+        # an array is checked before its cast to uint8, so 256 does not
+        # wrap to a valid 0
+        (np.array([0, 300], dtype=np.int64), 1),
+        (np.array([0, 256], dtype=np.int64), 1),
+        (np.array([0, -1], dtype=np.int8), 1),
+        # a non-integer array is read by value: every entry reads as -1
+        (np.array([0.0, 1.0]), 0),
+    ], ids=["above_byte", "negative", "half", "none", "int64_array_300", "int64_array_256",
+            "int8_array_negative", "float_array"])
+    def test_constructor_reports_bad_entry_as_r1(self, table, mask):
+        with pytest.raises(MatroidError, match=rf"R1 violated at masks \({mask},\)"):
             Matroid(["a"], table)
 
     def test_constructor_reads_array_entries_by_value(self):
         want = Matroid(("a", "b"), bytes([0, 1, 1, 1]))
         assert Matroid(("a", "b"), np.array([0, 1, 1, 1], dtype=np.int64)) == want
+
+    def test_integer_array_is_not_read_entry_by_entry(self):
+        class Unlisted(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("integer array read entry by entry")
+
+        M = named_matroid("f7")
+        table = M.ranks.astype(np.int64).view(Unlisted)
+        assert validate_rank_axioms(table, M.n) is None
+        assert Matroid(M.labels, table) == M
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_array_of_any_shape_is_read_in_c_order(self, order):
+        M = named_matroid("f7")
+        table = np.array(M.ranks.reshape(8, 16), dtype=np.int16, order=order)
+        assert Matroid(M.labels, table) == Matroid(M.labels, table.ravel()) == M
+
+    def test_unchecked_uint8_view_stores_the_same_bytes(self):
+        M = named_matroid("wheel4rimdel")
+        got = Matroid(M.labels, M.ranks, validate=False)
+        assert type(got.rank_table) is bytes and got.rank_table == M.rank_table
+
+    def test_ranks_is_a_read_only_view(self):
+        M = named_matroid("f7")
+        assert M.ranks.dtype == np.uint8 and not M.ranks.flags.writeable
+        assert M.ranks.tobytes() == M.rank_table
+        assert np.shares_memory(M.ranks, np.frombuffer(M.rank_table, dtype=np.uint8))
 
     def test_constructor_rejects_invalid(self):
         with pytest.raises(MatroidError):
@@ -264,3 +306,18 @@ class TestEmptyAndDegenerate:
         M = uniform(0, 3)
         assert M.circuits() == (0b001, 0b010, 0b100)
         assert M.full_rank() == 0
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(lamina.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_core_converts_the_stored_table(path):
+    """The uint8 table format is core's: other modules read ``M.ranks``
+    and hand ``Matroid`` arrays, never calling ``np.frombuffer`` or
+    passing a ``.tobytes()`` table."""
+    if path.name == "core.py":
+        return
+    text = path.read_text(encoding="utf-8")
+    assert "frombuffer" not in text
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Matroid":
+            assert "tobytes" not in ast.unparse(node), f"line {node.lineno}"
