@@ -7,10 +7,12 @@ value is a callable ``sub_seed -> (ok, witness)``; a failure's witness
 can be replayed through the public operations.
 
 Every corpus check is data: a :class:`Sweep` asks ``claim(M)`` of every
-member of ``corpus(sub_seed)``, an iterable it reads and primes a chunk
-at a time.  A claim returns ``None`` when it holds and ``(note, *sets)``
-when it fails; the first failing member is the witness, its note
-prefixed with ``label[index]``.  Every equivalence, excluded-minor and
+member of ``corpus(sub_seed)``, an iterable it reads a chunk at a time,
+priming each chunk with the families its claim names.  Seed-free corpus
+parts are built once per process and shared, primed families and all.
+A claim returns ``None`` when it holds and ``(note, *sets)`` when it
+fails; the first failing member is the witness, its note prefixed with
+``label[index]``.  Every equivalence, excluded-minor and
 graph-shape characterization is an :class:`Agree` of named predicates;
 the other claims are functions below and :func:`_minor_closed`.  The
 graph pool labels each edge by its endpoints, ``"u-v"``, so a side
@@ -96,30 +98,50 @@ def _witness(M: Matroid, note: str, *sets: int) -> dict:
 # the sweep runner, its corpora and the two-sided claim
 
 
-# Members primed together; their caches live until the chunk is checked,
-# so a corpus read lazily keeps peak memory flat
-_CHUNK = 64
+# Table entries primed together; their caches live until the chunk is
+# checked.  The 1215-member corpora of <= 8 elements (~103k entries) are
+# one chunk each; the lazy graph pool (~0.9M) holds one chunk at a time
+_SWEEP_CELLS = 1 << 17
+
+
+def _chunks(members: Iterable[Matroid]) -> Iterator[list[tuple[int, Matroid]]]:
+    """(index, member) in runs of at most ``_SWEEP_CELLS`` entries, or of one member."""
+    chunk, cells = [], 0
+    for i, M in enumerate(members):
+        if chunk and cells + (1 << M.n) > _SWEEP_CELLS:
+            yield chunk
+            chunk, cells = [], 0
+        chunk.append((i, M))
+        cells += 1 << M.n
+    if chunk:
+        yield chunk
 
 
 @dataclass(frozen=True)
 class Sweep:
-    """Ask ``claim`` of every member of ``corpus(seed)``, read ``_CHUNK``
-    members at a time; the first member it fails on is the witness."""
+    """Ask ``claim`` of every member of ``corpus(seed)``, read a chunk of
+    :func:`_chunks` at a time and primed with ``families``, the families
+    the claim reads; the first member it fails on is the witness.  With
+    ``minors`` it asks ``claim(M, single_element_minors(M))``, priming
+    the minors of a whole chunk with it."""
 
     corpus: Callable[[int], Iterable[Matroid]]
-    claim: Callable[[Matroid], tuple | None]
+    claim: Callable[..., tuple | None]
     label: str = "corpus"
+    families: tuple[str, ...] = ("circuits",)
+    minors: bool = False
 
     def __call__(self, seed: int) -> tuple[bool, dict | None]:
-        members = enumerate(self.corpus(seed))
-        while chunk := list(itertools.islice(members, _CHUNK)):
-            prime((M for _, M in chunk), "circuits")
-            for i, M in chunk:
-                failure = self.claim(M)
+        for chunk in _chunks(self.corpus(seed)):
+            reads = [single_element_minors(M) if self.minors else [] for _, M in chunk]
+            for key in self.families:
+                prime(itertools.chain((M for _, M in chunk), *reads), key)
+            for (i, M), minors in zip(chunk, reads):
+                failure = self.claim(M, minors) if self.minors else self.claim(M)
                 if failure is not None:
                     note, *sets = failure
                     return False, _witness(M, f"{self.label}[{i}]: {note}", *sets)
-            del chunk  # before the next is read: a lazy corpus holds one chunk
+            del chunk, reads  # before the next is read: a lazy corpus holds one chunk
         return True, None
 
 
@@ -178,16 +200,18 @@ def _big_corpus(seed: int) -> tuple[Matroid, ...]:
     return tuple(generate_corpus(CorpusSpec(seed=seed, count=1000, max_elements=8)))
 
 
-def _graphic_corpus(seed: int) -> list[Matroid]:
+@lru_cache(maxsize=None)
+def _graphic_fixed() -> tuple[Matroid, ...]:
     """M(K_{2,3}), M(K_4) and the rim-deleted wheel W_4, each followed by
-    its single-element deletions and contractions, then 150 cycle
-    matroids of seeded random multigraphs.  The fixed part puts members
-    outside both 2-classes in every corpus."""
-    out = []
-    for name in ("mk23", "mk4", "wheel4rimdel"):
-        M = named_matroid(name)
-        out.append(M)
-        out.extend(single_element_minors(M))
+    its single-element deletions and contractions, built once."""
+    named = map(named_matroid, ("mk23", "mk4", "wheel4rimdel"))
+    return tuple(x for M in named for x in (M, *single_element_minors(M)))
+
+
+def _graphic_corpus(seed: int) -> list[Matroid]:
+    """:func:`_graphic_fixed`, then 150 cycle matroids of seeded random
+    multigraphs.  The fixed part puts members outside both 2-classes in
+    every corpus."""
     rng = random.Random(seed)
     graphs = []
     for _ in range(150):
@@ -197,7 +221,7 @@ def _graphic_corpus(seed: int) -> list[Matroid]:
             (u, v) for u, v in
             ((rng.randrange(nv), rng.randrange(nv)) for _ in range(m)))
         graphs.append(Multigraph(nv, edges))
-    return out + cycle_matroids(graphs)
+    return [*_graphic_fixed(), *cycle_matroids(graphs)]
 
 
 def _laminar_system_corpus(seed: int) -> Iterator[Matroid]:
@@ -250,6 +274,14 @@ def _two_connected(nv: int, edges: tuple[tuple[int, int], ...]) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _hamiltonian_cycles(nv: int) -> tuple[frozenset[tuple[int, int]], ...]:
+    """Edge sets (pairs u < v) of K_nv's Hamiltonian cycles, each once."""
+    cycles = ((0, *perm, 0) for perm in itertools.permutations(range(1, nv))
+              if perm[0] <= perm[-1])  # each cycle once per direction
+    return tuple(frozenset((min(e), max(e)) for e in zip(c, c[1:])) for c in cycles)
+
+
 def _cycle_with_chords(nv: int, edges: tuple[tuple[int, int], ...],
                        max_chords: int) -> bool:
     """Whether the simple graph on ``nv`` vertices with ``edges`` (pairs
@@ -259,11 +291,7 @@ def _cycle_with_chords(nv: int, edges: tuple[tuple[int, int], ...],
     edge_set = frozenset(edges)
     if len(edge_set) - nv > max_chords:
         return False
-    for perm in itertools.permutations(range(1, nv)):
-        if perm[0] > perm[-1]:
-            continue  # each cycle once per direction
-        cycle = (0, *perm, 0)
-        ring = {(min(e), max(e)) for e in zip(cycle, cycle[1:])}
+    for ring in _hamiltonian_cycles(nv):
         if not ring <= edge_set:
             continue
         chords = edge_set - ring  # |E| - nv of them, whatever the cycle
@@ -306,15 +334,25 @@ def _six_vertex_samples(seed: int) -> list[tuple[int, tuple[tuple[int, int], ...
     return samples
 
 
+def _labelled_cycle_matroids(graphs) -> list[Matroid]:
+    """Cycle matroids of (vertex count, edges) pairs, edges labelled ``"u-v"``."""
+    return cycle_matroids([Multigraph(nv, edges, tuple(f"{u}-{v}" for u, v in edges))
+                           for nv, edges in graphs])
+
+
+@lru_cache(maxsize=None)
+def _two_connected_matroids() -> tuple[Matroid, ...]:
+    """Cycle matroids of :func:`_two_connected_graphs`, built once."""
+    return tuple(_labelled_cycle_matroids(_two_connected_graphs()))
+
+
 def _graph_pool(seed: int) -> Iterator[Matroid]:
-    """Cycle matroids of :func:`_two_connected_graphs` and
-    :func:`_six_vertex_samples`, built a chunk at a time, each edge
-    labelled by its endpoints ``"u-v"``."""
-    graphs = [*_two_connected_graphs(), *_six_vertex_samples(seed)]
-    for start in range(0, len(graphs), _CHUNK):
-        yield from cycle_matroids([
-            Multigraph(nv, edges, tuple(f"{u}-{v}" for u, v in edges))
-            for nv, edges in graphs[start:start + _CHUNK]])
+    """:func:`_two_connected_matroids`, then cycle matroids of
+    :func:`_six_vertex_samples` built a chunk of 12-edge tables at a time."""
+    yield from _two_connected_matroids()
+    graphs, step = _six_vertex_samples(seed), _SWEEP_CELLS >> 12
+    for start in range(0, len(graphs), step):
+        yield from _labelled_cycle_matroids(graphs[start:start + step])
 
 
 def _graph_shape(max_chords: int):
@@ -384,20 +422,19 @@ def _passes_circuit_pair_test(M):
         "laminar-system matroid failed the circuit-pair test", *verdict.witness)
 
 
-def _minor_closed(holds, ks, kind: str):
-    """Claim: for each k in ``ks(M)`` with ``holds(M, k)``, every
-    single-element deletion and contraction of M also holds."""
-    def claim(M):
+def _minor_closed(holds, ks, kind: str, families=("circuits",)) -> Sweep:
+    """Sweep of the claim: for each k in ``ks(M)`` with ``holds(M, k)``,
+    every single-element deletion and contraction of M also holds;
+    ``holds`` reads ``families``."""
+    def claim(M, minors):
         kept = [k for k in ks(M) if holds(M, k)]
-        minors = single_element_minors(M)
-        prime(minors, "circuits")
         for j, M2 in enumerate(minors):
             for k in kept:
                 if not holds(M2, k):
                     op = ("delete", "contract")[j % 2]
                     return f"{op} {M.labels[j // 2]} leaves {k}-{kind}", 1 << j // 2
         return None
-    return claim
+    return Sweep(_sweep_corpus, claim, families=families, minors=True)
 
 
 def _hamiltonian_extensions(M):
@@ -506,9 +543,7 @@ def _notk_expected(k):
 def _check_thm_bdm_roundtrip(seed):
     if validate_z_axioms(notk_cyclic_flats(3)) is None:
         return False, {"note": "k=3 family should be rejected"}
-    corpus = _sweep_corpus(seed)
-    prime(corpus, "cyclic_flats")  # all the claim reads, in stacked passes
-    return Sweep(lambda _: corpus, _cyclic_flats_round_trip)(seed)
+    return Sweep(_sweep_corpus, _cyclic_flats_round_trip, families=("cyclic_flats",))(seed)
 
 
 def _battery(cases):
@@ -536,27 +571,29 @@ def _check_lem_nb(seed):
 
 
 _TERNARY_EXCLUDED = ("u25", "u35", "f7", "mk23minus", "mk23")
+# What a claim that reads Hamiltonian flats primes: their pass fills circuits
+_HAM = ("ham_flats",)
 
 CHECKS = {
     "prop-nested-circuits": Sweep(_sweep_corpus, Agree((
         ("nested", lambda M: is_nested(M)),
-        ("circuit-pair test", lambda M: not _unnested_meets(M))))),
+        ("circuit-pair test", lambda M: not _unnested_meets(M)))), families=_HAM),
     "thm-laminar-circuits": Sweep(_laminar_system_corpus, _passes_circuit_pair_test, "laminar"),
     "cor-ham-laminar": Sweep(_sweep_corpus, Agree((
         ("laminar", lambda M: is_laminar(M)),
-        ("1-closure-laminar", lambda M: is_k_closure_laminar(M, 1))))),
+        ("1-closure-laminar", lambda M: is_k_closure_laminar(M, 1)))), families=_HAM),
     "lem-kcl-equiv": Sweep(_sweep_corpus, Agree((
         ("chain form", _chain_form),
         ("circuit form", _circuit_form),
         ("predicate", lambda M, k: is_k_closure_laminar(M, k))),
-        lambda M: range(M.full_rank() + 2))),
+        lambda M: range(M.full_rank() + 2)), families=_HAM),
     "sec1-pc-example": _check_sec1_pc_example,
-    "prop-baby": Sweep(_sweep_corpus, _baby_properties),
-    "lem-klam-minor-closed": Sweep(_sweep_corpus, _minor_closed(
-        lambda M, k: is_k_laminar(M, k), lambda M: range(M.full_rank() + 1), "laminar")),
-    "thm-cl23-minor-closed": Sweep(_sweep_corpus, _minor_closed(
-        lambda M, k: is_k_closure_laminar(M, k), lambda M: (2, 3), "closure-laminar")),
-    "lem-hamcir": Sweep(_sweep_corpus, _hamiltonian_extensions),
+    "prop-baby": Sweep(_sweep_corpus, _baby_properties, families=_HAM),
+    "lem-klam-minor-closed": _minor_closed(
+        lambda M, k: is_k_laminar(M, k), lambda M: range(M.full_rank() + 1), "laminar"),
+    "thm-cl23-minor-closed": _minor_closed(
+        lambda M, k: is_k_closure_laminar(M, k), lambda M: (2, 3), "closure-laminar", _HAM),
+    "lem-hamcir": Sweep(_sweep_corpus, _hamiltonian_extensions, families=_HAM),
     "thm-notk-k4": _notk_expected(4),
     "thm-notk-k5": _notk_expected(5),
     "thm-bdm-roundtrip": _check_thm_bdm_roundtrip,
@@ -573,21 +610,23 @@ CHECKS = {
         ("excluded-minor test", lambda M: _excluded(M, ("mk23minus", "m42", "m52", "n52")))))),
     "thm-em2lcm": Sweep(_big_corpus, Agree((
         ("membership", lambda M: is_k_closure_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, ("mk23minus", "m42", "m52", "p42")))))),
-    "prop-rank-k1": Sweep(_sweep_corpus, _low_rank_is_in_both),
+        ("excluded-minor test", lambda M: _excluded(M, ("mk23minus", "m42", "m52", "p42"))))),
+        families=_HAM),
+    "prop-rank-k1": Sweep(_sweep_corpus, _low_rank_is_in_both, families=_HAM),
     "lem-nb": _check_lem_nb,
     "cor-binary-2lam": Sweep(_sweep_corpus, Agree((
         ("membership", lambda M: _excluded(M, BINARY) and is_k_laminar(M, 2)),
         ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "n52")))))),
     "cor-binary-2clam": Sweep(_sweep_corpus, Agree((
         ("membership", lambda M: _excluded(M, BINARY) and is_k_closure_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "p42")))))),
+        ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "p42"))))), families=_HAM),
     "cor-ternary-2lam": Sweep(_sweep_corpus, Agree((
         ("membership", lambda M: _excluded(M, TERNARY) and is_k_laminar(M, 2)),
         ("excluded-minor test", lambda M: _excluded(M, _TERNARY_EXCLUDED + ("n52",)))))),
     "cor-ternary-2clam": Sweep(_sweep_corpus, Agree((
         ("membership", lambda M: _excluded(M, TERNARY) and is_k_closure_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, _TERNARY_EXCLUDED + ("p42",)))))),
+        ("excluded-minor test", lambda M: _excluded(M, _TERNARY_EXCLUDED + ("p42",))))),
+        families=_HAM),
     "cor-graphic-2lam": Sweep(_graphic_corpus, Agree((
         ("membership", lambda M: is_k_laminar(M, 2)),
         ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "f7", "mstark33", "n52"))),
@@ -595,21 +634,22 @@ CHECKS = {
     "cor-graphic-2clam": Sweep(_graphic_corpus, Agree((
         ("membership", lambda M: is_k_closure_laminar(M, 2)),
         ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "f7", "p42"))),
-    )), "graphic"),
+    )), "graphic", families=_HAM),
     "lem-outerplanar": Sweep(_graph_pool, Agree((
         ("predicate", lambda M: is_k_laminar(M, 2)),
         ("graph shape", _graph_shape(max_chords=2)))), "graph"),
     "prop-one-chord": Sweep(_graph_pool, Agree((
         ("predicate", lambda M: is_k_closure_laminar(M, 2)),
-        ("graph shape", _graph_shape(max_chords=1)))), "graph"),
+        ("graph shape", _graph_shape(max_chords=1)))), "graph", families=_HAM),
     "thm-pav1": Sweep(_sweep_corpus, Agree((
         ("k-laminar", lambda M, k: is_k_laminar(M, k)),
         ("k-closure-laminar", lambda M, k: is_k_closure_laminar(M, k))),
-        lambda M: range(M.full_rank() + 2) if is_paving(M) else ())),
+        lambda M: range(M.full_rank() + 2) if is_paving(M) else ()), families=_HAM),
     "cor-t2lp": Sweep(_sweep_corpus, Agree((
         ("paving 2-laminar", lambda M: is_paving(M) and is_k_laminar(M, 2)),
         ("paving 2-closure-laminar", lambda M: is_paving(M) and is_k_closure_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, ("pavex", "mk23minus", "m42", "m52")))))),
+        ("excluded-minor test", lambda M: _excluded(M, ("pavex", "mk23minus", "m42", "m52"))))),
+        families=_HAM),
 }
 
 

@@ -125,6 +125,8 @@ def validate_rank_axioms(table: Sequence[int] | np.ndarray, n: int) -> AxiomViol
     if not 0 <= n <= MAX_ELEMENTS:
         raise ValueError(f"element count must be in 0..{MAX_ELEMENTS}, got {n}")
     size = 1 << n
+    if isinstance(table, np.ndarray):
+        table = table.ravel()  # any shape, read in C order
     if len(table) != size:
         raise ValueError(f"rank table must have {size} entries, got {len(table)}")
     r = np.frombuffer(table, dtype=np.uint8) if isinstance(table, (bytes, bytearray)) else table
@@ -213,20 +215,17 @@ class Matroid:
         if len(set(labels)) != n:
             raise MatroidError("element labels must be distinct")
         # an array of any shape is read in C order, any other table but bytes by value
-        if isinstance(rank_table, np.ndarray):
-            rank_table = rank_table.ravel()
-        elif not isinstance(rank_table, (bytes, bytearray)):
+        if not isinstance(rank_table, (np.ndarray, bytes, bytearray)):
             rank_table = list(rank_table)
-        if len(rank_table) != 1 << n:
-            raise MatroidError(
-                f"rank table must have {1 << n} entries, got {len(rank_table)}"
-            )
+        size = rank_table.size if isinstance(rank_table, np.ndarray) else len(rank_table)
+        if size != 1 << n:
+            raise MatroidError(f"rank table must have {1 << n} entries, got {size}")
         if validate:
             v = validate_rank_axioms(rank_table, n)
             if v is not None:
                 raise MatroidError(str(v))
         if isinstance(rank_table, np.ndarray):
-            # cast once checked, so that no entry wraps
+            # cast once checked, so that no entry wraps; one copy, in C order
             rank_table = rank_table.astype(np.uint8, copy=False).tobytes()
         table = bytes(rank_table)
         object.__setattr__(self, "labels", labels)

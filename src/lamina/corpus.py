@@ -69,8 +69,9 @@ def catalog_matroids(max_elements: int) -> tuple[tuple[str, Matroid], ...]:
     return tuple(out)
 
 
-def catalog_with_minors(max_elements: int) -> list[tuple[str, Matroid]]:
-    """Catalog slice plus every single-element deletion and contraction."""
+@lru_cache(maxsize=None)
+def catalog_with_minors(max_elements: int) -> tuple[tuple[str, Matroid], ...]:
+    """Catalog slice plus its single-element deletions and contractions, built once."""
     base = catalog_matroids(max_elements)
     out = list(base)
     seen = {(M.labels, M.rank_table) for _, M in base}
@@ -80,7 +81,7 @@ def catalog_with_minors(max_elements: int) -> list[tuple[str, Matroid]]:
             if key not in seen:
                 seen.add(key)
                 out.append((f"{name}/{('del', 'con')[j % 2]} {M.labels[j // 2]}", M2))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

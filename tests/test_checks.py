@@ -14,6 +14,7 @@ from lamina.constructions import (
     Multigraph, ZAxiomError, ZViolation, cycle_matroids, named_matroid, nn_family,
     sec1_pc_example)
 from lamina.core import MatroidError
+from lamina.corpus import catalog_with_minors
 from lamina.checks import CHECKS, Agree, available_checks, run_check
 from lamina.formats import parse_matroid
 from lamina.laminar import ClassVerdict, is_k_laminar
@@ -345,3 +346,110 @@ class TestGraphPool:
                                for (nv, edges), M in zip(graphs, pool)]) == pool
         assert len(set(graphs)) == len(pool) == 249 + 500
         assert {nv for nv, _ in graphs[249:]} == {6}
+
+
+def _cycle_with_chords_by_permutation(nv, edges, max_chords):
+    """Oracle: the walk over all (nv - 1)! vertex orders that
+    ``_cycle_with_chords`` made for every graph before its cycles were
+    listed once per vertex count."""
+    edge_set = frozenset(edges)
+    if len(edge_set) - nv > max_chords:
+        return False
+    for perm in itertools.permutations(range(1, nv)):
+        if perm[0] > perm[-1]:
+            continue
+        cycle = (0, *perm, 0)
+        ring = {(min(e), max(e)) for e in zip(cycle, cycle[1:])}
+        if not ring <= edge_set:
+            continue
+        chords = edge_set - ring
+        if len(chords) <= 1:
+            return True
+        ends = set.symmetric_difference(*map(set, chords))
+        if len(ends) == 2 and tuple(sorted(ends)) in edge_set:
+            return True
+    return False
+
+
+def _counted_passes(monkeypatch) -> collections.Counter:
+    """Calls of each pass of ``core._PASSES`` from now on, by pass name."""
+    counts = collections.Counter()
+    for key, real in list(core._PASSES.items()):
+        def counted(ms, n, real=real):
+            counts[real.__name__] += 1
+            return real(ms, n)
+        monkeypatch.setitem(core._PASSES, key, counted)
+    return counts
+
+
+class TestSharedWork:
+    """Verify builds each seed-free corpus part once per process and
+    primes what a check reads a chunk at a time."""
+
+    def test_cycle_with_chords_matches_the_permutation_walk(self):
+        """Every simple graph on 3-5 vertices, and both seed-0 graph pools."""
+        graphs = []
+        for nv in (3, 4, 5):
+            pairs = list(itertools.combinations(range(nv), 2))
+            graphs += [(nv, tuple(e for i, e in enumerate(pairs) if bits >> i & 1))
+                       for bits in range(1 << len(pairs))]
+        for cid in ("lem-outerplanar", "prop-one-chord"):
+            graphs += map(_graph_of, checks._graph_pool(checks._sub_seed(cid, 0)))
+        assert len(graphs) == 8 + 64 + 1024 + 2 * 749
+        for (nv, edges), k in itertools.product(graphs, (1, 2)):
+            want = _cycle_with_chords_by_permutation(nv, edges, k)
+            assert checks._cycle_with_chords(nv, edges, k) == want, (nv, edges, k)
+
+    def test_seed_free_members_are_built_once(self):
+        catalog = catalog_with_minors(7)
+        assert isinstance(catalog, tuple) and catalog_with_minors(7) is catalog
+        for seed in (1, 2):
+            members = checks._sweep_corpus(seed)
+            assert all(M is N for (_, M), N in zip(catalog, members))
+            graphic = checks._graphic_corpus(seed)
+            assert all(M is N for M, N in zip(checks._graphic_fixed(), graphic))
+        first, again = (list(itertools.islice(checks._graph_pool(s), 249)) for s in (1, 2))
+        assert all(M is N for M, N in zip(first, again, strict=True))
+
+    def test_sweep_of_a_tuple_corpus_makes_no_more_passes_than_one_prime(self, monkeypatch):
+        base = checks._big_corpus(3)
+
+        def fresh():  # unprimed copies: the catalog part of a corpus is shared
+            return tuple(core.Matroid(M.labels, M.rank_table, validate=False) for M in base)
+
+        counts = _counted_passes(monkeypatch)
+        core.prime(fresh(), "circuits")
+        one_prime, members = counts["_circuit_pass"], fresh()
+        counts.clear()
+        assert checks.Sweep(lambda _: members, lambda M: None)(0) == (True, None)
+        assert 0 < counts["_circuit_pass"] <= one_prime
+        assert all("circuits" in M._cache for M in members)
+
+    def test_minor_closed_primes_once_per_chunk(self, monkeypatch):
+        """With chunks cut small, each chunk of members and their minors is
+        primed in one call, not one call per member."""
+        cid = "lem-klam-minor-closed"
+        monkeypatch.setattr(checks, "_SWEEP_CELLS", 1 << 10)
+        members = checks._sweep_corpus(checks._sub_seed(cid, 0))
+        chunks = list(checks._chunks(members))
+        assert all(sum(1 << M.n for _, M in c) <= 1 << 10 for c in chunks if len(c) > 1)
+        calls = []
+        real = checks.prime
+
+        def prime(matroids, key):
+            matroids = list(matroids)
+            calls.append(len(matroids))
+            return real(matroids, key)
+
+        monkeypatch.setattr(checks, "prime", prime)
+        assert run_check(cid).status == "pass"
+        assert 1 < len(calls) == len(chunks) < len(members)
+        # each call holds its chunk's members and their 2n minors each
+        assert calls == [sum(1 + 2 * M.n for _, M in c) for c in chunks]
+
+
+def test_round_trip_reads_no_circuits(monkeypatch):
+    """``thm-bdm-roundtrip`` names cyclic flats, all its claim reads."""
+    counts = _counted_passes(monkeypatch)
+    assert run_check("thm-bdm-roundtrip", 0).status == "pass"
+    assert counts["_circuit_pass"] == 0 and counts["_cyclic_flat_pass"] > 0

@@ -309,9 +309,28 @@ class TestParserReuse:
     def test_import_builds_no_parser(self):
         code = ("import lamina.cli as cli; info = cli.build_parser.cache_info(); "
                 "print(info.hits + info.misses)")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        assert done.stdout.strip() == "0"
+        assert _fresh_python(code) == "0"
+
+
+def _fresh_python(code: str) -> str:
+    """Stripped stdout of ``code`` run in a new interpreter on this library."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.strip()
+
+
+def test_import_fills_no_shared_pool():
+    """perfbench's ``setup_s`` times ``import lamina.cli``, so every
+    cached function of the library (the corpus catalog, the seed-free
+    graph pools, the Hamiltonian cycles of K_n) is still empty after it."""
+    code = ("import json, sys, lamina.cli; print(json.dumps({"
+            "f'{f.__module__}.{f.__qualname__}': f.cache_info().currsize "
+            "for name, mod in list(sys.modules.items()) if name.startswith('lamina') "
+            "for f in vars(mod).values() if hasattr(f, 'cache_info')}))")
+    sizes = json.loads(_fresh_python(code))
+    assert {"lamina.corpus.catalog_with_minors", "lamina.checks._two_connected_matroids",
+            "lamina.checks._graphic_fixed", "lamina.checks._hamiltonian_cycles"} <= set(sizes)
+    assert set(sizes.values()) == {0}, sizes

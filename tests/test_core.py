@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import lamina
+import lamina.minors as minors
 from lamina.core import (
     MAX_ELEMENTS,
     Matroid,
@@ -157,6 +158,26 @@ class TestAxiomValidation:
         M = named_matroid("f7")
         table = np.array(M.ranks.reshape(8, 16), dtype=np.int16, order=order)
         assert Matroid(M.labels, table) == Matroid(M.labels, table.ravel()) == M
+
+    def test_validation_reads_an_array_of_any_shape_in_c_order(self):
+        assert validate_rank_axioms(np.array([[0, 1], [1, 2]]), 2) is None
+        # in C order, entry (1, 2) of a 2 x 4 table is mask 6, the first
+        # entry above its size; in F order it would be mask 5
+        table = np.array([[0, 1, 1, 2], [1, 2, 3, 2]])
+        v = validate_rank_axioms(table, 3)
+        assert (v.axiom, v.witness) == ("R1", (6,))
+
+    def test_non_contiguous_half_is_stored_without_flattening(self):
+        class Unflattened(np.ndarray):
+            def ravel(self, *args, **kwargs):
+                raise AssertionError("table flattened before it was stored")
+
+        M = named_matroid("wheel4rimdel")
+        half = minors.halves(M.ranks, 2)[0]
+        assert not half.flags.c_contiguous
+        got = Matroid(M.labels[:2] + M.labels[3:], half.view(Unflattened), validate=False)
+        assert got.rank_table == np.ascontiguousarray(half).tobytes()
+        assert got == minors.single_element_minors(M)[4]
 
     def test_unchecked_uint8_view_stores_the_same_bytes(self):
         M = named_matroid("wheel4rimdel")
