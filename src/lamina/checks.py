@@ -8,8 +8,9 @@ can be replayed through the public operations.
 
 Every corpus check is data: a :class:`Sweep` asks ``claim(M)`` of every
 member of ``corpus(sub_seed)``, an iterable it reads a chunk at a time,
-priming each chunk with the families its claim names.  Seed-free corpus
-parts are built once per process and shared, primed families and all.
+priming one family of each chunk: circuits, which give the Hamiltonian
+flats, or cyclic flats.  Seed-free corpus parts are built once per
+process and shared, primed families and all.
 A claim returns ``None`` when it holds and ``(note, *sets)`` when it
 fails; the first failing member is the witness, its note prefixed with
 ``label[index]``.  Every equivalence, excluded-minor and
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .core import Matroid, MatroidError, default_labels, prime
+from .core import Matroid, MatroidError, default_labels, prime, runs
 from .constructions import (
     CyclicFlatFamily,
     LaminarCapacitySystem,
@@ -98,44 +99,24 @@ def _witness(M: Matroid, note: str, *sets: int) -> dict:
 # the sweep runner, its corpora and the two-sided claim
 
 
-# Table entries primed together; their caches live until the chunk is
-# checked.  The 1215-member corpora of <= 8 elements (~103k entries) are
-# one chunk each; the lazy graph pool (~0.9M) holds one chunk at a time
-_SWEEP_CELLS = 1 << 17
-
-
-def _chunks(members: Iterable[Matroid]) -> Iterator[list[tuple[int, Matroid]]]:
-    """(index, member) in runs of at most ``_SWEEP_CELLS`` entries, or of one member."""
-    chunk, cells = [], 0
-    for i, M in enumerate(members):
-        if chunk and cells + (1 << M.n) > _SWEEP_CELLS:
-            yield chunk
-            chunk, cells = [], 0
-        chunk.append((i, M))
-        cells += 1 << M.n
-    if chunk:
-        yield chunk
-
-
 @dataclass(frozen=True)
 class Sweep:
-    """Ask ``claim`` of every member of ``corpus(seed)``, read a chunk of
-    :func:`_chunks` at a time and primed with ``families``, the families
-    the claim reads; the first member it fails on is the witness.  With
-    ``minors`` it asks ``claim(M, single_element_minors(M))``, priming
-    the minors of a whole chunk with it."""
+    """Ask ``claim`` of every member of ``corpus(seed)``, read one
+    :func:`~lamina.core.runs` of members at a time and primed with ``family``;
+    the first member it fails on is the witness.  With ``minors`` it asks
+    ``claim(M, single_element_minors(M))``, priming the minors of a whole
+    chunk with it."""
 
     corpus: Callable[[int], Iterable[Matroid]]
     claim: Callable[..., tuple | None]
     label: str = "corpus"
-    families: tuple[str, ...] = ("circuits",)
+    family: str = "circuits"
     minors: bool = False
 
     def __call__(self, seed: int) -> tuple[bool, dict | None]:
-        for chunk in _chunks(self.corpus(seed)):
+        for chunk in runs(enumerate(self.corpus(seed)), lambda member: 1 << member[1].n):
             reads = [single_element_minors(M) if self.minors else [] for _, M in chunk]
-            for key in self.families:
-                prime(itertools.chain((M for _, M in chunk), *reads), key)
+            prime(itertools.chain((M for _, M in chunk), *reads), self.family)
             for (i, M), minors in zip(chunk, reads):
                 failure = self.claim(M, minors) if self.minors else self.claim(M)
                 if failure is not None:
@@ -348,11 +329,10 @@ def _two_connected_matroids() -> tuple[Matroid, ...]:
 
 def _graph_pool(seed: int) -> Iterator[Matroid]:
     """:func:`_two_connected_matroids`, then cycle matroids of
-    :func:`_six_vertex_samples` built a chunk of 12-edge tables at a time."""
+    :func:`_six_vertex_samples` built one :func:`~lamina.core.runs` at a time."""
     yield from _two_connected_matroids()
-    graphs, step = _six_vertex_samples(seed), _SWEEP_CELLS >> 12
-    for start in range(0, len(graphs), step):
-        yield from _labelled_cycle_matroids(graphs[start:start + step])
+    for graphs in runs(_six_vertex_samples(seed), lambda graph: 1 << len(graph[1])):
+        yield from _labelled_cycle_matroids(graphs)
 
 
 def _graph_shape(max_chords: int):
@@ -422,10 +402,10 @@ def _passes_circuit_pair_test(M):
         "laminar-system matroid failed the circuit-pair test", *verdict.witness)
 
 
-def _minor_closed(holds, ks, kind: str, families=("circuits",)) -> Sweep:
+def _minor_closed(holds, ks, kind: str) -> Sweep:
     """Sweep of the claim: for each k in ``ks(M)`` with ``holds(M, k)``,
-    every single-element deletion and contraction of M also holds;
-    ``holds`` reads ``families``."""
+    every single-element deletion and contraction of M also holds; the
+    circuits of M and its minors are primed a chunk at a time."""
     def claim(M, minors):
         kept = [k for k in ks(M) if holds(M, k)]
         for j, M2 in enumerate(minors):
@@ -434,7 +414,7 @@ def _minor_closed(holds, ks, kind: str, families=("circuits",)) -> Sweep:
                     op = ("delete", "contract")[j % 2]
                     return f"{op} {M.labels[j // 2]} leaves {k}-{kind}", 1 << j // 2
         return None
-    return Sweep(_sweep_corpus, claim, families=families, minors=True)
+    return Sweep(_sweep_corpus, claim, minors=True)
 
 
 def _hamiltonian_extensions(M):
@@ -543,7 +523,7 @@ def _notk_expected(k):
 def _check_thm_bdm_roundtrip(seed):
     if validate_z_axioms(notk_cyclic_flats(3)) is None:
         return False, {"note": "k=3 family should be rejected"}
-    return Sweep(_sweep_corpus, _cyclic_flats_round_trip, families=("cyclic_flats",))(seed)
+    return Sweep(_sweep_corpus, _cyclic_flats_round_trip, family="cyclic_flats")(seed)
 
 
 def _battery(cases):
@@ -571,29 +551,27 @@ def _check_lem_nb(seed):
 
 
 _TERNARY_EXCLUDED = ("u25", "u35", "f7", "mk23minus", "mk23")
-# What a claim that reads Hamiltonian flats primes: their pass fills circuits
-_HAM = ("ham_flats",)
 
 CHECKS = {
     "prop-nested-circuits": Sweep(_sweep_corpus, Agree((
         ("nested", lambda M: is_nested(M)),
-        ("circuit-pair test", lambda M: not _unnested_meets(M)))), families=_HAM),
+        ("circuit-pair test", lambda M: not _unnested_meets(M))))),
     "thm-laminar-circuits": Sweep(_laminar_system_corpus, _passes_circuit_pair_test, "laminar"),
     "cor-ham-laminar": Sweep(_sweep_corpus, Agree((
         ("laminar", lambda M: is_laminar(M)),
-        ("1-closure-laminar", lambda M: is_k_closure_laminar(M, 1)))), families=_HAM),
+        ("1-closure-laminar", lambda M: is_k_closure_laminar(M, 1))))),
     "lem-kcl-equiv": Sweep(_sweep_corpus, Agree((
         ("chain form", _chain_form),
         ("circuit form", _circuit_form),
         ("predicate", lambda M, k: is_k_closure_laminar(M, k))),
-        lambda M: range(M.full_rank() + 2)), families=_HAM),
+        lambda M: range(M.full_rank() + 2))),
     "sec1-pc-example": _check_sec1_pc_example,
-    "prop-baby": Sweep(_sweep_corpus, _baby_properties, families=_HAM),
+    "prop-baby": Sweep(_sweep_corpus, _baby_properties),
     "lem-klam-minor-closed": _minor_closed(
         lambda M, k: is_k_laminar(M, k), lambda M: range(M.full_rank() + 1), "laminar"),
     "thm-cl23-minor-closed": _minor_closed(
-        lambda M, k: is_k_closure_laminar(M, k), lambda M: (2, 3), "closure-laminar", _HAM),
-    "lem-hamcir": Sweep(_sweep_corpus, _hamiltonian_extensions, families=_HAM),
+        lambda M, k: is_k_closure_laminar(M, k), lambda M: (2, 3), "closure-laminar"),
+    "lem-hamcir": Sweep(_sweep_corpus, _hamiltonian_extensions),
     "thm-notk-k4": _notk_expected(4),
     "thm-notk-k5": _notk_expected(5),
     "thm-bdm-roundtrip": _check_thm_bdm_roundtrip,
@@ -610,23 +588,21 @@ CHECKS = {
         ("excluded-minor test", lambda M: _excluded(M, ("mk23minus", "m42", "m52", "n52")))))),
     "thm-em2lcm": Sweep(_big_corpus, Agree((
         ("membership", lambda M: is_k_closure_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, ("mk23minus", "m42", "m52", "p42"))))),
-        families=_HAM),
-    "prop-rank-k1": Sweep(_sweep_corpus, _low_rank_is_in_both, families=_HAM),
+        ("excluded-minor test", lambda M: _excluded(M, ("mk23minus", "m42", "m52", "p42")))))),
+    "prop-rank-k1": Sweep(_sweep_corpus, _low_rank_is_in_both),
     "lem-nb": _check_lem_nb,
     "cor-binary-2lam": Sweep(_sweep_corpus, Agree((
         ("membership", lambda M: _excluded(M, BINARY) and is_k_laminar(M, 2)),
         ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "n52")))))),
     "cor-binary-2clam": Sweep(_sweep_corpus, Agree((
         ("membership", lambda M: _excluded(M, BINARY) and is_k_closure_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "p42"))))), families=_HAM),
+        ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "p42")))))),
     "cor-ternary-2lam": Sweep(_sweep_corpus, Agree((
         ("membership", lambda M: _excluded(M, TERNARY) and is_k_laminar(M, 2)),
         ("excluded-minor test", lambda M: _excluded(M, _TERNARY_EXCLUDED + ("n52",)))))),
     "cor-ternary-2clam": Sweep(_sweep_corpus, Agree((
         ("membership", lambda M: _excluded(M, TERNARY) and is_k_closure_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, _TERNARY_EXCLUDED + ("p42",))))),
-        families=_HAM),
+        ("excluded-minor test", lambda M: _excluded(M, _TERNARY_EXCLUDED + ("p42",)))))),
     "cor-graphic-2lam": Sweep(_graphic_corpus, Agree((
         ("membership", lambda M: is_k_laminar(M, 2)),
         ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "f7", "mstark33", "n52"))),
@@ -634,22 +610,21 @@ CHECKS = {
     "cor-graphic-2clam": Sweep(_graphic_corpus, Agree((
         ("membership", lambda M: is_k_closure_laminar(M, 2)),
         ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "f7", "p42"))),
-    )), "graphic", families=_HAM),
+    )), "graphic"),
     "lem-outerplanar": Sweep(_graph_pool, Agree((
         ("predicate", lambda M: is_k_laminar(M, 2)),
         ("graph shape", _graph_shape(max_chords=2)))), "graph"),
     "prop-one-chord": Sweep(_graph_pool, Agree((
         ("predicate", lambda M: is_k_closure_laminar(M, 2)),
-        ("graph shape", _graph_shape(max_chords=1)))), "graph", families=_HAM),
+        ("graph shape", _graph_shape(max_chords=1)))), "graph"),
     "thm-pav1": Sweep(_sweep_corpus, Agree((
         ("k-laminar", lambda M, k: is_k_laminar(M, k)),
         ("k-closure-laminar", lambda M, k: is_k_closure_laminar(M, k))),
-        lambda M: range(M.full_rank() + 2) if is_paving(M) else ()), families=_HAM),
+        lambda M: range(M.full_rank() + 2) if is_paving(M) else ())),
     "cor-t2lp": Sweep(_sweep_corpus, Agree((
         ("paving 2-laminar", lambda M: is_paving(M) and is_k_laminar(M, 2)),
         ("paving 2-closure-laminar", lambda M: is_paving(M) and is_k_closure_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, ("pavex", "mk23minus", "m42", "m52"))))),
-        families=_HAM),
+        ("excluded-minor test", lambda M: _excluded(M, ("pavex", "mk23minus", "m42", "m52")))))),
 }
 
 

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (MAX_ELEMENTS, Matroid, MatroidError, check_mask, default_labels, halves,
-                   label_mask, subset_sizes)
+                   label_mask, runs, subset_sizes)
 
 # ---------------------------------------------------------------------------
 # uniform
@@ -84,10 +84,6 @@ class Multigraph:
         object.__setattr__(self, "labels", tuple(labels))
 
 
-# Cells of one graphic DP (graphs x endpoints x subsets): under 1 MiB of labels
-_DP_CELLS = 1 << 17
-
-
 def cycle_matroid(G: Multigraph) -> Matroid:
     """Cycle matroid of a multigraph: see :func:`cycle_matroids`."""
     return cycle_matroids([G])[0]
@@ -103,6 +99,7 @@ def cycle_matroids(graphs: Sequence[Multigraph]) -> list[Matroid]:
     so adding edge (u, v) to each subset A of the earlier edges relabels
     u's component as v's and raises the rank exactly when the two labels
     differed.  Graphs with fewer endpoints are padded with isolated ones.
+    The DP takes one :func:`~lamina.core.runs` of label cells at a time.
     """
     by_m: dict[int, list[int]] = {}
     for i, G in enumerate(graphs):
@@ -118,9 +115,9 @@ def cycle_matroids(graphs: Sequence[Multigraph]) -> list[Matroid]:
             ends.append([pos[x] for e in graphs[i].edges for x in e])
         ends = np.array(ends, dtype=np.intp).reshape(len(members), m, 2)
         width = int(ends.max(initial=0)) + 1
-        rows = max(1, _DP_CELLS // (width << m))
-        for start in range(0, len(members), rows):
-            e = ends[start:start + rows]
+        for batch in runs(range(len(members)), lambda _: width << m):
+            rows = slice(batch[0], batch[-1] + 1)
+            e = ends[rows]
             g = np.arange(len(e))
             lab = np.tile(np.arange(width, dtype=np.uint8)[:, None], (len(e), 1, 1))
             rank = np.zeros((len(e), 1), dtype=np.uint8)
@@ -128,7 +125,7 @@ def cycle_matroids(graphs: Sequence[Multigraph]) -> list[Matroid]:
                 lu, lv = lab[g, e[:, j, 0]], lab[g, e[:, j, 1]]
                 rank = np.concatenate((rank, rank + (lu != lv)), axis=1)
                 lab = np.concatenate((lab, np.where(lab == lu[:, None], lv[:, None], lab)), axis=2)
-            for i, table in zip(members[start:start + rows], rank):
+            for i, table in zip(members[rows], rank):
                 # the forests of a graph are the independent sets of a matroid
                 out[i] = Matroid(graphs[i].labels, table, validate=False)
     return out

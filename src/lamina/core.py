@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,8 +44,24 @@ for _ in range(MAX_ELEMENTS):
     _POPCOUNTS = np.concatenate((_POPCOUNTS, _POPCOUNTS + 1))
 _POPCOUNTS.flags.writeable = False
 
-# Table entries of one stacked pass; a larger table is a pass of its own
-_STACK_CELLS = 1 << 13
+# Table entries that go through numpy together: one stacked pass, one
+# sweep chunk, one batch of graphic DPs.  A larger item is a run of its own
+_TABLE_CELLS = 1 << 17
+
+
+def runs(items: Iterable, cells: Callable[..., int]) -> Iterator[list]:
+    """Consecutive runs of ``items`` of at most ``_TABLE_CELLS`` entries,
+    ``cells(item)`` each, or of one larger item; read one item past each run."""
+    run, total = [], 0
+    for x in items:
+        size = cells(x)
+        if run and total + size > _TABLE_CELLS:
+            yield run
+            run, total = [], 0
+        run.append(x)
+        total += size
+    if run:
+        yield run
 
 
 def subset_sizes(n: int) -> np.ndarray:
@@ -365,16 +381,15 @@ class Matroid:
 
 def prime(matroids: Iterable[Matroid], key: str) -> None:
     """Fill the cache ``key`` (a key of ``_PASSES``) of every matroid that
-    lacks it, with whatever else its pass fills: one pass per stack of
-    same-size tables, of at most ``_STACK_CELLS`` entries."""
+    lacks it, with whatever else its pass fills: one pass per :func:`runs`
+    of same-size tables."""
     by_n: dict[int, list[Matroid]] = {}
     for M in matroids:
         if key not in M._cache:
             by_n.setdefault(M.n, []).append(M)
     for n, ms in by_n.items():
-        rows = max(1, _STACK_CELLS >> n)
-        for start in range(0, len(ms), rows):
-            _PASSES[key](ms[start:start + rows], n)
+        for stack in runs(ms, lambda M: 1 << n):
+            _PASSES[key](stack, n)
 
 
 def _sweep(R: np.ndarray, n: int, cyclic: bool) -> np.ndarray:

@@ -425,13 +425,37 @@ class TestSharedWork:
         assert 0 < counts["_circuit_pass"] <= one_prime
         assert all("circuits" in M._cache for M in members)
 
+    def test_sweep_makes_one_circuit_pass_per_element_count_of_a_chunk(self, monkeypatch):
+        """``prime`` takes a sweep chunk whole: one stacked pass for each
+        element count in it, in the order the chunk first holds them."""
+        members = tuple(core.Matroid(M.labels, M.rank_table, validate=False)
+                        for M in checks._big_corpus(3))  # unprimed copies
+        passes = []
+        real = core._PASSES["circuits"]
+
+        def circuit_pass(ms, n):
+            passes.append(n)
+            return real(ms, n)
+
+        monkeypatch.setitem(core._PASSES, "circuits", circuit_pass)
+        assert checks.Sweep(lambda _: members, lambda M: None)(0) == (True, None)
+        chunks = core.runs(members, lambda M: 1 << M.n)
+        assert passes == [n for chunk in chunks for n in dict.fromkeys(M.n for M in chunk)]
+
+    def test_graph_pool_is_primed_in_few_passes(self, monkeypatch):
+        """The pool's 6-vertex tables stack a chunk at a time, not two or
+        four to a pass."""
+        counts = _counted_passes(monkeypatch)
+        assert run_check("lem-outerplanar", 0).status == "pass"
+        assert 0 < counts["_circuit_pass"] <= 60
+
     def test_minor_closed_primes_once_per_chunk(self, monkeypatch):
         """With chunks cut small, each chunk of members and their minors is
         primed in one call, not one call per member."""
         cid = "lem-klam-minor-closed"
-        monkeypatch.setattr(checks, "_SWEEP_CELLS", 1 << 10)
+        monkeypatch.setattr(core, "_TABLE_CELLS", 1 << 10)
         members = checks._sweep_corpus(checks._sub_seed(cid, 0))
-        chunks = list(checks._chunks(members))
+        chunks = list(core.runs(enumerate(members), lambda member: 1 << member[1].n))
         assert all(sum(1 << M.n for _, M in c) <= 1 << 10 for c in chunks if len(c) > 1)
         calls = []
         real = checks.prime

@@ -322,6 +322,16 @@ def _fresh_python(code: str) -> str:
     return done.stdout.strip()
 
 
+def test_library_never_imports_numpy_ma():
+    """``np.unique`` imports ``numpy.ma`` lazily, 1.2-1.6 MiB of RSS that
+    no diff shows: priming every family and running a check loads none."""
+    code = ("import sys, lamina.cli; from lamina import checks, core, corpus; "
+            "ms = tuple(corpus.generate_corpus(corpus.CorpusSpec(seed=0, count=20))); "
+            "[core.prime(ms, key) for key in core._PASSES]; "
+            "print(checks.run_check('lem-mnk').status, 'numpy.ma' in sys.modules)")
+    assert _fresh_python(code) == "pass False"
+
+
 def test_import_fills_no_shared_pool():
     """perfbench's ``setup_s`` times ``import lamina.cli``, so every
     cached function of the library (the corpus catalog, the seed-free

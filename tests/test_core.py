@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 import lamina
+import lamina.core as core
 import lamina.minors as minors
 from lamina.core import (
     MAX_ELEMENTS,
     Matroid,
     MatroidError,
+    runs,
     validate_rank_axioms,
 )
 from lamina.constructions import (
@@ -327,6 +329,37 @@ class TestEmptyAndDegenerate:
         M = uniform(0, 3)
         assert M.circuits() == (0b001, 0b010, 0b100)
         assert M.full_rank() == 0
+
+
+class TestRuns:
+    """``runs`` cuts an iterable into consecutive runs within the one
+    table-entry budget, the batch of every stacked pass, sweep and DP."""
+
+    def test_order_is_kept_and_each_run_fits(self, monkeypatch):
+        monkeypatch.setattr(core, "_TABLE_CELLS", 10)
+        sizes = [3, 4, 2, 11, 1, 9, 10, 5, 5, 6]
+        got = list(runs(sizes, lambda x: x))
+        assert [x for run in got for x in run] == sizes
+        assert all(sum(run) <= 10 or len(run) == 1 for run in got)
+        # each run ends where the next item would overflow it
+        assert got == [[3, 4, 2], [11], [1, 9], [10], [5, 5], [6]]
+
+    def test_empty_input_gives_no_runs(self):
+        assert list(runs([], lambda x: 1)) == []
+
+    def test_a_generator_is_read_lazily(self, monkeypatch):
+        """One item past each run, so a lazy corpus holds one run at a time."""
+        monkeypatch.setattr(core, "_TABLE_CELLS", 4)
+        read = []
+
+        def items():
+            for i in itertools.count():
+                read.append(i)
+                yield i
+
+        it = runs(items(), lambda _: 2)
+        assert next(it) == [0, 1] and read == [0, 1, 2]
+        assert next(it) == [2, 3] and read == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("path", sorted(pathlib.Path(lamina.__file__).parent.glob("*.py")),

@@ -891,7 +891,7 @@ class TestCycleMatroidKernel:
         got = [(M.labels, M.rank_table) for M in cycle_matroids(graphs)]
         assert got == [(G.labels, reference_cycle_table(G)) for G in graphs]
 
-    @pytest.mark.parametrize("cells", [1, 1 << 6, constructions._DP_CELLS])
+    @pytest.mark.parametrize("cells", [1, 1 << 6, core._TABLE_CELLS])
     def test_fixed_batch(self, monkeypatch, cells):
         """No edges, loops only, isolated vertices and 16 edges, with the
         DP split down to one graph at the smallest cell cap."""
@@ -901,7 +901,7 @@ class TestCycleMatroidKernel:
                   Multigraph(9, ((8, 8), (2, 7), (7, 2))), Multigraph(1, ()),
                   Multigraph(6, ((0, 5), (5, 5), (3, 1)))]
         want = [reference_cycle_table(G) for G in graphs]
-        monkeypatch.setattr(constructions, "_DP_CELLS", cells)
+        monkeypatch.setattr(core, "_TABLE_CELLS", cells)
         assert [M.rank_table for M in cycle_matroids(graphs)] == want
         assert cycle_matroids([]) == []
 
@@ -1688,11 +1688,11 @@ class _StackedFamily:
         assert self.primed([M]) == [self.loops(M)]
         assert tuple(_ACCESSORS[k](M) for k in self.keys) == self.loops(M)
 
-    @pytest.mark.parametrize("cells", [1 << 9, core._STACK_CELLS])
+    @pytest.mark.parametrize("cells", [1 << 9, 1 << 13])
     def test_stacks_split_across_passes(self, monkeypatch, cells):
         # 119 six-element and 88 seven-element members: 8 and 4 rows per
-        # pass at the smaller cap
-        monkeypatch.setattr(core, "_STACK_CELLS", cells)
+        # pass at the smaller cap, 128 and 64 at the larger
+        monkeypatch.setattr(core, "_TABLE_CELLS", cells)
         assert self.primed(_CORPUS) == [self.loops(M) for M in _CORPUS]
 
     def test_primed_matroids_are_skipped(self):
