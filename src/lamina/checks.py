@@ -38,12 +38,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from .core import Matroid, MatroidError, default_labels, prime, runs
 from .constructions import (
     CyclicFlatFamily,
     LaminarCapacitySystem,
     Multigraph,
     ZAxiomError,
+    cycle_matroid,
     cycle_matroids,
     from_cyclic_flats,
     laminar_matroid,
@@ -64,7 +67,7 @@ from .laminar import (
     min_laminar_k,
 )
 from .minors import (
-    BINARY, NAMED_MINORS, TERNARY, contract, has_minor, is_binary, is_ternary,
+    BINARY, NAMED_MINORS, TERNARY, contract, delete, has_minor, is_binary, is_ternary,
     is_excluded_minor, single_element_minors)
 from .formats import serialize_matroid
 from .corpus import CorpusSpec, generate_corpus
@@ -232,27 +235,24 @@ def _laminar_system_corpus(seed: int) -> Iterator[Matroid]:
 # graph helpers for the graphic characterizations
 
 
-def _two_connected(nv: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    """Simple graph 2-connectivity by brute-force vertex removal over
-    adjacency bitmasks.  With at least 3 vertices, every G - v connected
-    already makes G connected with no isolated vertex."""
-    if nv < 3 or len(edges) < nv:
-        return False
-    adj = [0] * nv
-    for u, w in edges:
-        adj[u] |= 1 << w
-        adj[w] |= 1 << u
-    for skip in range(nv):
-        rest = (1 << nv) - 1 & ~(1 << skip)
-        seen = todo = rest & -rest
-        while todo:
-            v = todo.bit_length() - 1
-            new = adj[v] & rest & ~seen
-            seen |= new
-            todo = todo & ~(1 << v) | new
-        if seen != rest:
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _complete_graph(nv: int) -> Matroid:
+    """M(K_nv), its edges in ``combinations`` order and labelled ``"u-v"``:
+    a simple graph's cycle matroid is its restriction to the graph's edges."""
+    edges = tuple(itertools.combinations(range(nv), 2))
+    return cycle_matroid(Multigraph(nv, edges, tuple(f"{u}-{v}" for u, v in edges)))
+
+
+@lru_cache(maxsize=None)
+def _two_connected(nv: int) -> bytes:
+    """Per edge mask S of K_nv, 1 if the graph S is 2-connected: nv >= 3
+    and, for every vertex v, the edges avoiding v have rank nv - 2."""
+    K = _complete_graph(nv)
+    S = np.arange(1 << K.n)
+    ok = np.full(len(S), nv >= 3)
+    for v in range(nv):
+        ok &= K.ranks[S & ~K.mask(x for x in K.labels if str(v) in x.split("-"))] == nv - 2
+    return ok.tobytes()
 
 
 @lru_cache(maxsize=None)
@@ -284,55 +284,41 @@ def _cycle_with_chords(nv: int, edges: tuple[tuple[int, int], ...],
     return False
 
 
-@lru_cache(maxsize=None)
-def _two_connected_graphs() -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """(vertex count, edges) of every simple 2-connected graph on 3..5
-    vertices, built once."""
-    pool = []
-    for nv in (3, 4, 5):
-        all_edges = list(itertools.combinations(range(nv), 2))
-        for bits in range(1 << len(all_edges)):
-            edges = tuple(e for i, e in enumerate(all_edges) if bits >> i & 1)
-            if _two_connected(nv, edges):
-                pool.append((nv, edges))
-    return tuple(pool)
-
-
-def _six_vertex_samples(seed: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """(6, edges) of >= 500 distinct seeded 2-connected 6-vertex graphs."""
-    rng = random.Random(seed)
-    all6 = list(itertools.combinations(range(6), 2))
-    samples, seen = [], set()
+def _six_vertex_samples(seed: int) -> list[int]:
+    """Edge masks over K_6 of >= 500 distinct seeded 2-connected graphs."""
+    rng, two_connected = random.Random(seed), _two_connected(6)
+    samples: dict[int, None] = {}  # in first-drawn order
     attempts = 0
-    while len(seen) < 500 and attempts < 100000:
+    while len(samples) < 500 and attempts < 100000:
         attempts += 1
-        m = rng.randint(6, 12)
-        edges = tuple(sorted(rng.sample(all6, m)))
-        if edges in seen or not _two_connected(6, edges):
-            continue
-        seen.add(edges)
-        samples.append((6, edges))
-    return samples
+        # a draw of 6..12 of K_6's 15 edges, sorted into a mask
+        S = sum(1 << i for i in rng.sample(range(15), rng.randint(6, 12)))
+        if two_connected[S]:
+            samples[S] = None
+    return list(samples)
 
 
-def _labelled_cycle_matroids(graphs) -> list[Matroid]:
-    """Cycle matroids of (vertex count, edges) pairs, edges labelled ``"u-v"``."""
-    return cycle_matroids([Multigraph(nv, edges, tuple(f"{u}-{v}" for u, v in edges))
-                           for nv, edges in graphs])
+def _restriction(nv: int, S: int) -> Matroid:
+    """The cycle matroid of the graph with K_nv's edges of mask ``S``."""
+    K = _complete_graph(nv)
+    return delete(K, K.E & ~S)
 
 
 @lru_cache(maxsize=None)
 def _two_connected_matroids() -> tuple[Matroid, ...]:
-    """Cycle matroids of :func:`_two_connected_graphs`, built once."""
-    return tuple(_labelled_cycle_matroids(_two_connected_graphs()))
+    """Cycle matroids of every simple 2-connected graph on 3..5 vertices,
+    built once."""
+    return tuple(_restriction(nv, S) for nv in (3, 4, 5)
+                 for S, ok in enumerate(_two_connected(nv)) if ok)
 
 
 def _graph_pool(seed: int) -> Iterator[Matroid]:
-    """:func:`_two_connected_matroids`, then cycle matroids of
-    :func:`_six_vertex_samples` built one :func:`~lamina.core.runs` at a time."""
+    """:func:`_two_connected_matroids`, then the cycle matroids of
+    :func:`_six_vertex_samples`; each member is M(K_nv) restricted to its
+    edges, so the pool builds no graph table of its own."""
     yield from _two_connected_matroids()
-    for graphs in runs(_six_vertex_samples(seed), lambda graph: 1 << len(graph[1])):
-        yield from _labelled_cycle_matroids(graphs)
+    for S in _six_vertex_samples(seed):
+        yield _restriction(6, S)
 
 
 def _graph_shape(max_chords: int):

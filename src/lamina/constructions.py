@@ -98,8 +98,11 @@ def cycle_matroids(graphs: Sequence[Multigraph]) -> list[Matroid]:
     holds the component labels of graph g's endpoints in its subgraph A,
     so adding edge (u, v) to each subset A of the earlier edges relabels
     u's component as v's and raises the rank exactly when the two labels
-    differed.  Graphs with fewer endpoints are padded with isolated ones.
-    The DP takes one :func:`~lamina.core.runs` of label cells at a time.
+    differed.  Endpoints are ordered by their last edge, latest first,
+    so the ones that edges j.. still read are a prefix: each step keeps
+    only that prefix's columns before doubling, and the last keeps none.
+    Graphs with fewer endpoints are padded with isolated ones.  The DP
+    takes one :func:`~lamina.core.runs` of label cells at a time.
     """
     by_m: dict[int, list[int]] = {}
     for i, G in enumerate(graphs):
@@ -111,10 +114,13 @@ def cycle_matroids(graphs: Sequence[Multigraph]) -> list[Matroid]:
         # only the at most 2m endpoints matter, so labels fit in uint8
         ends = []
         for i in members:
-            pos = {x: j for j, x in enumerate(sorted({x for e in graphs[i].edges for x in e}))}
+            last = {x: j for j, e in enumerate(graphs[i].edges) for x in e}
+            pos = {x: p for p, x in enumerate(sorted(last, key=last.get, reverse=True))}
             ends.append([pos[x] for e in graphs[i].edges for x in e])
         ends = np.array(ends, dtype=np.intp).reshape(len(members), m, 2)
-        width = int(ends.max(initial=0)) + 1
+        # edges j.. read the first keep[j] endpoints, and edge m reads none
+        keep = np.append(np.maximum.accumulate(ends.max(axis=(0, 2))[::-1])[::-1] + 1, 0)
+        width = int(keep[0])
         for batch in runs(range(len(members)), lambda _: width << m):
             rows = slice(batch[0], batch[-1] + 1)
             e = ends[rows]
@@ -124,6 +130,7 @@ def cycle_matroids(graphs: Sequence[Multigraph]) -> list[Matroid]:
             for j in range(m):
                 lu, lv = lab[g, e[:, j, 0]], lab[g, e[:, j, 1]]
                 rank = np.concatenate((rank, rank + (lu != lv)), axis=1)
+                lab = lab[:, :keep[j + 1]]
                 lab = np.concatenate((lab, np.where(lab == lu[:, None], lv[:, None], lab)), axis=2)
             for i, table in zip(members[rows], rank):
                 # the forests of a graph are the independent sets of a matroid

@@ -210,7 +210,12 @@ def parse_matroid(text: str) -> Matroid:
             if not body:
                 raise ParseError(lineno, "graph body needs a 'vertices <int>' line")
             (nv,) = _read(*body[0], "vertices")
+            if nv < 0:
+                raise ParseError(body[0][0], "vertex count must be nonnegative")
             edges = [_read(*bl, "edge") for bl in body[1:]]
+            for (lno, _), (_, u, v) in zip(body[1:], edges):
+                if not (0 <= u < nv and 0 <= v < nv):
+                    raise ParseError(lno, f"edge ({u},{v}) has an invalid endpoint")
             if len(edges) != n:
                 raise ParseError(body[-1][0], f"expected {n} edges, got {len(edges)}")
             edge_labels = tuple(e[0] for e in edges)

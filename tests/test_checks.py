@@ -332,7 +332,7 @@ class TestGraphPool:
     def test_seed_free_part_is_every_two_connected_graph(self):
         """1, 10 and 238 labelled 2-connected graphs on 3, 4 and 5
         vertices (OEIS A013922), each a simple graph on all its vertices."""
-        graphs = checks._two_connected_graphs()
+        graphs = [_graph_of(M) for M in checks._two_connected_matroids()]
         assert collections.Counter(nv for nv, _ in graphs) == {3: 1, 4: 10, 5: 238}
         for nv, edges in graphs:
             assert len(set(edges)) == len(edges)
@@ -346,6 +346,69 @@ class TestGraphPool:
                                for (nv, edges), M in zip(graphs, pool)]) == pool
         assert len(set(graphs)) == len(pool) == 249 + 500
         assert {nv for nv, _ in graphs[249:]} == {6}
+
+
+def _two_connected_by_search(nv, edges):
+    """Oracle: simple graph 2-connectivity by brute-force vertex removal
+    over adjacency bitmasks, the test the graph pool made before it read
+    ranks of K_nv.  With at least 3 vertices, every G - v connected
+    already makes G connected with no isolated vertex."""
+    if nv < 3 or len(edges) < nv:
+        return False
+    adj = [0] * nv
+    for u, w in edges:
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
+    for skip in range(nv):
+        rest = (1 << nv) - 1 & ~(1 << skip)
+        seen = todo = rest & -rest
+        while todo:
+            v = todo.bit_length() - 1
+            new = adj[v] & rest & ~seen
+            seen |= new
+            todo = todo & ~(1 << v) | new
+        if seen != rest:
+            return False
+    return True
+
+
+class TestTwoConnected:
+    def test_rank_table_matches_the_search_on_every_edge_mask(self):
+        """All 8 + 64 + 1,024 + 32,768 edge masks of K_3..K_6."""
+        for nv in (3, 4, 5, 6):
+            pairs = list(itertools.combinations(range(nv), 2))
+            table = checks._two_connected(nv)
+            assert len(table) == 1 << len(pairs)
+            for S, got in enumerate(table):
+                edges = [e for i, e in enumerate(pairs) if S >> i & 1]
+                assert got == _two_connected_by_search(nv, edges), (nv, edges)
+
+    def test_below_three_vertices_nothing_is_two_connected(self):
+        assert checks._two_connected(2) == b"\0\0"
+        assert checks._two_connected(1) == checks._two_connected(0) == b"\0"
+
+    def test_six_vertex_members_keep_the_complete_graphs_edge_order(self):
+        K = checks._complete_graph(6)
+        assert K.labels == tuple(f"{u}-{v}" for u, v in itertools.combinations(range(6), 2))
+        for M in itertools.islice(checks._graph_pool(checks._sub_seed("lem-outerplanar", 0)),
+                                  249, None):
+            at = [K.labels.index(x) for x in M.labels]
+            assert at == sorted(at)
+
+    def test_pool_builds_no_cycle_matroid_once_warm(self, monkeypatch):
+        seed = checks._sub_seed("prop-one-chord", 0)
+        list(checks._graph_pool(seed))  # warms the seed-free caches
+        calls = []
+
+        def counted(graphs):
+            calls.append(len(graphs))
+            return real(graphs)
+
+        real = constructions.cycle_matroids
+        monkeypatch.setattr(constructions, "cycle_matroids", counted)
+        monkeypatch.setattr(checks, "cycle_matroids", counted)
+        assert len(list(checks._graph_pool(seed + 1))) == 749
+        assert calls == []
 
 
 def _cycle_with_chords_by_permutation(nv, edges, max_chords):

@@ -158,7 +158,7 @@ _MALFORMED = [
          "expected 1 edges, got 0"),
     _bad("edge-labels", "%matroid v1\nn 2\nrepr graph\nvertices 2\n"
          "edge e1 0 1\nedge e3 0 1\n", 6, "edge labels do not match declared labels"),
-    _bad("edge-endpoint-range", "%matroid v1\nn 1\nrepr graph\nvertices 2\nedge e1 0 5\n", 4,
+    _bad("edge-endpoint-range", "%matroid v1\nn 1\nrepr graph\nvertices 2\nedge e1 0 5\n", 5,
          "edge (0,5) has an invalid endpoint"),
     _bad("cap-usage", "%matroid v1\nn 2\nrepr laminar\ncap\n", 4, "expected 'cap {..} <int>'"),
     _bad("cap-empty", "%matroid v1\nn 2\nrepr laminar\ncap {e1}\n", 4, "invalid capacity ''"),
