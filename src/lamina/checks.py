@@ -15,9 +15,11 @@ A claim returns ``None`` when it holds and ``(note, *sets)`` when it
 fails; the first failing member is the witness, its note prefixed with
 ``label[index]``.  Every equivalence, excluded-minor and
 graph-shape characterization is an :class:`Agree` of named predicates;
-the other claims are functions below and :func:`_minor_closed`.  The
-graph pool labels each edge by its endpoints, ``"u-v"``, so a side
-reads the graph from the labels and a witness spells it out.
+the other claims are functions below and :func:`_minor_closed`.  Every
+graph-pool member is a restriction of M(K_6), its edges labelled by
+their endpoints, ``"u-v"``, so a witness spells the graph out; a
+graph-shape side looks the member's K_6 edge mask up in one table of
+the allowed shapes, and no side parses a label.
 :func:`_battery` certifies fixed excluded minors; the other fixed-input
 checks are plain functions.  A side that stands for a definition states
 the definition itself, as ``lem-kcl-equiv`` does the 2^n chain form and
@@ -237,8 +239,9 @@ def _laminar_system_corpus(seed: int) -> Iterator[Matroid]:
 
 @lru_cache(maxsize=None)
 def _complete_graph(nv: int) -> Matroid:
-    """M(K_nv), its edges in ``combinations`` order and labelled ``"u-v"``:
-    a simple graph's cycle matroid is its restriction to the graph's edges."""
+    """M(K_nv), its edges in ``combinations`` order and labelled ``"u-v"``
+    for witnesses (nothing parses a label): a simple graph's cycle matroid
+    is its restriction to the graph's edges."""
     edges = tuple(itertools.combinations(range(nv), 2))
     return cycle_matroid(Multigraph(nv, edges, tuple(f"{u}-{v}" for u, v in edges)))
 
@@ -247,41 +250,31 @@ def _complete_graph(nv: int) -> Matroid:
 def _two_connected(nv: int) -> bytes:
     """Per edge mask S of K_nv, 1 if the graph S is 2-connected: nv >= 3
     and, for every vertex v, the edges avoiding v have rank nv - 2."""
-    K = _complete_graph(nv)
+    K, edges = _complete_graph(nv), list(itertools.combinations(range(nv), 2))
     S = np.arange(1 << K.n)
     ok = np.full(len(S), nv >= 3)
     for v in range(nv):
-        ok &= K.ranks[S & ~K.mask(x for x in K.labels if str(v) in x.split("-"))] == nv - 2
+        ok &= K.ranks[S & ~sum(1 << i for i, e in enumerate(edges) if v in e)] == nv - 2
     return ok.tobytes()
 
 
 @lru_cache(maxsize=None)
-def _hamiltonian_cycles(nv: int) -> tuple[frozenset[tuple[int, int]], ...]:
-    """Edge sets (pairs u < v) of K_nv's Hamiltonian cycles, each once."""
-    cycles = ((0, *perm, 0) for perm in itertools.permutations(range(1, nv))
-              if perm[0] <= perm[-1])  # each cycle once per direction
-    return tuple(frozenset((min(e), max(e)) for e in zip(c, c[1:])) for c in cycles)
-
-
-def _cycle_with_chords(nv: int, edges: tuple[tuple[int, int], ...],
-                       max_chords: int) -> bool:
-    """Whether the simple graph on ``nv`` vertices with ``edges`` (pairs
-    u < v) is a Hamiltonian cycle plus at most ``max_chords`` chords,
-    where two chords must share one endpoint and have adjacent other
-    endpoints."""
-    edge_set = frozenset(edges)
-    if len(edge_set) - nv > max_chords:
-        return False
-    for ring in _hamiltonian_cycles(nv):
-        if not ring <= edge_set:
-            continue
-        chords = edge_set - ring  # |E| - nv of them, whatever the cycle
-        if len(chords) <= 1:
-            return True
-        ends = set.symmetric_difference(*map(set, chords))
-        if len(ends) == 2 and tuple(sorted(ends)) in edge_set:
-            return True
-    return False
+def _graph_shapes(max_chords: int) -> frozenset[int]:
+    """K_6 edge masks of K_4 and of every cycle through vertices 0..nv-1,
+    3 <= nv <= 6, plus at most ``max_chords`` chords, where two chords
+    must share one endpoint and have adjacent other endpoints."""
+    bit = {e: 1 << i for i, e in enumerate(itertools.combinations(range(6), 2))}
+    shapes = {sum(bit[e] for e in itertools.combinations(range(4), 2))}
+    for nv in range(3, 7):
+        for order in itertools.permutations(range(1, nv)):
+            ring = {tuple(sorted(e)) for e in zip((0, *order), (*order, 0))}
+            chords = [e for e in itertools.combinations(range(nv), 2) if e not in ring]
+            for j in range(max_chords + 1):
+                for extra in itertools.combinations(chords, j):
+                    # chords a-b and a-c need the ring edge b-c
+                    if j < 2 or tuple(sorted(set(extra[0]) ^ set(extra[1]))) in ring:
+                        shapes.add(sum(bit[e] for e in ring.union(extra)))
+    return frozenset(shapes)
 
 
 def _six_vertex_samples(seed: int) -> list[int]:
@@ -319,16 +312,6 @@ def _graph_pool(seed: int) -> Iterator[Matroid]:
     yield from _two_connected_matroids()
     for S in _six_vertex_samples(seed):
         yield _restriction(6, S)
-
-
-def _graph_shape(max_chords: int):
-    """Side: the graph that M's ``"u-v"`` labels spell is K_4 or a cycle
-    with the stated chords."""
-    def side(M):
-        edges = tuple(tuple(map(int, label.split("-"))) for label in M.labels)
-        nv = 1 + max(map(max, edges))
-        return nv == 4 and len(edges) == 6 or _cycle_with_chords(nv, edges, max_chords)
-    return side
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +582,12 @@ CHECKS = {
     )), "graphic"),
     "lem-outerplanar": Sweep(_graph_pool, Agree((
         ("predicate", lambda M: is_k_laminar(M, 2)),
-        ("graph shape", _graph_shape(max_chords=2)))), "graph"),
+        ("graph shape", lambda M: _complete_graph(6).mask(M.labels) in _graph_shapes(2)),
+    )), "graph"),
     "prop-one-chord": Sweep(_graph_pool, Agree((
         ("predicate", lambda M: is_k_closure_laminar(M, 2)),
-        ("graph shape", _graph_shape(max_chords=1)))), "graph"),
+        ("graph shape", lambda M: _complete_graph(6).mask(M.labels) in _graph_shapes(1)),
+    )), "graph"),
     "thm-pav1": Sweep(_sweep_corpus, Agree((
         ("k-laminar", lambda M, k: is_k_laminar(M, k)),
         ("k-closure-laminar", lambda M, k: is_k_closure_laminar(M, k))),

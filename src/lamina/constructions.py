@@ -138,6 +138,15 @@ def cycle_matroids(graphs: Sequence[Multigraph]) -> list[Matroid]:
     return out
 
 
+class FamilyError(MatroidError):
+    """A family of sets failed its constructor's own check; ``members``
+    are the positions of the offending members in the family's order."""
+
+    def __init__(self, message: str, members: tuple[int, ...]):
+        super().__init__(message)
+        self.members = members
+
+
 # ---------------------------------------------------------------------------
 # laminar capacity systems
 
@@ -168,10 +177,9 @@ class LaminarCapacitySystem:
             for j in range(i + 1, len(fam)):
                 a, b = fam[i], fam[j]
                 if a & b and (a & ~b) and (b & ~a):
-                    raise MatroidError(
+                    raise FamilyError(
                         f"family is not laminar: members {a:#x} and {b:#x} "
-                        "intersect without nesting"
-                    )
+                        "intersect without nesting", (i, j))
 
 
 def laminar_matroid(system: LaminarCapacitySystem) -> Matroid:
@@ -220,9 +228,9 @@ class NestedPresentation:
             check_mask(B, len(self.labels), "block")
 
     def check_chain(self) -> None:
-        for a, b in zip(self.blocks, self.blocks[1:]):
+        for j, (a, b) in enumerate(zip(self.blocks, self.blocks[1:])):
             if a & ~b:
-                raise MatroidError("blocks do not form a chain B_1 ⊆ ... ⊆ B_m")
+                raise FamilyError("blocks do not form a chain B_1 ⊆ ... ⊆ B_m", (j, j + 1))
 
 
 def transversal_matroid(presentation: NestedPresentation) -> Matroid:
@@ -385,14 +393,13 @@ class ZViolation:
     witness: tuple[int, ...]
 
 
-class ZAxiomError(MatroidError):
+class ZAxiomError(FamilyError):
     """A candidate cyclic-flat family failed one of Z0-Z3."""
 
-    def __init__(self, violation: ZViolation):
+    def __init__(self, violation: ZViolation, members: tuple[int, ...] = ()):
         super().__init__(
             f"cyclic-flat axiom {violation.axiom} violated at masks "
-            f"{tuple(hex(w) for w in violation.witness)}"
-        )
+            f"{tuple(hex(w) for w in violation.witness)}", members)
         self.violation = violation
 
 
@@ -527,7 +534,8 @@ def from_cyclic_flats(family: CyclicFlatFamily) -> Matroid:
     """
     v = validate_z_axioms(family)
     if v is not None:
-        raise ZAxiomError(v)
+        masks = [Z for Z, _ in family.entries]  # distinct, so a mask is a position
+        raise ZAxiomError(v, tuple(masks.index(w) for w in v.witness))
     n = len(family.labels)
     sizes = subset_sizes(n)
     X = np.arange(1 << n)

@@ -147,7 +147,8 @@ def parse_matroid(text: str) -> Matroid:
     Parsed text is untrusted, so this is a trust boundary: the finished
     rank table is checked against the rank axioms once, here, and any
     failure (of the axioms or of a constructor's own input checks) is
-    raised as a :class:`ParseError` with a line number.
+    raised as a :class:`ParseError` with a line number: that of the later
+    offending member when a family check names its members.
     """
     lines = list(_logical_lines(text))
     rest = iter(lines)
@@ -234,7 +235,9 @@ def parse_matroid(text: str) -> Matroid:
             blocks = tuple(_read(*bl, "block", index)[0] for bl in body)
             M = transversal_matroid(NestedPresentation(labels, blocks))
     except MatroidError as exc:
-        raise ParseError(first, str(exc)) from exc
+        # a family check names its members, one per body line: report the later
+        members = getattr(exc, "members", ())
+        raise ParseError(body[max(members)][0] if members else first, str(exc)) from exc
 
     v = validate_rank_axioms(M.rank_table, M.n)
     if v is not None:

@@ -11,8 +11,8 @@ import lamina.constructions as constructions
 import lamina.core as core
 import lamina.minors as minors
 from lamina.constructions import (
-    Multigraph, ZAxiomError, ZViolation, cycle_matroids, named_matroid, nn_family,
-    sec1_pc_example)
+    Multigraph, ZAxiomError, ZViolation, cycle_matroid, cycle_matroids, named_matroid,
+    nn_family, sec1_pc_example)
 from lamina.core import MatroidError
 from lamina.corpus import catalog_with_minors
 from lamina.checks import CHECKS, Agree, available_checks, run_check
@@ -412,9 +412,9 @@ class TestTwoConnected:
 
 
 def _cycle_with_chords_by_permutation(nv, edges, max_chords):
-    """Oracle: the walk over all (nv - 1)! vertex orders that
-    ``_cycle_with_chords`` made for every graph before its cycles were
-    listed once per vertex count."""
+    """Oracle: the walk over all (nv - 1)! vertex orders that the graph
+    shape side made for every graph before the shapes were one table of
+    K_6 edge masks."""
     edge_set = frozenset(edges)
     if len(edge_set) - nv > max_chords:
         return False
@@ -450,7 +450,9 @@ class TestSharedWork:
     primes what a check reads a chunk at a time."""
 
     def test_cycle_with_chords_matches_the_permutation_walk(self):
-        """Every simple graph on 3-5 vertices, and both seed-0 graph pools."""
+        """Every simple graph on 3-5 vertices, and both seed-0 graph pools,
+        read as the shape side reads them: a K_6 edge mask looked up in the
+        table, K_4 included, on 1 + the largest vertex."""
         graphs = []
         for nv in (3, 4, 5):
             pairs = list(itertools.combinations(range(nv), 2))
@@ -459,9 +461,22 @@ class TestSharedWork:
         for cid in ("lem-outerplanar", "prop-one-chord"):
             graphs += map(_graph_of, checks._graph_pool(checks._sub_seed(cid, 0)))
         assert len(graphs) == 8 + 64 + 1024 + 2 * 749
-        for (nv, edges), k in itertools.product(graphs, (1, 2)):
-            want = _cycle_with_chords_by_permutation(nv, edges, k)
-            assert checks._cycle_with_chords(nv, edges, k) == want, (nv, edges, k)
+        K = checks._complete_graph(6)
+        for (_, edges), k in itertools.product(graphs, (1, 2)):
+            nv = 1 + max(map(max, edges), default=-1)
+            # a simple graph on under 3 vertices has no cycle; the walk
+            # reads the one edge 0-1 as the ring 0-1-0
+            want = nv >= 3 and (nv == 4 and len(edges) == 6
+                                or _cycle_with_chords_by_permutation(nv, edges, k))
+            got = K.mask(f"{u}-{v}" for u, v in edges) in checks._graph_shapes(k)
+            assert got == want, (nv, edges, k)
+
+    def test_shape_side_refuses_labels_outside_k6(self):
+        """A member on a seventh vertex raises, never reads a silent False."""
+        M = cycle_matroid(Multigraph(7, ((0, 1), (1, 6), (0, 6)), ("0-1", "1-6", "0-6")))
+        side = dict(checks.CHECKS["lem-outerplanar"].claim.sides)["graph shape"]
+        with pytest.raises(MatroidError, match="unknown element label '1-6'"):
+            side(M)
 
     def test_seed_free_members_are_built_once(self):
         catalog = catalog_with_minors(7)

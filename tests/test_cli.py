@@ -335,14 +335,14 @@ def test_library_never_imports_numpy_ma():
 def test_import_fills_no_shared_pool():
     """perfbench's ``setup_s`` times ``import lamina.cli``, so every
     cached function of the library (the corpus catalog, the seed-free
-    graph pools, M(K_n) and its 2-connectivity tables, the Hamiltonian
-    cycles of K_n) is still empty after it."""
+    graph pools, M(K_n) and its 2-connectivity tables, the table of
+    graph shapes) is still empty after it."""
     code = ("import json, sys, lamina.cli; print(json.dumps({"
             "f'{f.__module__}.{f.__qualname__}': f.cache_info().currsize "
             "for name, mod in list(sys.modules.items()) if name.startswith('lamina') "
             "for f in vars(mod).values() if hasattr(f, 'cache_info')}))")
     sizes = json.loads(_fresh_python(code))
     assert {"lamina.corpus.catalog_with_minors", "lamina.checks._two_connected_matroids",
-            "lamina.checks._graphic_fixed", "lamina.checks._hamiltonian_cycles",
+            "lamina.checks._graphic_fixed", "lamina.checks._graph_shapes",
             "lamina.checks._complete_graph", "lamina.checks._two_connected"} <= set(sizes)
     assert set(sizes.values()) == {0}, sizes

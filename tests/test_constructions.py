@@ -154,8 +154,11 @@ class TestLaminarMatroid:
             S = (S - 1) & A
 
     def test_rejects_crossing_family(self):
-        with pytest.raises(MatroidError):
-            LaminarCapacitySystem(("a", "b", "c"), (0b011, 0b110), (1, 1)).check_laminar()
+        # the witness is the first crossing pair's positions, each mask's first
+        with pytest.raises(MatroidError) as err:
+            LaminarCapacitySystem(("a", "b", "c"), (0b001, 0b011, 0b110, 0b011),
+                                  (1, 1, 1, 1)).check_laminar()
+        assert err.value.members == (1, 2)
 
     def test_member_outside_ground_set_names_the_mask(self):
         with pytest.raises(MatroidError, match=r"^family member 0x4 not within ground set$"):
@@ -204,8 +207,11 @@ class TestTransversalMatroid:
         return best
 
     def test_chain_presentation_required(self):
-        with pytest.raises(MatroidError):
-            transversal_matroid(NestedPresentation(("a", "b"), (0b01, 0b10)))
+        # the witness is positions, as a mask can repeat
+        for blocks, members in (((0b01, 0b10), (0, 1)), ((0b01, 0b11, 0b01), (1, 2))):
+            with pytest.raises(MatroidError) as err:
+                transversal_matroid(NestedPresentation(("a", "b"), blocks))
+            assert err.value.members == members
 
     def test_block_outside_ground_set_names_the_mask(self):
         with pytest.raises(MatroidError, match=r"^block 0x2 not within ground set$"):
@@ -452,6 +458,7 @@ class TestCounterexampleFamily:
             for m in v.witness]
         assert {"a2", "a3", "b1", "c1", "e"} in witness_sets
         assert {"a1", "b2", "b3", "c1", "e"} in witness_sets
+        assert tuple(fam.entries[i][0] for i in err.value.members) == v.witness
 
     def test_k3_family_rejected(self):
         assert validate_z_axioms(notk_cyclic_flats(3)) is not None

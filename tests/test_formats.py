@@ -134,8 +134,11 @@ _MALFORMED = [
     _bad("set-two-sets", "%matroid v1\nn 2\nrepr cyclic-flats\nset {e1} {e2} rank 1\n", 4,
          "expected exactly one braced set, got 2"),
     _bad("cyclic-flat-axiom", "%matroid v1\nn 2\nrepr cyclic-flats\n"
-         "set {e1} rank 0\nset {e2} rank 0\n", 4,
+         "set {e1} rank 0\nset {e2} rank 0\n", 5,
          "cyclic-flat axiom Z0 violated at masks ('0x1', '0x2')"),
+    _bad("cyclic-flat-axiom-later-pair", "%matroid v1\nn 3\nlabels a b c\nrepr cyclic-flats\n"
+         "set {} rank 0\nset {a b c} rank 1\nset {a b} rank 2\n", 7,
+         "cyclic-flat axiom Z2 violated at masks ('0x0', '0x3')"),
     _bad("graph-no-body", "%matroid v1\nn 1\nrepr graph\n", 3,
          "graph body needs a 'vertices <int>' line"),
     _bad("vertices-usage", "%matroid v1\nn 1\nrepr graph\nvertices\n", 4,
@@ -166,13 +169,19 @@ _MALFORMED = [
          "invalid capacity 'y'"),
     _bad("cap-two-sets", "%matroid v1\nn 2\nrepr laminar\ncap {e1} {e2} 1\n", 4,
          "expected exactly one braced set, got 2"),
-    _bad("not-laminar", "%matroid v1\nn 3\nrepr laminar\ncap {e1 e2} 1\ncap {e2 e3} 1\n", 4,
+    _bad("not-laminar", "%matroid v1\nn 3\nrepr laminar\ncap {e1 e2} 1\ncap {e2 e3} 1\n", 5,
+         "family is not laminar: members 0x3 and 0x6 intersect without nesting"),
+    _bad("not-laminar-later-pair", "%matroid v1\nn 3\nlabels a b c\nrepr laminar\n"
+         "cap {a} 1\ncap {a b} 1\ncap {b c} 1\n", 7,
          "family is not laminar: members 0x3 and 0x6 intersect without nesting"),
     _bad("block-usage", "%matroid v1\nn 2\nrepr transversal\nblock\n", 4,
          "expected 'block {..}'"),
     _bad("block-two-sets", "%matroid v1\nn 2\nrepr transversal\nblock {e1} {e2}\n", 4,
          "expected exactly one braced set, got 2"),
-    _bad("not-a-chain", "%matroid v1\nn 2\nrepr transversal\nblock {e1 e2}\nblock {e1}\n", 4,
+    _bad("not-a-chain", "%matroid v1\nn 2\nrepr transversal\nblock {e1 e2}\nblock {e1}\n", 5,
+         "blocks do not form a chain B_1 ⊆ ... ⊆ B_m"),
+    _bad("not-a-chain-later-pair", "%matroid v1\nn 3\nlabels a b c\nrepr transversal\n"
+         "block {a}\nblock {a b}\nblock {c}\n", 7,
          "blocks do not form a chain B_1 ⊆ ... ⊆ B_m"),
 ]
 
