@@ -51,7 +51,7 @@ from .constructions import (
     cycle_matroid,
     cycle_matroids,
     from_cyclic_flats,
-    laminar_matroid,
+    laminar_matroids,
     mn_family,
     named_matroid,
     notk_cyclic_flats,
@@ -69,8 +69,8 @@ from .laminar import (
     min_laminar_k,
 )
 from .minors import (
-    BINARY, NAMED_MINORS, TERNARY, contract, delete, has_minor, is_binary, is_ternary,
-    is_excluded_minor, single_element_minors)
+    BINARY, NAMED_MINORS, TERNARY, MinorSpec, contract, has_minor, is_binary, is_ternary,
+    is_excluded_minor, minors_of, single_element_minors_of)
 from .formats import serialize_matroid
 from .corpus import CorpusSpec, generate_corpus
 
@@ -109,8 +109,8 @@ class Sweep:
     """Ask ``claim`` of every member of ``corpus(seed)``, read one
     :func:`~lamina.core.runs` of members at a time and primed with ``family``;
     the first member it fails on is the witness.  With ``minors`` it asks
-    ``claim(M, single_element_minors(M))``, priming the minors of a whole
-    chunk with it."""
+    ``claim(M, single_element_minors(M))``, building and priming the minors
+    of a whole chunk with it."""
 
     corpus: Callable[[int], Iterable[Matroid]]
     claim: Callable[..., tuple | None]
@@ -120,14 +120,15 @@ class Sweep:
 
     def __call__(self, seed: int) -> tuple[bool, dict | None]:
         for chunk in runs(enumerate(self.corpus(seed)), lambda member: 1 << member[1].n):
-            reads = [single_element_minors(M) if self.minors else [] for _, M in chunk]
-            prime(itertools.chain((M for _, M in chunk), *reads), self.family)
+            members = [M for _, M in chunk]
+            reads = single_element_minors_of(members) if self.minors else [[] for _ in chunk]
+            prime(itertools.chain(members, *reads), self.family)
             for (i, M), minors in zip(chunk, reads):
                 failure = self.claim(M, minors) if self.minors else self.claim(M)
                 if failure is not None:
                     note, *sets = failure
                     return False, _witness(M, f"{self.label}[{i}]: {note}", *sets)
-            del chunk, reads  # before the next is read: a lazy corpus holds one chunk
+            del chunk, members, reads  # before the next is read: a lazy corpus holds one chunk
         return True, None
 
 
@@ -190,8 +191,9 @@ def _big_corpus(seed: int) -> tuple[Matroid, ...]:
 def _graphic_fixed() -> tuple[Matroid, ...]:
     """M(K_{2,3}), M(K_4) and the rim-deleted wheel W_4, each followed by
     its single-element deletions and contractions, built once."""
-    named = map(named_matroid, ("mk23", "mk4", "wheel4rimdel"))
-    return tuple(x for M in named for x in (M, *single_element_minors(M)))
+    named = [named_matroid(name) for name in ("mk23", "mk4", "wheel4rimdel")]
+    return tuple(x for M, minors in zip(named, single_element_minors_of(named))
+                 for x in (M, *minors))
 
 
 def _graphic_corpus(seed: int) -> list[Matroid]:
@@ -210,10 +212,11 @@ def _graphic_corpus(seed: int) -> list[Matroid]:
     return [*_graphic_fixed(), *cycle_matroids(graphs)]
 
 
-def _laminar_system_corpus(seed: int) -> Iterator[Matroid]:
+def _laminar_system_corpus(seed: int) -> list[Matroid]:
     """Laminar matroids of 200 seeded random capacity systems on 2..8
-    elements."""
+    elements, drawn first and then built together."""
     rng = random.Random(seed)
+    systems = []
     for _ in range(200):
         n = rng.randint(2, 8)
         labels = default_labels(n)
@@ -230,7 +233,8 @@ def _laminar_system_corpus(seed: int) -> Iterator[Matroid]:
             if all(not (child & f) or child & f in (child, f) for f in family):
                 family.append(child)
         caps = tuple(rng.randint(0, m.bit_count()) for m in family)
-        yield laminar_matroid(LaminarCapacitySystem(labels, tuple(family), caps))
+        systems.append(LaminarCapacitySystem(labels, tuple(family), caps))
+    return laminar_matroids(systems)
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +263,32 @@ def _two_connected(nv: int) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _graph_shapes(max_chords: int) -> frozenset[int]:
+def _graph_shapes() -> dict[int, int]:
     """K_6 edge masks of K_4 and of every cycle through vertices 0..nv-1,
-    3 <= nv <= 6, plus at most ``max_chords`` chords, where two chords
-    must share one endpoint and have adjacent other endpoints."""
+    3 <= nv <= 6, plus at most two chords, where two chords must share
+    one endpoint and have adjacent other endpoints; each with its least
+    number of chords (K_4 counts as none)."""
     bit = {e: 1 << i for i, e in enumerate(itertools.combinations(range(6), 2))}
-    shapes = {sum(bit[e] for e in itertools.combinations(range(4), 2))}
+    shapes = {sum(bit[e] for e in itertools.combinations(range(4), 2)): 0}
     for nv in range(3, 7):
         for order in itertools.permutations(range(1, nv)):
+            if order[0] > order[-1]:
+                continue  # the ring of the reversed order
             ring = {tuple(sorted(e)) for e in zip((0, *order), (*order, 0))}
             chords = [e for e in itertools.combinations(range(nv), 2) if e not in ring]
-            for j in range(max_chords + 1):
+            for j in range(3):
                 for extra in itertools.combinations(chords, j):
                     # chords a-b and a-c need the ring edge b-c
                     if j < 2 or tuple(sorted(set(extra[0]) ^ set(extra[1]))) in ring:
-                        shapes.add(sum(bit[e] for e in ring.union(extra)))
-    return frozenset(shapes)
+                        S = sum(bit[e] for e in ring.union(extra))
+                        shapes[S] = min(j, shapes.get(S, j))
+    return shapes
+
+
+def _is_graph_shape(labels: Iterable[str], max_chords: int) -> bool:
+    """Whether the graph whose K_6 edges are ``labels`` is one of
+    :func:`_graph_shapes` with at most ``max_chords`` chords."""
+    return _graph_shapes().get(_complete_graph(6).mask(labels), 3) <= max_chords
 
 
 def _six_vertex_samples(seed: int) -> list[int]:
@@ -291,27 +305,33 @@ def _six_vertex_samples(seed: int) -> list[int]:
     return list(samples)
 
 
-def _restriction(nv: int, S: int) -> Matroid:
-    """The cycle matroid of the graph with K_nv's edges of mask ``S``."""
-    K = _complete_graph(nv)
-    return delete(K, K.E & ~S)
+def _restrictions(graphs: Iterable[tuple[int, int]]) -> list[Matroid]:
+    """The cycle matroids of the graphs ``(nv, S)`` with K_nv's edges of
+    mask ``S``: restrictions of M(K_nv), gathered by edge count."""
+    pairs = []
+    for nv, S in graphs:
+        K = _complete_graph(nv)
+        pairs.append((K, MinorSpec(K.E & ~S, 0)))
+    return minors_of(pairs)
 
 
 @lru_cache(maxsize=None)
 def _two_connected_matroids() -> tuple[Matroid, ...]:
     """Cycle matroids of every simple 2-connected graph on 3..5 vertices,
     built once."""
-    return tuple(_restriction(nv, S) for nv in (3, 4, 5)
-                 for S, ok in enumerate(_two_connected(nv)) if ok)
+    return tuple(_restrictions((nv, S) for nv in (3, 4, 5)
+                               for S, ok in enumerate(_two_connected(nv)) if ok))
 
 
 def _graph_pool(seed: int) -> Iterator[Matroid]:
     """:func:`_two_connected_matroids`, then the cycle matroids of
     :func:`_six_vertex_samples`; each member is M(K_nv) restricted to its
-    edges, so the pool builds no graph table of its own."""
+    edges, so the pool builds no graph table of its own.  The samples are
+    restricted one :func:`~lamina.core.runs` at a time, a gather per edge
+    count, so the pool holds one run of them at once."""
     yield from _two_connected_matroids()
-    for S in _six_vertex_samples(seed):
-        yield _restriction(6, S)
+    for run in runs(_six_vertex_samples(seed), lambda S: 1 << S.bit_count()):
+        yield from _restrictions((6, S) for S in run)
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +602,11 @@ CHECKS = {
     )), "graphic"),
     "lem-outerplanar": Sweep(_graph_pool, Agree((
         ("predicate", lambda M: is_k_laminar(M, 2)),
-        ("graph shape", lambda M: _complete_graph(6).mask(M.labels) in _graph_shapes(2)),
+        ("graph shape", lambda M: _is_graph_shape(M.labels, 2)),
     )), "graph"),
     "prop-one-chord": Sweep(_graph_pool, Agree((
         ("predicate", lambda M: is_k_closure_laminar(M, 2)),
-        ("graph shape", lambda M: _complete_graph(6).mask(M.labels) in _graph_shapes(1)),
+        ("graph shape", lambda M: _is_graph_shape(M.labels, 1)),
     )), "graph"),
     "thm-pav1": Sweep(_sweep_corpus, Agree((
         ("k-laminar", lambda M, k: is_k_laminar(M, k)),

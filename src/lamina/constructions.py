@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (MAX_ELEMENTS, Matroid, MatroidError, check_mask, default_labels, halves,
-                   label_mask, runs, subset_sizes)
+from .core import (MAX_ELEMENTS, Matroid, MatroidError, build_stacks, check_mask, default_labels,
+                   halves, label_mask, subset_sizes)
 
 # ---------------------------------------------------------------------------
 # uniform
@@ -101,41 +100,44 @@ def cycle_matroids(graphs: Sequence[Multigraph]) -> list[Matroid]:
     differed.  Endpoints are ordered by their last edge, latest first,
     so the ones that edges j.. still read are a prefix: each step keeps
     only that prefix's columns before doubling, and the last keeps none.
-    Graphs with fewer endpoints are padded with isolated ones.  The DP
-    takes one :func:`~lamina.core.runs` of label cells at a time.
+    Graphs with fewer endpoints are padded with isolated ones, and
+    graphs with fewer edges (see :func:`~lamina.core.build_stacks`) with
+    later loops.  The DP takes one :func:`~lamina.core.runs` of label
+    cells at a time.
     """
-    by_m: dict[int, list[int]] = {}
-    for i, G in enumerate(graphs):
+    for G in graphs:
         if len(G.edges) > MAX_ELEMENTS:
             raise MatroidError(f"too many edges: {len(G.edges)} > {MAX_ELEMENTS}")
-        by_m.setdefault(len(G.edges), []).append(i)
-    out: list[Matroid] = [None] * len(graphs)
-    for m, members in by_m.items():
-        # only the at most 2m endpoints matter, so labels fit in uint8
-        ends = []
-        for i in members:
-            last = {x: j for j, e in enumerate(graphs[i].edges) for x in e}
-            pos = {x: p for p, x in enumerate(sorted(last, key=last.get, reverse=True))}
-            ends.append([pos[x] for e in graphs[i].edges for x in e])
-        ends = np.array(ends, dtype=np.intp).reshape(len(members), m, 2)
-        # edges j.. read the first keep[j] endpoints, and edge m reads none
-        keep = np.append(np.maximum.accumulate(ends.max(axis=(0, 2))[::-1])[::-1] + 1, 0)
-        width = int(keep[0])
-        for batch in runs(range(len(members)), lambda _: width << m):
-            rows = slice(batch[0], batch[-1] + 1)
-            e = ends[rows]
-            g = np.arange(len(e))
-            lab = np.tile(np.arange(width, dtype=np.uint8)[:, None], (len(e), 1, 1))
-            rank = np.zeros((len(e), 1), dtype=np.uint8)
-            for j in range(m):
-                lu, lv = lab[g, e[:, j, 0]], lab[g, e[:, j, 1]]
-                rank = np.concatenate((rank, rank + (lu != lv)), axis=1)
-                lab = lab[:, :keep[j + 1]]
-                lab = np.concatenate((lab, np.where(lab == lu[:, None], lv[:, None], lab)), axis=2)
-            for i, table in zip(members[rows], rank):
-                # the forests of a graph are the independent sets of a matroid
-                out[i] = Matroid(graphs[i].labels, table, validate=False)
-    return out
+    # a graph has at most 2m endpoints that an edge reads
+    return build_stacks(graphs, lambda G: len(G.edges),
+                        lambda group, m: min(2 * m, max(G.vertex_count for G in group)) << m,
+                        _cycle_tables)
+
+
+def _cycle_tables(graphs: list[Multigraph], m: int):
+    """Labels and rank tables of multigraphs with at most ``m`` edges."""
+    ends = []
+    for G in graphs:
+        last = {x: j for j, e in enumerate(G.edges) for x in e}
+        pos = {x: p for p, x in enumerate(sorted(last, key=last.get, reverse=True))}
+        ends += [pos[x] for e in G.edges for x in e]
+        # up to m edges with loops at endpoint 0: the table's first
+        # 2^m_i entries never hold them
+        ends += [0] * (2 * (m - len(G.edges)))
+    # only the at most 2m endpoints matter, so labels fit in uint8
+    ends = np.array(ends, dtype=np.intp).reshape(len(graphs), m, 2)
+    # edges j.. read the first keep[j] endpoints, and edge m reads none
+    keep = np.append(np.maximum.accumulate(ends.max(axis=(0, 2))[::-1])[::-1] + 1, 0)
+    g = np.arange(len(graphs))
+    lab = np.tile(np.arange(keep[0], dtype=np.uint8)[:, None], (len(graphs), 1, 1))
+    rank = np.zeros((len(graphs), 1), dtype=np.uint8)
+    for j in range(m):
+        lu, lv = lab[g, ends[:, j, 0]], lab[g, ends[:, j, 1]]
+        rank = np.concatenate((rank, rank + (lu != lv)), axis=1)
+        lab = lab[:, :keep[j + 1]]
+        lab = np.concatenate((lab, np.where(lab == lu[:, None], lv[:, None], lab)), axis=2)
+    # the forests of a graph are the independent sets of a matroid
+    return [G.labels for G in graphs], rank
 
 
 class FamilyError(MatroidError):
@@ -183,31 +185,70 @@ class LaminarCapacitySystem:
 
 
 def laminar_matroid(system: LaminarCapacitySystem) -> Matroid:
-    """Matroid M(E, family, c) of a laminar capacity system.
+    """Matroid M(E, family, c) of a laminar capacity system: see
+    :func:`laminar_matroids`."""
+    return laminar_matroids([system])[0]
+
+
+def laminar_matroids(systems: Sequence[LaminarCapacitySystem]) -> list[Matroid]:
+    """Matroids of many laminar capacity systems, built together by
+    element count.
 
     rank(X) is the size of a maximum I ⊆ X respecting every capacity.
     Members are taken by ascending size, each replacing the roots of the
     forest built so far that lie inside it: a member A with roots R_i
     inside it has r_A(X) = min(c(A), |X ∩ (A - ∪ R_i)| + Σ r_{R_i}(X)),
-    and rank(X) = Σ r_R(X) over the final roots + |X - ∪ roots|.  Only
-    the family's laminarity is checked; the table is not re-validated
-    against the rank axioms.
+    and rank(X) = Σ r_R(X) over the final roots + |X - ∪ roots|, which is
+    r_E of a last member E of capacity n over those roots.  So member t
+    adds r_t to the first later member that contains it, its parent, and
+    a stack pads every family with empty members to one depth (they sort
+    first and add 0): ``acc[:, t]`` gathers the children of member t of
+    every system before t is capped.  Only the families' laminarity is
+    checked; the tables are not re-validated against the rank axioms.
     """
-    system.check_laminar()
-    n = len(system.labels)
-    sizes = subset_sizes(n)
-    X = np.arange(1 << n)
-    roots: dict[int, np.ndarray] = {}
-    members = zip(system.family, system.capacities)
-    for A, c in sorted(members, key=lambda m: m[0].bit_count()):
-        inner = [R for R in roots if R & ~A == 0]
-        free = A & ~functools.reduce(operator.or_, inner, 0)
-        value = sizes[X & free] + sum(roots.pop(R) for R in inner)
-        # r_A(X) <= |A|, so a larger capacity never binds
-        roots[A] = np.minimum(value, min(c, A.bit_count()))
-    covered = functools.reduce(operator.or_, roots, 0)
+    for system in systems:
+        system.check_laminar()
     # capacities on a laminar family define a matroid (laminar matroid)
-    return Matroid(system.labels, sizes[X & ~covered] + sum(roots.values()), validate=False)
+    return build_stacks(systems, lambda s: len(s.labels),
+                        lambda group, n: (1 + max(len(s.family) for s in group)) << n,
+                        _laminar_tables)
+
+
+def _laminar_tables(systems: list[LaminarCapacitySystem], n: int):
+    """Labels and rank tables of laminar systems on at most ``n`` elements."""
+    rows, width = len(systems), max(len(s.family) for s in systems)
+    masks, caps = [], []
+    for s in systems:
+        pad = (0,) * (width - len(s.family))
+        masks += s.family + pad
+        # r_A(X) <= |A| <= n, so a larger capacity never binds
+        caps += [c if c < n else n for c in s.capacities] + list(pad)
+    sizes = subset_sizes(n).astype(np.uint8)
+    # every family by size, then E on top: equal sizes are disjoint or
+    # equal members, whose order the minima do not see
+    fam = np.array(masks, dtype=np.intp).reshape(rows, width)
+    order = np.argsort(sizes[fam], axis=1, kind="stable")
+    fam = np.take_along_axis(fam, order, axis=1)
+    cap = np.take_along_axis(np.array(caps, dtype=np.uint8).reshape(rows, width), order, axis=1)
+    fam = np.concatenate((fam, np.full((rows, 1), (1 << n) - 1)), axis=1)
+    cap = np.concatenate((np.minimum(cap, sizes[fam[:, :-1]]), np.full((rows, 1), n, np.uint8)),
+                         axis=1)[:, :, None]
+    # the parent of member t: the first later member u that contains it
+    depth = width + 1
+    inside = (fam[:, :, None] & ~fam[:, None, :]) == 0
+    parent = np.argmax(inside & np.triu(np.ones((depth, depth), dtype=bool), 1), axis=2)
+    children = parent[:, :-1, None] == np.arange(depth)
+    free = fam & ~np.bitwise_or.reduce(np.where(children, fam[:, :-1, None], 0), axis=1)
+    X, at = np.arange(1 << n), np.arange(rows)
+    acc = np.zeros((rows, depth, 1 << n), dtype=np.uint8)
+    for t in range(depth):
+        # |X ∩ free_t| one member at a time, so no index array spans the depth
+        value = acc[:, t]
+        value += sizes[X & free[:, t, None]]
+        np.minimum(value, cap[:, t], out=value)
+        if t < width:
+            acc[at, parent[:, t]] += value
+    return [s.labels for s in systems], acc[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -234,27 +275,48 @@ class NestedPresentation:
 
 
 def transversal_matroid(presentation: NestedPresentation) -> Matroid:
-    """Nested transversal matroid of a chain presentation.
+    """Nested transversal matroid of a chain presentation: see
+    :func:`transversal_matroids`."""
+    return transversal_matroids([presentation])[0]
+
+
+def transversal_matroids(presentations: Sequence[NestedPresentation]) -> list[Matroid]:
+    """Nested transversal matroids of many chain presentations, built
+    together by element count.
 
     rank(X) is the maximum matching between X and the blocks.  For a
     chain B_1 ⊆ ... ⊆ B_m a minimum vertex cover takes the blocks above
     some B_j and the elements of X in B_j (König), so
-    rank(X) = min over j = 0..m of |X ∩ B_j| + m - j, with B_0 = ∅.
-    Only the chain order is checked; the table is not re-validated
-    against the rank axioms.
+    rank(X) = min over j = 0..m of |X ∩ B_j| + m - j, with B_0 = ∅.  A
+    stack pads every chain at the end with the block E at offset n, a
+    term of at least |X|, which never binds.  Only the chain order is checked; the tables
+    are not re-validated against the rank axioms.
     """
-    presentation.check_chain()
-    n = len(presentation.labels)
-    blocks = presentation.blocks
-    m = len(blocks)
-    sizes = subset_sizes(n)
-    X = np.arange(1 << n)
-    # rank(X) <= |X ∩ B_m| <= n, so a term m - j above n never binds
-    table = np.full(1 << n, min(m, n), dtype=np.int16)
-    for j, B in enumerate(blocks, 1):
-        np.minimum(table, sizes[X & B] + min(m - j, n), out=table)
+    for presentation in presentations:
+        presentation.check_chain()
     # partial transversals of a set system form a matroid (Edmonds-Fulkerson)
-    return Matroid(presentation.labels, table, validate=False)
+    return build_stacks(presentations, lambda p: len(p.labels), lambda group, n: 1 << n,
+                        _transversal_tables)
+
+
+def _transversal_tables(presentations: list[NestedPresentation], n: int):
+    """Labels and rank tables of chain presentations on at most ``n`` elements."""
+    width = max(len(p.blocks) for p in presentations)
+    E = (1 << n) - 1
+    blocks = []
+    for p in presentations:
+        blocks += p.blocks + (E,) * (width - len(p.blocks))
+    blocks = np.array(blocks, dtype=np.intp).reshape(len(presentations), width, 1)
+    # block j (from 0) has the term m - 1 - j, and a padding block n; a
+    # term above n never binds, as rank(X) <= |X ∩ B_m| <= n
+    m = np.array([len(p.blocks) for p in presentations])[:, None]
+    j = np.arange(width)
+    offsets = np.where(j < m, np.minimum(m - 1 - j, n), n).astype(np.int16)[:, :, None]
+    sizes, X = subset_sizes(n), np.arange(1 << n)
+    table = np.repeat(np.minimum(m, n).astype(np.int16), 1 << n, axis=1)
+    for j in range(width):
+        np.minimum(table, sizes[X & blocks[:, j]] + offsets[:, j], out=table)
+    return [p.labels for p in presentations], table
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +613,29 @@ def from_cyclic_flats(family: CyclicFlatFamily) -> Matroid:
 
 
 def _sparse_paving(labels: Sequence[str], r: int, hyperplanes: Iterable[int]) -> Matroid:
-    """U_{r,n} with the given r-sets lowered to rank r - 1.  Callers pass
-    r-sets that meet pairwise in at most r - 2 elements."""
-    table = np.minimum(subset_sizes(len(labels)), r)
-    table[list(hyperplanes)] = r - 1
+    """U_{r,n} with the given r-sets lowered to rank r - 1: see
+    :func:`_sparse_pavings`."""
+    return _sparse_pavings([(tuple(labels), r, tuple(hyperplanes))])[0]
+
+
+def _sparse_pavings(records: Sequence[tuple[tuple[str, ...], int, tuple[int, ...]]]
+                    ) -> list[Matroid]:
+    """Sparse paving matroids of many ``(labels, r, hyperplanes)`` records,
+    built together by element count: U_{r,n} with the given r-sets
+    lowered to rank r - 1, one scatter per stack.  Callers pass r-sets
+    that meet pairwise in at most r - 2 elements."""
     # such r-sets are the circuit-hyperplanes of a sparse paving matroid
-    return Matroid(labels, table, validate=False)
+    return build_stacks(records, lambda rec: len(rec[0]), lambda group, n: 1 << n,
+                        _sparse_paving_tables)
+
+
+def _sparse_paving_tables(records: list, n: int):
+    """Labels and rank tables of sparse paving records on at most ``n`` elements."""
+    r = np.array([rec[1] for rec in records], dtype=np.int16)
+    table = np.minimum(subset_sizes(n), r[:, None])
+    at = [row << n | H for row, (_, _, hyperplanes) in enumerate(records) for H in hyperplanes]
+    table.ravel()[at] = np.repeat(r - 1, [len(rec[2]) for rec in records])
+    return [rec[0] for rec in records], table
 
 
 def _fano() -> Matroid:

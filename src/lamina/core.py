@@ -64,6 +64,39 @@ def runs(items: Iterable, cells: Callable[..., int]) -> Iterator[list]:
         yield run
 
 
+# Tables of under this many elements stack with those of this many, each
+# computed over the stack's largest count: a pass over such small tables
+# costs its numpy calls, not its entries
+_STACK_FLOOR = 6
+
+
+def build_stacks(items: Sequence, size: Callable, cells: Callable[[list, int], int],
+                 build: Callable[[list, int], tuple[Sequence, np.ndarray]],
+                 check_labels: bool = True) -> list:
+    """Matroids of ``items``, in order.  Items of ``size(item) = n`` elements
+    are built together (those of at most ``_STACK_FLOOR`` elements in one
+    group): ``build(run, n) -> (labels, tables)`` computes one
+    :func:`runs` of them at a time over the run's largest n, each counted
+    as ``cells(group, n)`` entries.  Row i of the tables must hold, in its
+    first 2^n_i entries, the table of a matroid by theorem on its n_i
+    labels (see :func:`stacked_matroids`)."""
+    groups: dict = {}
+    for i, x in enumerate(items):
+        n = size(x)
+        groups.setdefault(max(n, _STACK_FLOOR), []).append((i, n))
+    out = [None] * len(items)
+    for members in groups.values():
+        group = [items[i] for i, _ in members]
+        # a run of items of one size is :func:`runs` without a call per item
+        step = max(1, _TABLE_CELLS // max(1, cells(group, max(n for _, n in members))))
+        for start in range(0, len(group), step):
+            part = members[start:start + step]
+            labels, tables = build(group[start:start + step], max(n for _, n in part))
+            for (i, _), M in zip(part, stacked_matroids(labels, tables, check_labels)):
+                out[i] = M
+    return out
+
+
 def subset_sizes(n: int) -> np.ndarray:
     """Popcount of every mask over ``n <= MAX_ELEMENTS`` elements, as a
     read-only numpy array: a prefix of one table built at import."""
@@ -73,8 +106,16 @@ def subset_sizes(n: int) -> np.ndarray:
 
 
 def default_labels(n: int) -> tuple[str, ...]:
-    """The labels ``e1 .. en`` of a ground set given no labels."""
+    """The labels ``e1 .. en`` of a ground set given no labels: one shared
+    tuple per n up to ``MAX_ELEMENTS``, so a stack of such members checks
+    its labels once."""
+    if n < len(_DEFAULT_LABELS):
+        return _DEFAULT_LABELS[n]
     return tuple(f"e{i + 1}" for i in range(n))
+
+
+# built at import, unlike a cache, which the import would start to fill
+_DEFAULT_LABELS = tuple(tuple(f"e{i + 1}" for i in range(n)) for n in range(MAX_ELEMENTS + 1))
 
 
 def label_mask(index: dict[str, int], names: Iterable[str]) -> int:
@@ -98,13 +139,15 @@ def subset_index(bits: np.ndarray) -> np.ndarray:
     """``out[..., A]`` is the union of ``bits[..., j]`` over the bits j of
     ``A``: the mask, over a larger ground set, of the subset whose mask
     over the chosen positions is ``A``.  Built by doubling, one position
-    (last axis of ``bits``) at a time, so a table over the chosen
-    positions is one gather from the larger table.
+    (last axis of ``bits``) at a time, each step writing the upper half
+    of a prefix of ``out``, so a table over the chosen positions is one
+    gather from the larger table.
     """
-    idx = np.zeros(bits.shape[:-1] + (1,), dtype=np.intp)
-    for j in range(bits.shape[-1]):
-        idx = np.concatenate((idx, idx | bits[..., j:j + 1]), axis=-1)
-    return idx
+    m = bits.shape[-1]
+    out = np.zeros(bits.shape[:-1] + (1 << m,), dtype=np.intp)
+    for j in range(m):
+        np.bitwise_or(out[..., :1 << j], bits[..., j:j + 1], out=out[..., 1 << j:2 << j])
+    return out
 
 
 def _spread(k: int, i: int) -> int:
@@ -224,12 +267,8 @@ class Matroid:
         rank_table: Sequence[int] | np.ndarray,
         validate: bool = True,
     ):
-        labels = tuple(str(x) for x in labels)
+        labels = _checked_labels(labels)
         n = len(labels)
-        if n > MAX_ELEMENTS:
-            raise MatroidError(f"ground set too large: {n} > {MAX_ELEMENTS}")
-        if len(set(labels)) != n:
-            raise MatroidError("element labels must be distinct")
         # an array of any shape is read in C order, any other table but bytes by value
         if not isinstance(rank_table, (np.ndarray, bytes, bytearray)):
             rank_table = list(rank_table)
@@ -243,12 +282,7 @@ class Matroid:
         if isinstance(rank_table, np.ndarray):
             # cast once checked, so that no entry wraps; one copy, in C order
             rank_table = rank_table.astype(np.uint8, copy=False).tobytes()
-        table = bytes(rank_table)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rank_table", table)
-        object.__setattr__(self, "E", (1 << n) - 1)
-        object.__setattr__(self, "_cache", {})
+        _set_slots(self, labels, n, bytes(rank_table))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matroid instances are immutable")
@@ -377,6 +411,55 @@ class Matroid:
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.full_rank()}, labels={self.labels!r})"
+
+
+def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    """``labels`` as a tuple of strings, refused unless they are distinct
+    and at most ``MAX_ELEMENTS``."""
+    labels = tuple(str(x) for x in labels)
+    if len(labels) > MAX_ELEMENTS:
+        raise MatroidError(f"ground set too large: {len(labels)} > {MAX_ELEMENTS}")
+    if len(set(labels)) != len(labels):
+        raise MatroidError("element labels must be distinct")
+    return labels
+
+
+# the slots' own setters, which skip Matroid.__setattr__
+_SETTERS = tuple(getattr(Matroid, name).__set__ for name in Matroid.__slots__)
+
+
+def _set_slots(M: Matroid, labels: tuple[str, ...], n: int, table: bytes) -> None:
+    """Fill the slots of a new matroid, as ``Matroid.__init__`` ends."""
+    set_labels, set_n, set_table, set_E, set_cache = _SETTERS
+    set_labels(M, labels)
+    set_n(M, n)
+    set_table(M, table)
+    set_E(M, (1 << n) - 1)
+    set_cache(M, {})
+
+
+def stacked_matroids(labels: Sequence[Sequence[str]], tables: np.ndarray,
+                     check_labels: bool = True) -> list[Matroid]:
+    """Matroids of the rows of a stack of tables that are matroids by
+    theorem: row i, labelled ``labels[i]``, holds its table over those
+    n_i labels in its first 2^n_i entries.  No table is validated, and
+    each labels object is checked once (members that share one, as
+    :func:`default_labels` shares its tuples, share the check), unless
+    ``check_labels`` is false: then each is a tuple of distinct strings
+    already, as a minor's labels are."""
+    width = tables.shape[1]
+    checked: dict = {}
+    out = []
+    for names, row in zip(labels, tables.astype(np.uint8, copy=False)):
+        got = checked.get(id(names)) if check_labels else names
+        if got is None:
+            got = checked[id(names)] = _checked_labels(names)
+            if 1 << len(got) > width:
+                raise MatroidError(f"rank table must have {1 << len(got)} entries, got {width}")
+        M = object.__new__(Matroid)
+        _set_slots(M, got, len(got), row[:1 << len(got)].tobytes())
+        out.append(M)
+    return out
 
 
 def prime(matroids: Iterable[Matroid], key: str) -> None:

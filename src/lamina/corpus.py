@@ -3,6 +3,9 @@
 A corpus mixes seeded random matroids from several generators with the
 named-catalog matroids that fit the size budget (plus all of their
 single-element minors).  Identical specs produce identical corpora.
+Each generator is a draw, which makes all of its ``random`` calls and
+returns a parameter record, and a stacked build, which turns the records
+of every draw of its kind into matroids one numpy pass per element count.
 """
 
 from __future__ import annotations
@@ -18,17 +21,17 @@ from .constructions import (
     Multigraph,
     NestedPresentation,
     cycle_matroids,
-    laminar_matroid,
+    laminar_matroids,
     mn_family,
     named_matroid,
     nn_family,
     pn_family,
     sec1_pc_example,
-    transversal_matroid,
+    transversal_matroids,
     NAMED_FIXED,
-    _sparse_paving,
+    _sparse_pavings,
 )
-from .minors import MinorSpec, minor, single_element_minors
+from .minors import MinorSpec, minors_of, single_element_minors_of
 
 # The smallest element cap every generator can meet: a sparse paving
 # matroid here has rank 2 <= r <= n - 1, so n >= 3.
@@ -75,8 +78,8 @@ def catalog_with_minors(max_elements: int) -> tuple[tuple[str, Matroid], ...]:
     base = catalog_matroids(max_elements)
     out = list(base)
     seen = {(M.labels, M.rank_table) for _, M in base}
-    for name, M in base:
-        for j, M2 in enumerate(single_element_minors(M)):
+    for (name, M), minors in zip(base, single_element_minors_of([M for _, M in base])):
+        for j, M2 in enumerate(minors):
             key = (M2.labels, M2.rank_table)
             if key not in seen:
                 seen.add(key)
@@ -85,10 +88,10 @@ def catalog_with_minors(max_elements: int) -> tuple[tuple[str, Matroid], ...]:
 
 
 # ---------------------------------------------------------------------------
-# random generators
+# random generators: each draw returns the record its kind's build reads
 
 
-def _random_laminar(rng: random.Random, max_elements: int) -> Matroid:
+def _random_laminar(rng: random.Random, max_elements: int) -> LaminarCapacitySystem:
     n = rng.randint(2, max_elements)
     labels = default_labels(n)
     full = (1 << n) - 1
@@ -110,10 +113,10 @@ def _random_laminar(rng: random.Random, max_elements: int) -> Matroid:
             child |= 1 << i
         family.append(child)
     caps = tuple(rng.randint(0, max(1, m.bit_count() - 1)) for m in family)
-    return laminar_matroid(LaminarCapacitySystem(labels, tuple(family), caps))
+    return LaminarCapacitySystem(labels, tuple(family), caps)
 
 
-def _random_nested(rng: random.Random, max_elements: int) -> Matroid:
+def _random_nested(rng: random.Random, max_elements: int) -> NestedPresentation:
     n = rng.randint(2, max_elements)
     labels = default_labels(n)
     order = list(range(n))
@@ -129,9 +132,7 @@ def _random_nested(rng: random.Random, max_elements: int) -> Matroid:
         blocks.append(acc)
     m = rng.randint(1, len(blocks))
     chosen = sorted(rng.sample(range(len(blocks)), m))
-    return transversal_matroid(
-        NestedPresentation(labels, tuple(blocks[i] for i in chosen))
-    )
+    return NestedPresentation(labels, tuple(blocks[i] for i in chosen))
 
 
 def _random_graphic(rng: random.Random, max_elements: int) -> Multigraph:
@@ -148,11 +149,18 @@ def _random_graphic(rng: random.Random, max_elements: int) -> Multigraph:
     return Multigraph(nv, tuple(edges))
 
 
-def _random_sparse_paving(rng: random.Random, max_elements: int) -> Matroid:
+@lru_cache(maxsize=None)
+def _rsets(n: int, r: int) -> tuple[int, ...]:
+    """The masks of the r-subsets of n elements, in ``combinations`` order."""
+    return tuple(sum(1 << i for i in c) for c in itertools.combinations(range(n), r))
+
+
+def _random_sparse_paving(rng: random.Random, max_elements: int) -> tuple:
+    """(labels, r, hyperplanes) of a sparse paving matroid."""
     n = rng.randint(3, max_elements)
     r = rng.randint(2, n - 1)
     labels = default_labels(n)
-    all_rsets = [sum(1 << i for i in c) for c in itertools.combinations(range(n), r)]
+    all_rsets = list(_rsets(n, r))
     rng.shuffle(all_rsets)
     chosen: list[int] = []
     for S in all_rsets:
@@ -160,10 +168,11 @@ def _random_sparse_paving(rng: random.Random, max_elements: int) -> Matroid:
             chosen.append(S)
         if len(chosen) >= rng.randint(1, 1 + n):
             break
-    return _sparse_paving(labels, r, chosen)
+    return labels, r, tuple(chosen)
 
 
-def _random_named_minor(rng: random.Random, max_elements: int) -> Matroid:
+def _random_named_minor(rng: random.Random, max_elements: int) -> tuple[Matroid, MinorSpec]:
+    """A catalog member and a minor of it on at most ``max_elements``."""
     base = catalog_matroids(MAX_ELEMENTS)
     name, M = base[rng.randrange(len(base))]
     # drawn as one delete or contract per step, then gathered at once
@@ -172,16 +181,16 @@ def _random_named_minor(rng: random.Random, max_elements: int) -> Matroid:
     while len(rest) > max_elements or (len(rest) > 1 and rng.random() < 0.5):
         bit = 1 << rest.pop(rng.randrange(len(rest)))
         D, C = (D | bit, C) if rng.random() < 0.5 else (D, C | bit)
-    return minor(M, MinorSpec(D, C))
+    return M, MinorSpec(D, C)
 
 
-# name: (generator, weight); a draw picks a name with odds by weight
+# name: (draw, build, weight); a draw picks a name with odds by weight
 _GENERATORS = {
-    "laminar": (_random_laminar, 3),
-    "nested": (_random_nested, 2),
-    "graphic": (_random_graphic, 3),
-    "sparse_paving": (_random_sparse_paving, 2),
-    "named_minor": (_random_named_minor, 2),
+    "laminar": (_random_laminar, laminar_matroids, 3),
+    "nested": (_random_nested, transversal_matroids, 2),
+    "graphic": (_random_graphic, cycle_matroids, 3),
+    "sparse_paving": (_random_sparse_paving, _sparse_pavings, 2),
+    "named_minor": (_random_named_minor, minors_of, 2),
 }
 
 
@@ -190,14 +199,20 @@ def generate_corpus(spec: CorpusSpec) -> list[Matroid]:
 
     The named catalog slice (and its single-element minors) comes first,
     then ``count`` seeded random matroids drawn per the generator mix.
-    Graphic members are drawn as graphs and built together at the end.
+    All draws come first, as parameter records; then each generator kind
+    builds its records together, one stacked pass per element count (and
+    :func:`~lamina.core.runs`), and the members keep their draw order.
     """
     out = [M for _, M in catalog_with_minors(spec.max_elements)]
     rng = random.Random(spec.seed)
-    gens = [gen for _, (gen, w) in sorted(_GENERATORS.items()) for _ in range(w)]
+    names = [name for name, (*_, w) in sorted(_GENERATORS.items()) for _ in range(w)]
+    drawn: dict[str, list] = {name: [] for name in _GENERATORS}
     for _ in range(spec.count):
-        out.append(rng.choice(gens)(rng, spec.max_elements))
-    at = [i for i, G in enumerate(out) if isinstance(G, Multigraph)]
-    for i, M in zip(at, cycle_matroids([out[i] for i in at])):
-        out[i] = M
+        name = rng.choice(names)
+        drawn[name].append((len(out), _GENERATORS[name][0](rng, spec.max_elements)))
+        out.append(None)
+    for name, members in drawn.items():
+        built = _GENERATORS[name][1]([record for _, record in members])
+        for (i, _), M in zip(members, built):
+            out[i] = M
     return out

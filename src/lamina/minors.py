@@ -21,13 +21,15 @@ import; binary and ternary are tuples of its names.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Matroid, MatroidError, halves, prime, subset_index, subset_sizes
+from .core import (Matroid, MatroidError, _stack, build_stacks, halves, prime,
+                   stacked_matroids, subset_index, subset_sizes)
 from .constructions import direct_sum, mn_family, named_matroid, nn_family, pn_family, uniform
 from .laminar import (
     is_k_closure_laminar,
@@ -78,30 +80,87 @@ def contract(M: Matroid, C: int) -> Matroid:
 
 
 def single_element_minors(M: Matroid) -> list[Matroid]:
-    """M \\ p then M / p for each position p in order: the two halves of
-    M's table at p, the upper one less r({p})."""
-    rt = M.ranks
-    # deletions and contractions of a matroid are matroids
-    return [Matroid(M.labels[:p] + M.labels[p + 1:], t, validate=False)
-            for p in range(M.n) for t in (halves(rt, p)[0], halves(rt, p)[1] - rt[1 << p])]
+    """M \\ p then M / p for each position p in order: see
+    :func:`single_element_minors_of`."""
+    return single_element_minors_of([M])[0]
+
+
+def single_element_minors_of(ms: Sequence[Matroid]) -> list[list[Matroid]]:
+    """For each M of ``ms``, M \\ p then M / p for each position p in
+    order: the two halves of M's table at p, the upper one less r({p}).
+    The tables with n elements take one halves pass per position."""
+    out: list = [[] for _ in ms]
+    by_n: dict[int, list[int]] = {}
+    for i, M in enumerate(ms):
+        if M.n:
+            by_n.setdefault(M.n, []).append(i)
+    for n, at in by_n.items():
+        R = _stack([ms[i] for i in at]).reshape(len(at), 1 << n)
+        drops: dict = {}  # per labels tuple, its labels without each position
+        for i in at:
+            if ms[i].labels not in drops:
+                names = ms[i].labels
+                drops[names] = [names[:p] + names[p + 1:] for p in range(n)]
+        for p in range(n):
+            labels = [drops[ms[i].labels][p] for i in at for _ in (0, 1)]
+            # deletions and contractions of a matroid are matroids
+            built = stacked_matroids(labels, _single_element_tables(R, n, p), check_labels=False)
+            for j, i in enumerate(at):
+                out[i] += built[2 * j:2 * j + 2]
+    return out
+
+
+def _single_element_tables(R: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The tables of M \\ p and M / p of each row M of a ``(rows, 2^n)``
+    stack, as ``2 * rows`` rows in that order."""
+    rows = len(R)
+    out = np.empty((rows, 2, 1 << n - 1), dtype=np.uint8)
+    # a row's masks without p are runs of 2^p, 2^(n-1-p) of them
+    shape = (rows, 1 << n - 1 - p, 1 << p)
+    without, with_p = (h.reshape(shape) for h in halves(R, p))
+    np.copyto(out[:, 0].reshape(shape), without)
+    np.subtract(with_p, R[:, 1 << p, None, None], out=out[:, 1].reshape(shape))
+    return out.reshape(2 * rows, 1 << n - 1)
 
 
 def minor(M: Matroid, spec: MinorSpec) -> Matroid:
-    """M \\ delete / contract, read from M's table: on the positions
-    outside both masks, r'(A) = r(A ∪ C) - r(C) for C the contract mask.
-    Each dropped position, highest first, keeps one half of the table,
-    so the positions below it keep their bits."""
-    drop, C = spec.delete | spec.contract, spec.contract
-    if drop & ~M.E:
-        raise MatroidError(
-            f"minor spec {spec.delete:#x}/{spec.contract:#x} not within ground set")
-    table = rt = M.ranks
-    for p in reversed(range(M.n)):
-        if drop >> p & 1:
-            table = halves(table, p)[C >> p & 1]
-    labels = tuple(M.labels[p] for p in range(M.n) if not drop >> p & 1)
+    """M \\ delete / contract: see :func:`minors_of`."""
+    return minors_of([(M, spec)])[0]
+
+
+def minors_of(pairs: Sequence[tuple[Matroid, MinorSpec]]) -> list[Matroid]:
+    """M \\ delete / contract of each ``(M, spec)``, read from M's table:
+    on the positions outside both masks, r'(A) = r(A ∪ C) - r(C) for C
+    the contract mask.  The minors that keep m elements are one gather
+    ``rt[subset_index(kept) | C] - rt[C]`` per :func:`~lamina.core.runs`,
+    from the tables of their sources end to end."""
+    for M, spec in pairs:
+        if (spec.delete | spec.contract) & ~M.E:
+            raise MatroidError(
+                f"minor spec {spec.delete:#x}/{spec.contract:#x} not within ground set")
     # deletions and contractions of a matroid are matroids
-    return Matroid(labels, table - rt[C], validate=False)
+    return build_stacks(pairs, lambda p: p[0].n - (p[1].delete | p[1].contract).bit_count(),
+                        lambda group, m: 1 << m, _minor_tables, check_labels=False)
+
+
+def _minor_tables(pairs: list[tuple[Matroid, MinorSpec]], m: int):
+    """Labels and rank tables of minors that keep at most ``m`` elements."""
+    # each distinct source once, row i reading its own from its start
+    sources = {id(M): M for M, _ in pairs}
+    start = dict(zip(sources, itertools.accumulate((1 << M.n for M in sources.values()),
+                                                   initial=0)))
+    rt = _stack(list(sources.values()))
+    kept = [[p for p in range(M.n) if not (spec.delete | spec.contract) >> p & 1]
+            for M, spec in pairs]
+    # a row keeping fewer than m pads its bits with 0, which leaves its
+    # first 2^m_i entries
+    bits = np.array([[1 << p for p in row] + [0] * (m - len(row)) for row in kept],
+                    dtype=np.intp).reshape(len(pairs), m)
+    C = np.array([start[id(M)] + spec.contract for M, spec in pairs], dtype=np.intp)
+    idx = subset_index(bits)
+    idx += C[:, None]  # in place: the index is the largest array of the gather
+    return ([tuple(map(M.labels.__getitem__, row)) for (M, _), row in zip(pairs, kept)],
+            rt[idx] - rt[C, None])
 
 
 # ---------------------------------------------------------------------------

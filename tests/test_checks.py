@@ -209,18 +209,19 @@ class TestForcedFailures:
         cid = "lem-klam-minor-closed"
         corpus = checks._sweep_corpus(checks._sub_seed(cid, 0))
         j = next(i for i in range(3, len(corpus)) if is_k_laminar(corpus[i], 2))
-        real = checks.single_element_minors
+        real = checks.single_element_minors_of
 
-        def single_element_minors(M):
-            # the list runs M \ e1, M / e1, M \ e2, ...; M(K_{2,3}) is not
+        def single_element_minors_of(ms):
+            # each list runs M \ e1, M / e1, M \ e2, ...; M(K_{2,3}) is not
             # 2-laminar, so the first k in the member's own list fails at
             # the first contraction
-            minors = real(M)
-            if M == corpus[j]:
-                minors[1] = named_matroid("mk23")
-            return minors
+            out = real(ms)
+            for M, minors in zip(ms, out):
+                if M == corpus[j]:
+                    minors[1] = named_matroid("mk23")
+            return out
 
-        monkeypatch.setattr(checks, "single_element_minors", single_element_minors)
+        monkeypatch.setattr(checks, "single_element_minors_of", single_element_minors_of)
         first = corpus[j].labels[0]
         note = _assert_witness(run_check(cid), corpus[j], [(first,)])
         assert f"corpus[{j}]" in note and f"contract {first}" in note
@@ -461,14 +462,13 @@ class TestSharedWork:
         for cid in ("lem-outerplanar", "prop-one-chord"):
             graphs += map(_graph_of, checks._graph_pool(checks._sub_seed(cid, 0)))
         assert len(graphs) == 8 + 64 + 1024 + 2 * 749
-        K = checks._complete_graph(6)
         for (_, edges), k in itertools.product(graphs, (1, 2)):
             nv = 1 + max(map(max, edges), default=-1)
             # a simple graph on under 3 vertices has no cycle; the walk
             # reads the one edge 0-1 as the ring 0-1-0
             want = nv >= 3 and (nv == 4 and len(edges) == 6
                                 or _cycle_with_chords_by_permutation(nv, edges, k))
-            got = K.mask(f"{u}-{v}" for u, v in edges) in checks._graph_shapes(k)
+            got = checks._is_graph_shape([f"{u}-{v}" for u, v in edges], k)
             assert got == want, (nv, edges, k)
 
     def test_shape_side_refuses_labels_outside_k6(self):
@@ -548,6 +548,51 @@ class TestSharedWork:
         assert 1 < len(calls) == len(chunks) < len(members)
         # each call holds its chunk's members and their 2n minors each
         assert calls == [sum(1 + 2 * M.n for _, M in c) for c in chunks]
+
+    def test_big_corpus_builds_one_stack_per_kind_and_element_count(self, monkeypatch):
+        """The 1,000 draws of a big corpus are built by one stacked call for
+        each generator kind and stack of element counts (counts up to
+        ``_STACK_FLOOR`` share one), not one constructor call per member."""
+        catalog_with_minors(8)  # the catalog part is built once per process
+        kernels = [(constructions, "_laminar_tables"), (constructions, "_transversal_tables"),
+                   (constructions, "_sparse_paving_tables"), (constructions, "_cycle_tables"),
+                   (minors, "_minor_tables")]
+        calls = collections.defaultdict(list)
+        for module, name in kernels:
+            def counted(run, n, real=getattr(module, name), name=name):
+                calls[name].append((n, len(run)))
+                return real(run, n)
+            monkeypatch.setattr(module, name, counted)
+        members = checks._big_corpus(checks._sub_seed("thm-em2lm", 0))
+        assert len(members) == len(catalog_with_minors(8)) + 1000
+        assert set(calls) == {name for _, name in kernels}
+        assert sum(rows for made in calls.values() for _, rows in made) == 1000
+        for name, made in calls.items():
+            stacks = [max(n, core._STACK_FLOOR) for n, _ in made]
+            # at most 8 elements: stacks of <= 6, 7 and 8, each one run
+            assert len(stacks) == len(set(stacks)) <= 3, (name, made)
+
+    def test_minor_closed_builds_minors_once_per_chunk_and_element_count(self, monkeypatch):
+        """Each chunk's single-element minors are one halves pass per
+        element count and position over all of its members of that count."""
+        cid = "lem-klam-minor-closed"
+        monkeypatch.setattr(core, "_TABLE_CELLS", 1 << 10)
+        members = checks._sweep_corpus(checks._sub_seed(cid, 0))
+        chunks = list(core.runs(members, lambda M: 1 << M.n))
+        passes = []
+        real = minors._single_element_tables
+
+        def counted(R, n, p):
+            passes.append((len(R), n, p))
+            return real(R, n, p)
+
+        monkeypatch.setattr(minors, "_single_element_tables", counted)
+        assert run_check(cid).status == "pass"
+        want = []
+        for chunk in chunks:
+            counts = collections.Counter(M.n for M in chunk if M.n)
+            want += [(rows, n, p) for n, rows in counts.items() for p in range(n)]
+        assert 1 < len(chunks) < len(members) and passes == want
 
 
 def test_round_trip_reads_no_circuits(monkeypatch):

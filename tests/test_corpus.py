@@ -1,8 +1,11 @@
 """Corpus generation: determinism, validity, generator properties."""
 
+import hashlib
 import random
 
-from lamina import corpus
+import pytest
+
+from lamina import checks, corpus
 from lamina.core import validate_rank_axioms
 from lamina.corpus import CorpusSpec, catalog_matroids, catalog_with_minors, generate_corpus
 from lamina.laminar import is_paving
@@ -47,8 +50,9 @@ class TestValidity:
 class TestGeneratorMix:
     def test_sparse_paving_members_are_paving(self):
         rng = random.Random(11)
-        for _ in range(40):
-            assert is_paving(corpus._random_sparse_paving(rng, 6))
+        draw, build, _ = corpus._GENERATORS["sparse_paving"]
+        for M in build([draw(rng, 6) for _ in range(40)]):
+            assert is_paving(M)
 
     def test_corpus_is_not_class_vacuous(self):
         """A reasonably large mixed corpus must contain members both inside
@@ -57,3 +61,36 @@ class TestGeneratorMix:
         members = generate_corpus(CorpusSpec(seed=5, count=120, max_elements=7))
         verdicts = {bool(is_k_laminar(M, 2)) for M in members}
         assert verdicts == {True, False}
+
+
+def _digest(members) -> str:
+    """sha256 over every member's labels and rank table, in order."""
+    h = hashlib.sha256()
+    for M in members:
+        h.update(",".join(M.labels).encode() + b";" + M.rank_table)
+    return h.hexdigest()
+
+
+class TestPinnedCorpora:
+    """The members the harness sweeps, pinned byte for byte: a change to
+    how they are drawn or built must leave every table and label as it was."""
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "c4bcd31b19f8d83ff79a7936465be1527b7e2af08a7834e7b84d8e60f6c741e3"),
+        (1, "23f21d5d719cd6be9ac1576ea9824f7205f55c8c56ce0bef307f046ef9706a97"),
+        (2, "a156675bd834acb17f7c967f73a8f312e2069130fd6b067bdb61c81e64c6d26b"),
+        (3, "d07585728253bf27f8d86c8cde8a204a003c11e13f322409ea7e6454073ddf23"),
+    ])
+    def test_generate_corpus(self, seed, digest):
+        assert _digest(generate_corpus(CorpusSpec(seed, 200, 8))) == digest
+
+    @pytest.mark.parametrize("build, check_id, digest", [
+        (checks._laminar_system_corpus, "thm-laminar-circuits",
+         "6ef0116ccfd1a17a6d63f2718e6f04b928559d19b9000d73a0836e61b7bf2fab"),
+        (checks._graph_pool, "lem-outerplanar",
+         "105e13bdb50cb52f4f963bb9f0a6e3d6048682ba7893d529d2261488fa2bab68"),
+        (checks._graphic_corpus, "cor-graphic-2lam",
+         "61b5bb81d21e8f4a6b76b3dfaaf113799c75033be76f8a3584f1cae5b12844ed"),
+    ])
+    def test_harness_corpora(self, build, check_id, digest):
+        assert _digest(build(checks._sub_seed(check_id, 0))) == digest
