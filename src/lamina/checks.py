@@ -7,10 +7,12 @@ value is a callable ``sub_seed -> (ok, witness)``; a failure's witness
 can be replayed through the public operations.
 
 Every corpus check is data: a :class:`Sweep` asks ``claim(M)`` of every
-member of ``corpus(sub_seed)``, an iterable it reads a chunk at a time,
-priming one family of each chunk: circuits, which give the Hamiltonian
-flats, or cyclic flats.  Seed-free corpus parts are built once per
-process and shared, primed families and all.
+distinct member of ``corpus(sub_seed)``, an iterable it reads a chunk at
+a time, priming one family of each chunk: circuits, which give the
+Hamiltonian flats, or cyclic flats.  The minor searches of its
+:class:`Excluded` sides are answered a chunk at a time too, one stacked
+search per target.  Seed-free corpus parts are built once per process
+and shared, primed families and all.
 A claim returns ``None`` when it holds and ``(note, *sets)`` when it
 fails; the first failing member is the witness, its note prefixed with
 ``label[index]``.  Every equivalence, excluded-minor and
@@ -66,11 +68,12 @@ from .laminar import (
     is_laminar,
     is_nested,
     is_paving,
+    min_closure_laminar_k,
     min_laminar_k,
 )
 from .minors import (
-    BINARY, NAMED_MINORS, TERNARY, MinorSpec, contract, has_minor, is_binary, is_ternary,
-    is_excluded_minor, minors_of, single_element_minors_of)
+    BINARY, NAMED_MINORS, TERNARY, MinorSpec, contract, find_minors, has_minor, is_binary,
+    is_ternary, is_excluded_minor, minors_of, single_element_minors_of)
 from .formats import serialize_matroid
 from .corpus import CorpusSpec, generate_corpus
 
@@ -83,6 +86,7 @@ class CheckResult:
     status: str  # "pass" | "fail"
     elapsed_ms: int
     witness: dict | None = None
+    coverage: dict | None = None  # a sweep's ``swept`` and ``distinct`` counts
 
     def __bool__(self) -> bool:
         return self.status == "pass"
@@ -106,11 +110,18 @@ def _witness(M: Matroid, note: str, *sets: int) -> dict:
 
 @dataclass(frozen=True)
 class Sweep:
-    """Ask ``claim`` of every member of ``corpus(seed)``, read one
+    """Ask ``claim`` of every distinct member of ``corpus(seed)``, read one
     :func:`~lamina.core.runs` of members at a time and primed with ``family``;
-    the first member it fails on is the witness.  With ``minors`` it asks
+    the first member it fails on is the witness.  A member equal to an
+    earlier one (labels and table) gets that one's answer, a pass, so it
+    is not asked again.  With ``minors`` it asks
     ``claim(M, single_element_minors(M))``, building and priming the minors
-    of a whole chunk with it."""
+    of a whole chunk with it.  When the claim's sides include
+    :class:`Excluded` ones, the minor searches they make are answered for
+    the whole chunk first, one stacked search per target.  Returns
+    ``(ok, witness, coverage)``: coverage counts the members ``swept`` up
+    to the witness (all of them on a pass) and the ``distinct`` ones
+    asked."""
 
     corpus: Callable[[int], Iterable[Matroid]]
     claim: Callable[..., tuple | None]
@@ -118,26 +129,47 @@ class Sweep:
     family: str = "circuits"
     minors: bool = False
 
-    def __call__(self, seed: int) -> tuple[bool, dict | None]:
+    def __call__(self, seed: int) -> tuple[bool, dict | None, dict]:
+        excluded = [side.names for _, side in getattr(self.claim, "sides", ())
+                    if isinstance(side, Excluded)]
+        asked: set = set()
+        swept = 0
         for chunk in runs(enumerate(self.corpus(seed)), lambda member: 1 << member[1].n):
-            members = [M for _, M in chunk]
-            reads = single_element_minors_of(members) if self.minors else [[] for _ in chunk]
+            swept += len(chunk)
+            fresh = []
+            for i, M in chunk:
+                if (M.labels, M.rank_table) not in asked:
+                    asked.add((M.labels, M.rank_table))
+                    fresh.append((i, M))
+            members = [M for _, M in fresh]
+            reads = single_element_minors_of(members) if self.minors else [[] for _ in fresh]
             prime(itertools.chain(members, *reads), self.family)
-            for (i, M), minors in zip(chunk, reads):
+            if excluded:
+                _answer_excluded(members, excluded)
+            for t, ((i, M), minors) in enumerate(zip(fresh, reads)):
                 failure = self.claim(M, minors) if self.minors else self.claim(M)
                 if failure is not None:
                     note, *sets = failure
-                    return False, _witness(M, f"{self.label}[{i}]: {note}", *sets)
-            del chunk, members, reads  # before the next is read: a lazy corpus holds one chunk
-        return True, None
+                    coverage = {"swept": i + 1, "distinct": len(asked) - len(fresh) + t + 1}
+                    return False, _witness(M, f"{self.label}[{i}]: {note}", *sets), coverage
+            # before the next is read: a lazy corpus holds one chunk
+            del chunk, fresh, members, reads
+        return True, None, {"swept": swept, "distinct": len(asked)}
 
 
 # The one answer cache of the harness; the library never reads it.  One
-# verify --seed 0 stores 5,626 answers, each keeping a rank table alive;
+# verify --seed 0 stores 5,626 answers, each keeping a rank table alive
+# (sweeps fill it a chunk at a time with what their sides ask, no more);
 # past this many the oldest is dropped, so a process that runs many
 # seeds stays bounded while one run never evicts.
 _MINOR_CACHE_SIZE = 1 << 14
 _MINOR_CACHE: dict[tuple, bool] = {}
+
+
+def _remember(key: tuple, found: bool) -> None:
+    if len(_MINOR_CACHE) >= _MINOR_CACHE_SIZE:
+        del _MINOR_CACHE[next(iter(_MINOR_CACHE))]
+    _MINOR_CACHE[key] = found
 
 
 def _has_named_minor(M: Matroid, name: str) -> bool:
@@ -146,14 +178,44 @@ def _has_named_minor(M: Matroid, name: str) -> bool:
     N = NAMED_MINORS[name]
     key = (M.rank_table, N.rank_table)
     if key not in _MINOR_CACHE:
-        if len(_MINOR_CACHE) >= _MINOR_CACHE_SIZE:
-            del _MINOR_CACHE[next(iter(_MINOR_CACHE))]
-        _MINOR_CACHE[key] = has_minor(M, N) is not None
+        _remember(key, has_minor(M, N) is not None)
     return _MINOR_CACHE[key]
 
 
-def _excluded(M: Matroid, targets: Iterable[str]) -> bool:
-    return not any(_has_named_minor(M, t) for t in targets)
+@dataclass(frozen=True)
+class Excluded:
+    """Side: M has none of the targets ``names`` of ``NAMED_MINORS`` as a
+    minor, asked in order until one is found, and, with ``also``,
+    ``also(M)`` holds too."""
+
+    names: tuple[str, ...]
+    also: Callable[[Matroid], object] | None = None
+
+    def __call__(self, M: Matroid) -> bool:
+        return (not any(_has_named_minor(M, t) for t in self.names)
+                and (self.also is None or bool(self.also(M))))
+
+
+def _answer_excluded(ms: list[Matroid], lists: list[tuple[str, ...]]) -> None:
+    """Put in ``_MINOR_CACHE`` every answer that ``Excluded(names)`` asks of
+    the members ``ms``, for each ``names`` of ``lists``: target by target,
+    one :func:`~lamina.minors.find_minors` over the distinct tables not
+    answered yet among those with no earlier target of ``names``."""
+    known: dict[tuple, bool] = {}  # this call's answers, which the cache may drop
+    tables = list({M.rank_table: M for M in ms}.values())
+    for names in lists:
+        open_ = tables
+        for name in names:
+            N = NAMED_MINORS[name]
+            keys = [(M.rank_table, N.rank_table) for M in open_]
+            for key in keys:
+                if key not in known and key in _MINOR_CACHE:
+                    known[key] = _MINOR_CACHE[key]
+            ask = [(key, M) for key, M in zip(keys, open_) if key not in known]
+            for (key, _), spec in zip(ask, find_minors([M for _, M in ask], N)):
+                known[key] = spec is not None
+                _remember(key, known[key])
+            open_ = [M for key, M in zip(keys, open_) if not known[key]]
 
 
 @dataclass(frozen=True)
@@ -391,17 +453,20 @@ def _passes_circuit_pair_test(M):
         "laminar-system matroid failed the circuit-pair test", *verdict.witness)
 
 
-def _minor_closed(holds, ks, kind: str) -> Sweep:
+def _minor_closed(least, holds, ks, kind: str) -> Sweep:
     """Sweep of the claim: for each k in ``ks(M)`` with ``holds(M, k)``,
     every single-element deletion and contraction of M also holds; the
-    circuits of M and its minors are primed a chunk at a time."""
+    circuits of M and its minors are primed a chunk at a time.  ``holds``
+    is true exactly from ``least(M)`` up, so a minor that holds at the
+    least such k holds at every one, and one that fails, fails there
+    first: M is asked for its least k, and each minor once, at it."""
     def claim(M, minors):
-        kept = [k for k in ks(M) if holds(M, k)]
-        for j, M2 in enumerate(minors):
-            for k in kept:
-                if not holds(M2, k):
-                    op = ("delete", "contract")[j % 2]
-                    return f"{op} {M.labels[j // 2]} leaves {k}-{kind}", 1 << j // 2
+        low = least(M)
+        k = next((k for k in ks(M) if k >= low), None)
+        for j, M2 in enumerate(minors if k is not None else ()):
+            if not holds(M2, k):
+                op = ("delete", "contract")[j % 2]
+                return f"{op} {M.labels[j // 2]} leaves {k}-{kind}", 1 << j // 2
         return None
     return Sweep(_sweep_corpus, claim, minors=True)
 
@@ -557,9 +622,11 @@ CHECKS = {
     "sec1-pc-example": _check_sec1_pc_example,
     "prop-baby": Sweep(_sweep_corpus, _baby_properties),
     "lem-klam-minor-closed": _minor_closed(
-        lambda M, k: is_k_laminar(M, k), lambda M: range(M.full_rank() + 1), "laminar"),
+        lambda M: min_laminar_k(M), lambda M, k: is_k_laminar(M, k),
+        lambda M: range(M.full_rank() + 1), "laminar"),
     "thm-cl23-minor-closed": _minor_closed(
-        lambda M, k: is_k_closure_laminar(M, k), lambda M: (2, 3), "closure-laminar"),
+        lambda M: min_closure_laminar_k(M), lambda M, k: is_k_closure_laminar(M, k),
+        lambda M: (2, 3), "closure-laminar"),
     "lem-hamcir": Sweep(_sweep_corpus, _hamiltonian_extensions),
     "thm-notk-k4": _notk_expected(4),
     "thm-notk-k5": _notk_expected(5),
@@ -574,31 +641,31 @@ CHECKS = {
     "lem-obvious": Sweep(_sweep_corpus, _circuit_exchange_facts),
     "thm-em2lm": Sweep(_big_corpus, Agree((
         ("membership", lambda M: is_k_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, ("mk23minus", "m42", "m52", "n52")))))),
+        ("excluded-minor test", Excluded(("mk23minus", "m42", "m52", "n52")))))),
     "thm-em2lcm": Sweep(_big_corpus, Agree((
         ("membership", lambda M: is_k_closure_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, ("mk23minus", "m42", "m52", "p42")))))),
+        ("excluded-minor test", Excluded(("mk23minus", "m42", "m52", "p42")))))),
     "prop-rank-k1": Sweep(_sweep_corpus, _low_rank_is_in_both),
     "lem-nb": _check_lem_nb,
     "cor-binary-2lam": Sweep(_sweep_corpus, Agree((
-        ("membership", lambda M: _excluded(M, BINARY) and is_k_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "n52")))))),
+        ("membership", Excluded(BINARY, lambda M: is_k_laminar(M, 2))),
+        ("excluded-minor test", Excluded(("u24", "mk23", "n52")))))),
     "cor-binary-2clam": Sweep(_sweep_corpus, Agree((
-        ("membership", lambda M: _excluded(M, BINARY) and is_k_closure_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "p42")))))),
+        ("membership", Excluded(BINARY, lambda M: is_k_closure_laminar(M, 2))),
+        ("excluded-minor test", Excluded(("u24", "mk23", "p42")))))),
     "cor-ternary-2lam": Sweep(_sweep_corpus, Agree((
-        ("membership", lambda M: _excluded(M, TERNARY) and is_k_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, _TERNARY_EXCLUDED + ("n52",)))))),
+        ("membership", Excluded(TERNARY, lambda M: is_k_laminar(M, 2))),
+        ("excluded-minor test", Excluded(_TERNARY_EXCLUDED + ("n52",)))))),
     "cor-ternary-2clam": Sweep(_sweep_corpus, Agree((
-        ("membership", lambda M: _excluded(M, TERNARY) and is_k_closure_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, _TERNARY_EXCLUDED + ("p42",)))))),
+        ("membership", Excluded(TERNARY, lambda M: is_k_closure_laminar(M, 2))),
+        ("excluded-minor test", Excluded(_TERNARY_EXCLUDED + ("p42",)))))),
     "cor-graphic-2lam": Sweep(_graphic_corpus, Agree((
         ("membership", lambda M: is_k_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "f7", "mstark33", "n52"))),
+        ("excluded-minor test", Excluded(("u24", "mk23", "f7", "mstark33", "n52"))),
     )), "graphic"),
     "cor-graphic-2clam": Sweep(_graphic_corpus, Agree((
         ("membership", lambda M: is_k_closure_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, ("u24", "mk23", "f7", "p42"))),
+        ("excluded-minor test", Excluded(("u24", "mk23", "f7", "p42"))),
     )), "graphic"),
     "lem-outerplanar": Sweep(_graph_pool, Agree((
         ("predicate", lambda M: is_k_laminar(M, 2)),
@@ -615,7 +682,7 @@ CHECKS = {
     "cor-t2lp": Sweep(_sweep_corpus, Agree((
         ("paving 2-laminar", lambda M: is_paving(M) and is_k_laminar(M, 2)),
         ("paving 2-closure-laminar", lambda M: is_paving(M) and is_k_closure_laminar(M, 2)),
-        ("excluded-minor test", lambda M: _excluded(M, ("pavex", "mk23minus", "m42", "m52")))))),
+        ("excluded-minor test", Excluded(("pavex", "mk23minus", "m42", "m52")))))),
 }
 
 
@@ -628,6 +695,7 @@ def run_check(check_id: str, seed: int = 0) -> CheckResult:
     if check_id not in CHECKS:
         raise MatroidError(f"unknown check {check_id!r}")
     start = time.monotonic()
-    ok, witness = CHECKS[check_id](_sub_seed(check_id, seed))
+    # a sweep's outcome also carries its coverage
+    ok, witness, *coverage = CHECKS[check_id](_sub_seed(check_id, seed))
     elapsed = int((time.monotonic() - start) * 1000)
-    return CheckResult(check_id, "pass" if ok else "fail", elapsed, witness)
+    return CheckResult(check_id, "pass" if ok else "fail", elapsed, witness, *coverage)

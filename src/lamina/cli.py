@@ -171,7 +171,7 @@ def _cmd_verify(args) -> int:
         payload = []
         for r in results:
             obj = {"check_id": r.check_id, "status": r.status,
-                   "elapsed_ms": r.elapsed_ms}
+                   "elapsed_ms": r.elapsed_ms, **(r.coverage or {})}
             if r.witness is not None:
                 obj["witness"] = r.witness
             payload.append(obj)

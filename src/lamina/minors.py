@@ -4,8 +4,9 @@ Both searches read only rank tables, and prune by one invariant: counts
 of (|A|, r(A)) over all subsets A (the rank-generating function) or over
 those through one element.  Minor search contracts an independent set of
 size r(M) - r(N) and deletes down to |E(N)| elements, which loses no
-minor; many such candidate tables are gathered at once, and only those
-with the target's counts are built and tested for isomorphism, in order.
+minor; many such candidate tables, of many hosts, are gathered at once,
+and only those with the target's counts are built and tested for
+isomorphism, in order.
 Isomorphism assigns M1's elements in order to elements of M2 with equal
 counts, keeping the images of all subsets of the assigned prefix in one
 array, so each assignment is one gather from M2's table.  A search that
@@ -52,8 +53,9 @@ class MinorSpec:
             raise MatroidError("delete and contract sets must be disjoint")
 
 
-# Cells of one candidate batch in has_minor: its int64 masks and keys
-# take under 2 MiB; larger batches raise peak memory and are no faster.
+# Cells of one candidate batch in find_minors: its int64 masks, reused
+# for the keys, take 256 KiB; larger batches raise peak memory and are
+# no faster.
 _BATCH_CELLS = 1 << 15
 
 
@@ -269,50 +271,87 @@ def is_isomorphic(M1: Matroid, M2: Matroid) -> bool:
 
 def has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
     """First MinorSpec (ascending contract mask, then delete mask) whose
-    minor of M is isomorphic to N, or None.
+    minor of M is isomorphic to N, or None: the one-host call of
+    :func:`find_minors`."""
+    return find_minors([M], N)[0]
+
+
+def find_minors(hosts: Sequence[Matroid], N: Matroid) -> list[MinorSpec | None]:
+    """For each host M, the first MinorSpec (ascending contract mask, then
+    delete mask) whose minor of M is isomorphic to N, or None.
 
     Contract sets C range over independent sets of size r(M) - r(N) only,
-    which loses no minors.  The tables of the candidates M / C \\ D are
-    gathered many rows at a time, ``rt[idx | C] - rt[C]``, and a
-    candidate goes on to the exact isomorphism test only if its multiset
+    which loses no minors.  Hosts of one element count and rank share
+    the candidate layout, and their candidates M / C \\ D are gathered
+    many rows at a time from their tables end to end,
+    ``rt[idx | C] - rt[C]``.  A candidate goes on to the exact
+    isomorphism test, built from its gathered row, only if its multiset
     of (|A|, r(A)) equals N's.  Isomorphic matroids have equal
-    multisets, so no minor is lost and the witness is the one an
-    exhaustive scan in (C, D) order would return.
+    multisets, so no minor is lost and each witness is the one an
+    exhaustive scan in (C, D) order would return.  A host stops at its
+    first witness.
     """
-    dr = M.full_rank() - N.full_rank()
-    dn = M.n - N.n
-    if dr < 0 or dn < dr:
-        return None
+    out: list = [None] * len(hosts)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, M in enumerate(hosts):
+        dr = M.full_rank() - N.full_rank()
+        if 0 <= dr <= M.n - N.n:
+            groups.setdefault((M.n, dr), []).append(i)
+    for (n, dr), at in groups.items():
+        for i, spec in zip(at, _find_minors([hosts[i] for i in at], N, n, dr)):
+            out[i] = spec
+    return out
+
+
+def _find_minors(hosts: list[Matroid], N: Matroid, n: int, dr: int) -> list[MinorSpec | None]:
+    """:func:`find_minors` for hosts on ``n`` elements of rank r(N) + ``dr``."""
     m = N.n
     width = (m + 1) ** 2
     target = np.bincount(_rank_keys(m, N.ranks), minlength=width)
-    rt = M.ranks
-    Cs = np.flatnonzero((subset_sizes(M.n) == dr) & (rt == dr))
+    R = _stack(hosts)
+    Cs = np.flatnonzero(subset_sizes(n) == dr)
+    # (host, C) pairs with C independent in the host, in (host, C) order,
+    # and the position of each pair's C in R
+    h, c = np.nonzero(R.reshape(len(hosts), 1 << n)[:, Cs] == dr)
+    base = h << n | Cs[c]
     # bits of the n - dr positions outside each C, ascending
-    free = M.n - dr
-    outside = 1 << _bit_positions(~Cs, M.n, free)
+    free = n - dr
+    outside = 1 << _bit_positions(~Cs[c], n, free)
     # deletion sets as ascending masks over those positions, and the
     # positions each one keeps
-    D_local = np.flatnonzero(subset_sizes(free) == dn - dr)
+    D_local = np.flatnonzero(subset_sizes(free) == n - m - dr)
     kept = _bit_positions(~D_local, free, m)
-    # candidate row c * len(D_local) + d is (Cs[c], D_local[d]): (C, D) order
-    total = len(Cs) * len(D_local)
+    # candidate row j is pair j // len(D_local) with deletion set
+    # j % len(D_local): (host, C, D) order, each host's rows up to ends
+    ends = (np.searchsorted(h, np.arange(len(hosts)), side="right") * len(D_local)).tolist()
+    h = h.tolist()
+    found: list = [None] * len(hosts)
     rows = max(1, _BATCH_CELLS >> m)
-    for start in range(0, total, rows):
-        c, d = np.divmod(np.arange(start, min(start + rows, total)), len(D_local))
-        idx = subset_index(outside[c[:, None], kept[d]])
-        C = Cs[c, None]
+    start, total = 0, ends[-1]
+    while start < total:
+        p, d = np.divmod(np.arange(start, min(start + rows, total)), len(D_local))
+        bits = outside[p[:, None], kept[d]]
+        idx = subset_index(bits)
+        C = base[p, None]
+        idx += C  # in place: the index is the largest array here
         # r(A ∪ C) >= r(C), so the uint8 difference does not wrap; each
-        # row gets its own band of keys
-        band = width * np.arange(len(idx))[:, None]
-        flat = (_rank_keys(m, rt[idx | C] - rt[C]) + band).ravel()
-        hist = np.bincount(flat, minlength=len(idx) * width).reshape(-1, width)
+        # row's keys get their own band, written over the index
+        tables = R[idx] - R[C]
+        np.add(_rank_keys(m, tables), width * np.arange(len(idx))[:, None], out=idx)
+        hist = np.bincount(idx.ravel(), minlength=len(idx) * width).reshape(-1, width)
         for i in np.flatnonzero((hist == target).all(axis=1)).tolist():
-            # idx[i, -1] is the mask of every kept element
-            spec = MinorSpec(M.E & ~int(idx[i, -1]) & ~int(C[i, 0]), int(C[i, 0]))
-            if find_isomorphism(minor(M, spec), N) is not None:
-                return spec
-    return None
+            j = h[p[i]]
+            if found[j] is None:
+                M, K = hosts[j], int(bits[i].sum())  # the kept elements
+                Ci = int(C[i, 0]) & M.E
+                cand = stacked_matroids([M.names(K)], tables[i:i + 1], check_labels=False)[0]
+                if find_isomorphism(cand, N) is not None:
+                    found[j] = MinorSpec(M.E & ~K & ~Ci, Ci)
+        start += len(idx)
+        # a host found in this batch reads no further rows
+        if start < total and found[h[start // len(D_local)]] is not None:
+            start = ends[h[start // len(D_local)]]
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,22 @@ class TestRegistry:
                 if not isinstance(entry, checks.Sweep)} == fixed
 
 
+# (swept, distinct) of each sweep at seed 0: the members it reads, and
+# those unequal (labels and table) to every earlier one, which it asks
+SWEPT = {
+    "prop-nested-circuits": (229, 216), "thm-laminar-circuits": (200, 117),
+    "cor-ham-laminar": (229, 207), "lem-kcl-equiv": (229, 211), "prop-baby": (229, 213),
+    "lem-klam-minor-closed": (229, 214), "thm-cl23-minor-closed": (229, 213),
+    "lem-hamcir": (229, 217), "thm-bdm-roundtrip": (229, 214), "lem-obvious": (229, 215),
+    "thm-em2lm": (1215, 778), "thm-em2lcm": (1215, 741), "prop-rank-k1": (229, 212),
+    "cor-binary-2lam": (229, 218), "cor-binary-2clam": (229, 218),
+    "cor-ternary-2lam": (229, 212), "cor-ternary-2clam": (229, 210),
+    "cor-graphic-2lam": (191, 149), "cor-graphic-2clam": (191, 147),
+    "lem-outerplanar": (749, 749), "prop-one-chord": (749, 749),
+    "thm-pav1": (229, 207), "cor-t2lp": (229, 210),
+}
+
+
 class TestResults:
     @pytest.mark.parametrize("check_id", available_checks())
     def test_fast_checks_pass(self, check_id):
@@ -51,6 +67,29 @@ class TestResults:
         assert res.status == expected, res.witness
         assert bool(res) == (expected == "pass")
         assert res.elapsed_ms >= 0
+        coverage = res.coverage and (res.coverage["swept"], res.coverage["distinct"])
+        assert coverage == SWEPT.get(check_id)
+
+    def test_sweep_totals(self):
+        """The 23 sweeps read 8,174 members and ask 6,837; less
+        ``thm-bdm-roundtrip``, 7,945 and 6,623."""
+        assert set(SWEPT) == {cid for cid, entry in CHECKS.items()
+                              if isinstance(entry, checks.Sweep)} | {"thm-bdm-roundtrip"}
+        totals = [sum(x) for x in zip(*SWEPT.values())]
+        assert totals == [8174, 6837]
+        assert [t - x for t, x in zip(totals, SWEPT["thm-bdm-roundtrip"])] == [7945, 6623]
+
+    def test_failing_sweep_counts_up_to_its_witness(self, monkeypatch):
+        """A failed sweep counts the members up to and including its
+        witness, and the distinct ones among them."""
+        cid = "prop-nested-circuits"
+        corpus = checks._sweep_corpus(checks._sub_seed(cid, 0))
+        j = max(_first_occurrences(corpus[:100]))
+        _flip_on(monkeypatch, "is_nested", corpus[j])
+        res = run_check(cid)
+        assert res.witness["note"].startswith(f"corpus[{j}]: ")
+        assert res.coverage == {"swept": j + 1,
+                                "distinct": len(_first_occurrences(corpus[:j + 1]))}
 
     def test_counterexample_family_check_fails_with_witness(self):
         res = run_check("thm-notk-k4")
@@ -112,7 +151,7 @@ def test_agree_names_every_side(check_id):
         return not first(M, *args) if M == member else first(M, *args)
 
     forced = dataclasses.replace(claim, sides=((name, negated), *rest))
-    ok, witness = dataclasses.replace(entry, claim=forced)(seed)
+    ok, witness, _ = dataclasses.replace(entry, claim=forced)(seed)
     assert not ok
     note = witness["note"]
     assert note.startswith(f"{entry.label}[{j}]: ")
@@ -147,20 +186,39 @@ def test_minor_cache_is_bounded(monkeypatch):
 def test_membership_sides_read_the_cached_answers(monkeypatch):
     """The binary and ternary membership sides ask the containment cache
     that the excluded-minor sides fill, so no (table, target) search runs
-    twice; both modules' ``has_minor`` are watched."""
+    twice, and none that no side asks; both modules' stacked
+    ``find_minors`` are watched, which the one-host ``has_minor`` calls
+    too."""
     searches = collections.Counter()
-    real = minors.has_minor
+    real = minors.find_minors
 
-    def counting(M, N):
-        searches[M.n, M.rank_table, N.n, N.rank_table] += 1
-        return real(M, N)
+    def counting(hosts, N):
+        for M in hosts:
+            searches[M.n, M.rank_table, N.n, N.rank_table] += 1
+        return real(hosts, N)
 
     monkeypatch.setattr(checks, "_MINOR_CACHE", {})
     for module in (checks, minors):
-        monkeypatch.setattr(module, "has_minor", counting)
-    for cid in ("cor-ternary-2lam", "cor-binary-2clam"):
+        monkeypatch.setattr(module, "find_minors", counting)
+    cids = ("cor-ternary-2lam", "cor-binary-2clam")
+    for cid in cids:
         assert run_check(cid).status == "pass"
     assert searches and max(searches.values()) == 1
+    # the chunk fills search exactly the pairs that the sides ask, each
+    # target only of the members where no earlier one of its side is found
+    asked = set()
+    real_named = checks._has_named_minor
+
+    def recording(M, name):
+        N = minors.NAMED_MINORS[name]
+        asked.add((M.n, M.rank_table, N.n, N.rank_table))
+        return real_named(M, name)
+
+    monkeypatch.setattr(checks, "_has_named_minor", recording)
+    for cid in cids:
+        for M in CHECKS[cid].corpus(checks._sub_seed(cid, 0)):
+            list(CHECKS[cid].claim.verdicts(M))
+    assert set(searches) == asked
 
 
 def _flip_on(monkeypatch, name, member):
@@ -290,8 +348,8 @@ class TestForcedFailures:
 
 
 def test_round_trip_validates_each_family_once(monkeypatch):
-    """Z0-Z3 run once per member, inside ``from_cyclic_flats``, plus once
-    on the k = 3 counterexample family."""
+    """Z0-Z3 run once per distinct member, inside ``from_cyclic_flats``,
+    plus once on the k = 3 counterexample family."""
     cid = "thm-bdm-roundtrip"
     calls = []
     real = constructions.validate_z_axioms
@@ -303,7 +361,7 @@ def test_round_trip_validates_each_family_once(monkeypatch):
     monkeypatch.setattr(checks, "validate_z_axioms", validate_z_axioms)
     monkeypatch.setattr(constructions, "validate_z_axioms", validate_z_axioms)
     assert run_check(cid).status == "pass"
-    assert len(calls) == len(checks._sweep_corpus(checks._sub_seed(cid, 0))) + 1
+    assert len(calls) == len(_first_occurrences(checks._sweep_corpus(checks._sub_seed(cid, 0)))) + 1
 
 
 def test_round_trip_primes_cyclic_flats_in_stacks(monkeypatch):
@@ -319,8 +377,20 @@ def test_round_trip_primes_cyclic_flats_in_stacks(monkeypatch):
 
     monkeypatch.setitem(core._PASSES, "cyclic_flats", cyclic_flat_pass)
     assert run_check(cid).status == "pass"
-    # shared corpus members may be primed already, so passes can be fewer
-    assert rows and 1 not in rows
+    # the corpus is one chunk: at most one pass per element count (shared
+    # members may be primed already, so passes can be fewer)
+    corpus = checks._sweep_corpus(checks._sub_seed(cid, 0))
+    assert len(list(core.runs(corpus, lambda M: 1 << M.n))) == 1
+    assert rows and len(rows) <= len({M.n for M in corpus})
+
+
+def _first_occurrences(members) -> set[int]:
+    """The indices of the members unequal (labels and table) to every
+    earlier one: those a ``Sweep`` asks."""
+    first: dict = {}
+    for i, M in enumerate(members):
+        first.setdefault((M.labels, M.rank_table), i)
+    return set(first.values())
 
 
 def _graph_of(M):
@@ -499,9 +569,9 @@ class TestSharedWork:
         core.prime(fresh(), "circuits")
         one_prime, members = counts["_circuit_pass"], fresh()
         counts.clear()
-        assert checks.Sweep(lambda _: members, lambda M: None)(0) == (True, None)
+        assert checks.Sweep(lambda _: members, lambda M: None)(0)[:2] == (True, None)
         assert 0 < counts["_circuit_pass"] <= one_prime
-        assert all("circuits" in M._cache for M in members)
+        assert all("circuits" in members[i]._cache for i in _first_occurrences(members))
 
     def test_sweep_makes_one_circuit_pass_per_element_count_of_a_chunk(self, monkeypatch):
         """``prime`` takes a sweep chunk whole: one stacked pass for each
@@ -516,9 +586,11 @@ class TestSharedWork:
             return real(ms, n)
 
         monkeypatch.setitem(core._PASSES, "circuits", circuit_pass)
-        assert checks.Sweep(lambda _: members, lambda M: None)(0) == (True, None)
-        chunks = core.runs(members, lambda M: 1 << M.n)
-        assert passes == [n for chunk in chunks for n in dict.fromkeys(M.n for M in chunk)]
+        assert checks.Sweep(lambda _: members, lambda M: None)(0)[:2] == (True, None)
+        asked = _first_occurrences(members)
+        chunks = core.runs(enumerate(members), lambda member: 1 << member[1].n)
+        assert passes == [n for chunk in chunks
+                          for n in dict.fromkeys(M.n for i, M in chunk if i in asked)]
 
     def test_graph_pool_is_primed_in_few_passes(self, monkeypatch):
         """The pool's 6-vertex tables stack a chunk at a time, not two or
@@ -546,8 +618,9 @@ class TestSharedWork:
         monkeypatch.setattr(checks, "prime", prime)
         assert run_check(cid).status == "pass"
         assert 1 < len(calls) == len(chunks) < len(members)
-        # each call holds its chunk's members and their 2n minors each
-        assert calls == [sum(1 + 2 * M.n for _, M in c) for c in chunks]
+        # each call holds its chunk's distinct members and their 2n minors each
+        asked = _first_occurrences(members)
+        assert calls == [sum(1 + 2 * M.n for i, M in c if i in asked) for c in chunks]
 
     def test_big_corpus_builds_one_stack_per_kind_and_element_count(self, monkeypatch):
         """The 1,000 draws of a big corpus are built by one stacked call for
@@ -572,13 +645,63 @@ class TestSharedWork:
             # at most 8 elements: stacks of <= 6, 7 and 8, each one run
             assert len(stacks) == len(set(stacks)) <= 3, (name, made)
 
+    def test_verify_searches_minors_a_chunk_at_a_time(self, monkeypatch):
+        """Inside a sweep no member is searched for a minor on its own: the
+        excluded-minor answers come from at most one stacked search per
+        chunk, target, host element count and host rank."""
+        chunk = [0]
+        real_runs = checks.runs
+
+        def runs(items, cells):
+            # every run a sweep reads is counted, the graph pool's too,
+            # which only splits chunks that have no excluded-minor side
+            for run in real_runs(items, cells):
+                chunk[0] += 1
+                yield run
+
+        in_sweep = []
+        real_call = checks.Sweep.__call__
+
+        def call(self, seed):
+            in_sweep.append(self)
+            try:
+                return real_call(self, seed)
+            finally:
+                in_sweep.pop()
+
+        alone = []
+        real_has_minor = minors.has_minor
+
+        def has_minor(M, N):
+            if in_sweep:
+                alone.append((M, N))
+            return real_has_minor(M, N)
+
+        searches = collections.Counter()
+        real_group = minors._find_minors
+
+        def group(hosts, N, n, dr):
+            searches[chunk[0], N.rank_table, n, N.full_rank() + dr] += 1
+            return real_group(hosts, N, n, dr)
+
+        monkeypatch.setattr(checks, "runs", runs)
+        monkeypatch.setattr(checks.Sweep, "__call__", call)
+        for module in (checks, minors):
+            monkeypatch.setattr(module, "has_minor", has_minor)
+        monkeypatch.setattr(minors, "_find_minors", group)
+        monkeypatch.setattr(checks, "_MINOR_CACHE", {})
+        for cid in available_checks():
+            assert run_check(cid).status == ("fail" if cid in EXPECTED_FAIL else "pass")
+        assert not alone
+        assert searches and max(searches.values()) == 1
+
     def test_minor_closed_builds_minors_once_per_chunk_and_element_count(self, monkeypatch):
         """Each chunk's single-element minors are one halves pass per
         element count and position over all of its members of that count."""
         cid = "lem-klam-minor-closed"
         monkeypatch.setattr(core, "_TABLE_CELLS", 1 << 10)
         members = checks._sweep_corpus(checks._sub_seed(cid, 0))
-        chunks = list(core.runs(members, lambda M: 1 << M.n))
+        chunks = list(core.runs(enumerate(members), lambda member: 1 << member[1].n))
         passes = []
         real = minors._single_element_tables
 
@@ -589,8 +712,9 @@ class TestSharedWork:
         monkeypatch.setattr(minors, "_single_element_tables", counted)
         assert run_check(cid).status == "pass"
         want = []
+        asked = _first_occurrences(members)
         for chunk in chunks:
-            counts = collections.Counter(M.n for M in chunk if M.n)
+            counts = collections.Counter(M.n for i, M in chunk if M.n and i in asked)
             want += [(rows, n, p) for n, rows in counts.items() for p in range(n)]
         assert 1 < len(chunks) < len(members) and passes == want
 

@@ -230,6 +230,15 @@ class TestVerify:
         assert [r["check_id"] for r in payload] == ["lem-mnk", "lem-nb"]
         assert all(r["status"] == "pass" for r in payload)
 
+    def test_json_mode_reports_sweep_coverage(self, capsys):
+        """A sweep's result says how many members it read and how many
+        distinct ones it asked; a fixed-input check has no such keys."""
+        assert main(["verify", "--check", "thm-laminar-circuits", "--check", "lem-mnk",
+                     "--json"]) == 0
+        sweep, fixed = json.loads(capsys.readouterr().out)
+        assert (sweep["swept"], sweep["distinct"]) == (200, 117)
+        assert "swept" not in fixed and "distinct" not in fixed
+
     def test_unknown_check(self, capsys):
         assert main(["verify", "--check", "bogus"]) == 2
 

@@ -8,7 +8,9 @@ formulas of ``laminar_matroid``, ``transversal_matroid``,
 ``from_cyclic_flats`` and ``parallel_connection``, the two subset passes
 of ``matroid_from_circuits``, the sparse paving tables of the Fano plane
 and the corpus, the pair generators behind the laminar predicates,
-the batched candidate filter of ``has_minor``, the prefix image
+the batched candidate filter of ``has_minor`` and the stacked search
+of ``find_minors`` over many hosts (against the per-host loop it
+replaced as well), the prefix image
 search of ``find_isomorphism`` and its pair rows, the stacked pass that
 ``prime(matroids, key)`` runs for each cached family (circuits, flats,
 cyclic flats and Hamiltonian flats; the circuit pass also against the
@@ -23,7 +25,8 @@ instead: each must still return a table for which
 ``matroid_from_circuits`` and ``from_cyclic_flats`` no longer run on
 their own result, and the least-k scan of ``lem-hamcir`` against the
 every-k scan it replaced, with the bound ``min_laminar_k(M) <= r(M)``
-that lets the scan always find its k.
+that lets the scan always find its k, and the minor-closure claims,
+which ask each minor at one k, against the all-k loop they replaced.
 """
 
 import contextlib
@@ -310,6 +313,39 @@ def reference_has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
                 # express D in the original ground set
                 d_names = MC.names(D)
                 return MinorSpec(M.mask(d_names), C)
+    return None
+
+
+def loop_has_minor(M: Matroid, N: Matroid) -> MinorSpec | None:
+    """``has_minor`` for one host, as it was before the stacked search:
+    the host's candidates gathered a batch at a time, and each that
+    passes the histogram rebuilt by ``minor`` for the isomorphism test."""
+    dr = M.full_rank() - N.full_rank()
+    dn = M.n - N.n
+    if dr < 0 or dn < dr:
+        return None
+    m = N.n
+    width = (m + 1) ** 2
+    target = np.bincount(minors._rank_keys(m, N.ranks), minlength=width)
+    rt = M.ranks
+    Cs = np.flatnonzero((subset_sizes(M.n) == dr) & (rt == dr))
+    free = M.n - dr
+    outside = 1 << minors._bit_positions(~Cs, M.n, free)
+    D_local = np.flatnonzero(subset_sizes(free) == dn - dr)
+    kept = minors._bit_positions(~D_local, free, m)
+    total = len(Cs) * len(D_local)
+    rows = max(1, minors._BATCH_CELLS >> m)
+    for start in range(0, total, rows):
+        c, d = np.divmod(np.arange(start, min(start + rows, total)), len(D_local))
+        idx = subset_index(outside[c[:, None], kept[d]])
+        C = Cs[c, None]
+        band = width * np.arange(len(idx))[:, None]
+        flat = (minors._rank_keys(m, rt[idx | C] - rt[C]) + band).ravel()
+        hist = np.bincount(flat, minlength=len(idx) * width).reshape(-1, width)
+        for i in np.flatnonzero((hist == target).all(axis=1)).tolist():
+            spec = MinorSpec(M.E & ~int(idx[i, -1]) & ~int(C[i, 0]), int(C[i, 0]))
+            if find_isomorphism(minor(M, spec), N) is not None:
+                return spec
     return None
 
 
@@ -1119,6 +1155,48 @@ class TestHamiltonianExtensions:
             assert min_laminar_k(M) <= M.full_rank()
 
 
+def reference_minor_closed(holds, ks, kind: str):
+    """The claim of ``_minor_closed`` as it was: every single-element minor
+    asked at every k of ``ks(M)`` where M holds."""
+    def claim(M, minors):
+        kept = [k for k in ks(M) if holds(M, k)]
+        for j, M2 in enumerate(minors):
+            for k in kept:
+                if not holds(M2, k):
+                    op = ("delete", "contract")[j % 2]
+                    return f"{op} {M.labels[j // 2]} leaves {k}-{kind}", 1 << j // 2
+        return None
+    return claim
+
+
+class TestMinorClosedLeastK:
+    """The minor-closure claims ask M for its least k and each minor once,
+    at the least k of ``ks(M)`` where M holds; the oracle asks every such
+    k of every minor.  Foreign minors that fail put the failure at each
+    end of the list."""
+
+    CASES = {
+        "lem-klam-minor-closed": (is_k_laminar, lambda M: range(M.full_rank() + 1), "laminar"),
+        "thm-cl23-minor-closed": (is_k_closure_laminar, lambda M: (2, 3), "closure-laminar"),
+    }
+
+    @pytest.mark.parametrize("cid", CASES)
+    def test_least_k_matches_every_k(self, cid):
+        claim, oracle = checks.CHECKS[cid].claim, reference_minor_closed(*self.CASES[cid])
+        members = [*_CORPUS, *checks._sweep_corpus(0)]
+        foreign = [named_matroid("mk23"), mn_family(4, 2), mn_family(5, 2), uniform(3, 6)]
+        failed = 0
+        for M, minors_ in zip(members, minors.single_element_minors_of(members)):
+            assert claim(M, minors_) == oracle(M, minors_)
+            for j in {0, len(minors_) - 1} if minors_ else ():
+                for bad in foreign:
+                    forced = [*minors_[:j], bad, *minors_[j + 1:]]
+                    got = claim(M, forced)
+                    assert got == oracle(M, forced)
+                    failed += got is not None
+        assert failed > 100
+
+
 class TestOneExpressionTables:
     def test_subset_sizes(self):
         for n in range(17):
@@ -1405,6 +1483,84 @@ class TestMinorSearch:
         assert has_minor(mn_family(7, 2), N) is None
         # only candidates with N's (|A|, r(A)) counts reach the exact test
         assert all((_rank_histogram(M) == _rank_histogram(N)).all() for M in tested)
+
+
+@st.composite
+def minor_searches(draw):
+    """Hosts of several element counts and ranks, some of them repeated,
+    a target (a named excluded minor or a minor of a corpus member) and a
+    batch budget, None for the default."""
+    hosts = draw(st.lists(st.sampled_from(_CORPUS), min_size=1, max_size=5))
+    hosts = draw(st.permutations(hosts + draw(st.lists(st.sampled_from(hosts), max_size=2))))
+    M = draw(st.sampled_from(_CORPUS))
+    D = draw(st.integers(0, M.E))
+    C = draw(st.integers(0, M.E)) & ~D
+    N = draw(st.sampled_from([*minors.NAMED_MINORS.values(), minor(M, MinorSpec(D, C))]))
+    return hosts, N, draw(st.sampled_from([None, 1, 40, 1 << 10]))
+
+
+class TestStackedMinorSearch:
+    """``find_minors`` searches many hosts at once, grouped by element
+    count and rank; each host's witness must be the one the per-host loop
+    and the build-every-candidate oracle give."""
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(minor_searches())
+    def test_mixed_hosts_match_loop_and_reference(self, case):
+        hosts, N, cells = case
+        with mock.patch.object(minors, "_BATCH_CELLS", cells or minors._BATCH_CELLS):
+            got = minors.find_minors(hosts, N)
+        assert got == [loop_has_minor(M, N) for M in hosts]
+        assert got == [reference_has_minor(M, N) for M in hosts]
+
+    @pytest.mark.parametrize("cells", [None, 1, 1 << 9])
+    def test_corpus_against_every_named_minor(self, monkeypatch, cells):
+        hosts = _CORPUS[::3]
+        if cells:
+            monkeypatch.setattr(minors, "_BATCH_CELLS", cells)
+        for N in minors.NAMED_MINORS.values():
+            assert minors.find_minors(hosts, N) == [loop_has_minor(M, N) for M in hosts]
+
+    def test_one_host_call(self):
+        for M in _CORPUS[::10]:
+            for N in (uniform(1, 2), uniform(2, 4), minors.NAMED_MINORS["mk23minus"]):
+                assert has_minor(M, N) == minors.find_minors([M], N)[0] == loop_has_minor(M, N)
+        assert minors.find_minors([], uniform(1, 2)) == []
+
+    def test_a_host_stops_at_its_first_witness(self, monkeypatch):
+        """Each host is tested only up to its witness, as the loop is, and
+        a batch of found hosts only is never built."""
+        M, N = uniform(3, 6), uniform(2, 4)
+        tested, gathers = [], []
+        real_iso, real_index = minors.find_isomorphism, minors.subset_index
+        monkeypatch.setattr(minors, "find_isomorphism",
+                            lambda M1, M2: tested.append(M1) or real_iso(M1, M2))
+        monkeypatch.setattr(minors, "subset_index",
+                            lambda bits: gathers.append(len(bits)) or real_index(bits))
+        monkeypatch.setattr(minors, "_BATCH_CELLS", 1)  # one candidate per batch
+        assert minors.find_minors([M, M, N], N) == [MinorSpec(0b10, 0b1)] * 2 + [MinorSpec(0, 0)]
+        # 30 candidates each in M, the first a witness, and N itself
+        assert len(tested) == len(gathers) == 3
+
+    def test_witness_is_built_from_its_row(self, monkeypatch):
+        """No candidate goes through ``minor``; the last one a host tests
+        is the minor its spec names, labels and all."""
+        N = minors.NAMED_MINORS["u24"]
+        tested = []
+        real_iso = minors.find_isomorphism
+        monkeypatch.setattr(minors, "find_isomorphism",
+                            lambda M1, M2: tested.append(M1) or real_iso(M1, M2))
+        monkeypatch.setattr(minors, "minors_of", None)
+        found = []
+        for M in _CORPUS[:40]:
+            tested.clear()
+            spec = minors.find_minors([M], N)[0]
+            if spec is not None:
+                found.append((M, spec, tested[-1]))
+        monkeypatch.undo()
+        assert found
+        for M, spec, witness in found:
+            assert witness == minor(M, spec)
 
 
 def _relabel(M: Matroid, perm) -> Matroid:
