@@ -8,11 +8,11 @@ can be replayed through the public operations.
 
 Every corpus check is data: a :class:`Sweep` asks ``claim(M)`` of every
 distinct member of ``corpus(sub_seed)``, an iterable it reads a chunk at
-a time, priming one family of each chunk: circuits, which give the
-Hamiltonian flats, or cyclic flats.  The minor searches of its
-:class:`Excluded` sides are answered a chunk at a time too, one stacked
-search per target.  Seed-free corpus parts are built once per process
-and shared, primed families and all.
+a time, priming one family of each chunk: circuits, whose pass fills
+the Hamiltonian flats too, or cyclic flats.  Its :class:`Excluded` sides
+fill their minor answers a chunk at a time too, one stacked search per
+target, through the one producer :func:`_contains`.  Seed-free corpus
+parts are built once per process and shared, primed families and all.
 A claim returns ``None`` when it holds and ``(note, *sets)`` when it
 fails; the first failing member is the witness, its note prefixed with
 ``label[index]``.  Every equivalence, excluded-minor and
@@ -116,12 +116,11 @@ class Sweep:
     earlier one (labels and table) gets that one's answer, a pass, so it
     is not asked again.  With ``minors`` it asks
     ``claim(M, single_element_minors(M))``, building and priming the minors
-    of a whole chunk with it.  When the claim's sides include
-    :class:`Excluded` ones, the minor searches they make are answered for
-    the whole chunk first, one stacked search per target.  Returns
-    ``(ok, witness, coverage)``: coverage counts the members ``swept`` up
-    to the witness (all of them on a pass) and the ``distinct`` ones
-    asked."""
+    of a whole chunk with it.  Each :class:`Excluded` side of the claim
+    fills its answers for the whole chunk first (:meth:`Excluded.fill`).
+    Returns ``(ok, witness, coverage)``: coverage counts the members
+    ``swept`` up to the witness (all of them on a pass) and the
+    ``distinct`` ones asked."""
 
     corpus: Callable[[int], Iterable[Matroid]]
     claim: Callable[..., tuple | None]
@@ -130,7 +129,7 @@ class Sweep:
     minors: bool = False
 
     def __call__(self, seed: int) -> tuple[bool, dict | None, dict]:
-        excluded = [side.names for _, side in getattr(self.claim, "sides", ())
+        excluded = [side for _, side in getattr(self.claim, "sides", ())
                     if isinstance(side, Excluded)]
         asked: set = set()
         swept = 0
@@ -144,8 +143,8 @@ class Sweep:
             members = [M for _, M in fresh]
             reads = single_element_minors_of(members) if self.minors else [[] for _ in fresh]
             prime(itertools.chain(members, *reads), self.family)
-            if excluded:
-                _answer_excluded(members, excluded)
+            for side in excluded:
+                side.fill(members)
             for t, ((i, M), minors) in enumerate(zip(fresh, reads)):
                 failure = self.claim(M, minors) if self.minors else self.claim(M)
                 if failure is not None:
@@ -166,20 +165,27 @@ _MINOR_CACHE_SIZE = 1 << 14
 _MINOR_CACHE: dict[tuple, bool] = {}
 
 
-def _remember(key: tuple, found: bool) -> None:
-    if len(_MINOR_CACHE) >= _MINOR_CACHE_SIZE:
-        del _MINOR_CACHE[next(iter(_MINOR_CACHE))]
-    _MINOR_CACHE[key] = found
+def _contains(ms: list[Matroid], name: str) -> list[bool]:
+    """Whether each of ``ms`` has the target ``name`` of ``NAMED_MINORS`` as
+    a minor, keyed by both tables, since M_4(2) and M(K_{2,3}) have one
+    table: the cached answers, then one :func:`~lamina.minors.find_minors`
+    over the distinct tables without one, whose answers are cached too."""
+    target = NAMED_MINORS[name]
+    # this call's answers, which the cache may drop before it returns
+    got = {M.rank_table: _MINOR_CACHE.get((M.rank_table, target.rank_table)) for M in ms}
+    ask = {M.rank_table: M for M in ms if got[M.rank_table] is None}
+    for table, spec in zip(ask, find_minors(list(ask.values()), target)):
+        got[table] = spec is not None
+        if len(_MINOR_CACHE) >= _MINOR_CACHE_SIZE:
+            del _MINOR_CACHE[next(iter(_MINOR_CACHE))]
+        _MINOR_CACHE[table, target.rank_table] = got[table]
+    return [got[M.rank_table] for M in ms]
 
 
 def _has_named_minor(M: Matroid, name: str) -> bool:
-    """Cached minor containment against a target of ``NAMED_MINORS``,
-    keyed by both tables, since M_4(2) and M(K_{2,3}) have one table."""
-    N = NAMED_MINORS[name]
-    key = (M.rank_table, N.rank_table)
-    if key not in _MINOR_CACHE:
-        _remember(key, has_minor(M, N) is not None)
-    return _MINOR_CACHE[key]
+    """:func:`_contains` of one member: a cache hit is one lookup."""
+    found = _MINOR_CACHE.get((M.rank_table, NAMED_MINORS[name].rank_table))
+    return _contains([M], name)[0] if found is None else found
 
 
 @dataclass(frozen=True)
@@ -195,27 +201,11 @@ class Excluded:
         return (not any(_has_named_minor(M, t) for t in self.names)
                 and (self.also is None or bool(self.also(M))))
 
-
-def _answer_excluded(ms: list[Matroid], lists: list[tuple[str, ...]]) -> None:
-    """Put in ``_MINOR_CACHE`` every answer that ``Excluded(names)`` asks of
-    the members ``ms``, for each ``names`` of ``lists``: target by target,
-    one :func:`~lamina.minors.find_minors` over the distinct tables not
-    answered yet among those with no earlier target of ``names``."""
-    known: dict[tuple, bool] = {}  # this call's answers, which the cache may drop
-    tables = list({M.rank_table: M for M in ms}.values())
-    for names in lists:
-        open_ = tables
-        for name in names:
-            N = NAMED_MINORS[name]
-            keys = [(M.rank_table, N.rank_table) for M in open_]
-            for key in keys:
-                if key not in known and key in _MINOR_CACHE:
-                    known[key] = _MINOR_CACHE[key]
-            ask = [(key, M) for key, M in zip(keys, open_) if key not in known]
-            for (key, _), spec in zip(ask, find_minors([M for _, M in ask], N)):
-                known[key] = spec is not None
-                _remember(key, known[key])
-            open_ = [M for key, M in zip(keys, open_) if not known[key]]
+    def fill(self, ms: list[Matroid]) -> None:
+        """Cache every answer this side asks of the members ``ms``: each
+        target, in order, of the members where no earlier one is found."""
+        for name in self.names:
+            ms = [M for M, found in zip(ms, _contains(ms, name)) if not found]
 
 
 @dataclass(frozen=True)

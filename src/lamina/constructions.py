@@ -167,8 +167,9 @@ class LaminarCapacitySystem:
         object.__setattr__(self, "capacities", tuple(self.capacities))
         if len(self.family) != len(self.capacities):
             raise MatroidError("need one capacity per family member")
-        if any(c < 0 for c in self.capacities):
-            raise MatroidError("capacities must be nonnegative")
+        for j, c in enumerate(self.capacities):
+            if c < 0:
+                raise FamilyError("capacities must be nonnegative", (j,))
         for A in self.family:
             check_mask(A, len(self.labels), "family member")
 
@@ -477,13 +478,14 @@ class CyclicFlatFamily:
         object.__setattr__(
             self, "entries", tuple((int(m), int(r)) for m, r in self.entries)
         )
-        masks = [m for m, _ in self.entries]
-        if len(set(masks)) != len(masks):
-            raise MatroidError("cyclic-flat members must be distinct")
-        for m, r in self.entries:
+        first: dict[int, int] = {}
+        for j, (m, _) in enumerate(self.entries):
+            if first.setdefault(m, j) != j:
+                raise FamilyError("cyclic-flat members must be distinct", (first[m], j))
+        for j, (m, r) in enumerate(self.entries):
             check_mask(m, len(self.labels), "member")
             if r < 0:
-                raise MatroidError("ranks must be nonnegative")
+                raise FamilyError("ranks must be nonnegative", (j,))
 
     def mask(self, names: Iterable[str]) -> int:
         return label_mask({lab: i for i, lab in enumerate(self.labels)}, names)

@@ -516,7 +516,9 @@ def _fill(ms: Sequence[Matroid], key: str, values: Iterable, ends: list[int]) ->
 
 def _circuit_pass(ms: Sequence[Matroid], n: int) -> None:
     """The circuit caches of a stack of tables over ``n`` elements: A is a
-    circuit when it is dependent and every A - x is independent."""
+    circuit when it is dependent and every A - x is independent.  The
+    Hamiltonian flats are the circuits' closures: each row's distinct
+    nonspanning closures, plus E where some circuit spans."""
     R = _stack(ms)
     ind = R.reshape(-1, 1 << n) == subset_sizes(n)
     circ = ~ind
@@ -529,12 +531,18 @@ def _circuit_pass(ms: Sequence[Matroid], n: int) -> None:
     # a spanning circuit closes to E, so only the others are gathered
     ns = rA < R[at | E]
     An, rAn, bits = at[ns], rA[ns], 1 << np.arange(n)
-    closures = ((R[An[:, None] | bits] == rAn[:, None]) @ bits).tolist()
+    closures = (R[An[:, None] | bits] == rAn[:, None]) @ bits
     # the nonspanning circuits before each row bound
     ns_ends = np.concatenate(([0], np.cumsum(ns)))[ends].tolist()
+    # each row's closures marked on its masks, so a repeat is marked once
+    ham = np.zeros(len(R), dtype=bool)
+    ham[An & ~E | closures] = True
+    ham[at[~ns] | E] = True
+    ham, ham_ends = _in_order(ham, n, len(ms))
     _fill(ms, "circuits", A.tolist(), ends)
     _fill(ms, "nonspanning", (An & E).tolist(), ns_ends)
-    _fill(ms, "nonspanning_closures", closures, ns_ends)
+    _fill(ms, "nonspanning_closures", closures.tolist(), ns_ends)
+    _fill(ms, "ham_flats", (ham & E).tolist(), ham_ends)
 
 
 def _flat_pass(ms: Sequence[Matroid], n: int) -> None:
@@ -552,17 +560,7 @@ def _cyclic_flat_pass(ms: Sequence[Matroid], n: int) -> None:
     _fill(ms, "cyclic_flats", zip((at & ((1 << n) - 1)).tolist(), R[at].tolist()), ends)
 
 
-def _ham_flat_pass(ms: Sequence[Matroid], n: int) -> None:
-    """The Hamiltonian flats of a stack: the nonspanning circuits' closures,
-    plus E when some circuit spans (and so closes to E)."""
-    prime(ms, "circuits")
-    for M in ms:
-        seen = set(M._cache["nonspanning_closures"])
-        if len(M._cache["nonspanning"]) < len(M._cache["circuits"]):
-            seen.add(M.E)
-        M._cache["ham_flats"] = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
-
-
 # The pass that fills each cached family
-_PASSES = dict.fromkeys(("circuits", "nonspanning", "nonspanning_closures"), _circuit_pass)
-_PASSES.update(flats=_flat_pass, cyclic_flats=_cyclic_flat_pass, ham_flats=_ham_flat_pass)
+_PASSES = dict.fromkeys(("circuits", "nonspanning", "nonspanning_closures", "ham_flats"),
+                        _circuit_pass)
+_PASSES.update(flats=_flat_pass, cyclic_flats=_cyclic_flat_pass)

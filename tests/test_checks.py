@@ -161,13 +161,14 @@ def test_agree_names_every_side(check_id):
     assert parse_matroid(witness["matroid"]) == member
 
 
-def test_minor_cache_is_bounded(monkeypatch):
+@pytest.mark.parametrize("cap", [1, 64])
+def test_minor_cache_is_bounded(monkeypatch, cap):
     """With the cap set small, the containment cache drops its oldest
-    answers, never holds more than the cap, and no verdict changes."""
+    answers, never holds more than the cap, and no verdict changes; at a
+    cap of 1 every chunk fill evicts answers it is about to return."""
     # the two sweeps of the 1000-member corpus are left out for time
     ids = [cid for cid in EXCLUDED_MINOR_CHECKS if CHECKS[cid].corpus is not checks._big_corpus]
     want = {(cid, s): run_check(cid, s) for cid in ids for s in (0, 1, 2)}
-    cap = 64
     sizes = []
 
     class Bounded(dict):
@@ -717,6 +718,24 @@ class TestSharedWork:
             counts = collections.Counter(M.n for i, M in chunk if M.n and i in asked)
             want += [(rows, n, p) for n, rows in counts.items() for p in range(n)]
         assert 1 < len(chunks) < len(members) and passes == want
+
+
+def test_hamiltonian_flats_come_with_the_circuits(monkeypatch):
+    """The circuit pass fills the Hamiltonian flats: once the circuits are
+    primed, reading the flats runs no pass, and verify makes none for
+    them alone."""
+    assert set(core._PASSES.values()) == {
+        core._circuit_pass, core._flat_pass, core._cyclic_flat_pass}
+    members = tuple(core.Matroid(M.labels, M.rank_table, validate=False)
+                    for M in checks._big_corpus(3))  # unprimed copies
+    core.prime(members, "circuits")
+    counts = _counted_passes(monkeypatch)
+    for M in members:
+        M.hamiltonian_flats()
+    assert not counts
+    for cid in available_checks():
+        assert run_check(cid).status == ("fail" if cid in EXPECTED_FAIL else "pass")
+    assert counts and set(counts) <= {"_circuit_pass", "_flat_pass", "_cyclic_flat_pass"}
 
 
 def test_round_trip_reads_no_circuits(monkeypatch):

@@ -375,3 +375,17 @@ def test_only_core_converts_the_stored_table(path):
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Matroid":
             assert "tobytes" not in ast.unparse(node), f"line {node.lineno}"
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(lamina.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_calls_np_unique(path):
+    """``np.unique`` imports ``numpy.ma`` on first call, over 1 MiB of RSS
+    (``tests/test_cli.py`` checks at run time that none is imported): the
+    library drops repeats by marking masks on a boolean table or by a
+    sort and a ``diff`` instead."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr == "unique":
+            assert ast.unparse(node.value) not in ("np", "numpy"), f"line {node.lineno}"
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            assert "unique" not in {a.name for a in node.names}, f"line {node.lineno}"

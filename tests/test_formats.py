@@ -139,6 +139,11 @@ _MALFORMED = [
     _bad("cyclic-flat-axiom-later-pair", "%matroid v1\nn 3\nlabels a b c\nrepr cyclic-flats\n"
          "set {} rank 0\nset {a b c} rank 1\nset {a b} rank 2\n", 7,
          "cyclic-flat axiom Z2 violated at masks ('0x0', '0x3')"),
+    _bad("cyclic-flat-negative-rank", "%matroid v1\nn 2\nlabels a b\nrepr cyclic-flats\n"
+         "set {} rank 0\nset {a b} rank -1\n", 6, "ranks must be nonnegative"),
+    _bad("cyclic-flat-repeated-member", "%matroid v1\nn 2\nlabels a b\nrepr cyclic-flats\n"
+         "set {} rank 0\nset {a b} rank 1\nset {} rank 0\n", 7,
+         "cyclic-flat members must be distinct"),
     _bad("graph-no-body", "%matroid v1\nn 1\nrepr graph\n", 3,
          "graph body needs a 'vertices <int>' line"),
     _bad("vertices-usage", "%matroid v1\nn 1\nrepr graph\nvertices\n", 4,
@@ -169,6 +174,8 @@ _MALFORMED = [
          "invalid capacity 'y'"),
     _bad("cap-two-sets", "%matroid v1\nn 2\nrepr laminar\ncap {e1} {e2} 1\n", 4,
          "expected exactly one braced set, got 2"),
+    _bad("cap-negative", "%matroid v1\nn 2\nlabels a b\nrepr laminar\n"
+         "cap {a} 1\ncap {a b} -1\n", 6, "capacities must be nonnegative"),
     _bad("not-laminar", "%matroid v1\nn 3\nrepr laminar\ncap {e1 e2} 1\ncap {e2 e3} 1\n", 5,
          "family is not laminar: members 0x3 and 0x6 intersect without nesting"),
     _bad("not-laminar-later-pair", "%matroid v1\nn 3\nlabels a b c\nrepr laminar\n"
