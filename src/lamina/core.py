@@ -164,6 +164,18 @@ def halves(x: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     return pair[:, 0], pair[:, 1]
 
 
+def rotated(x: np.ndarray, n: int, k: int) -> np.ndarray:
+    """A copy of a stack of tables over ``n``-bit masks (2^n entries each,
+    in C order) with the low ``k`` index bits of each table moved to the
+    top: bit i < k is bit i + n - k of the copy's index, bit i >= k is
+    bit i - k, so ``rotated(rotated(x, n, k), n, n - k)`` is ``x``.  A
+    sweep takes its low n // 2 bits from ``rotated(x, n, n // 2)`` and
+    the rest from ``x``: every :func:`halves` step, which splits a table
+    into runs of 2^i entries at bit i, then reads runs of 2^(n // 2) or more."""
+    rows = x.size >> n
+    return x.reshape(rows, 1 << n - k, 1 << k).transpose(0, 2, 1).copy().reshape(x.shape)
+
+
 def validate_rank_axioms(table: Sequence[int] | np.ndarray, n: int) -> AxiomViolation | None:
     """Check the rank axioms R1-R3 on bytes, a flat integer array or a sequence.
 
@@ -177,9 +189,11 @@ def validate_rank_axioms(table: Sequence[int] | np.ndarray, n: int) -> AxiomViol
 
     The gains r(A+i) - r(A) are stacked into one ``(n, 2^(n-1))`` array:
     R2 is one comparison of it, R3 one comparison per j over the rows
-    i < j, n - 1 passes in all.  The passes for small j read a copy of
-    the low rows with their index bits rotated, so that every pass reads
-    runs of at least about 2^(n/2) entries.
+    i < j, n - 1 passes in all.  The gains of the low n // 2 elements are
+    taken from one :func:`rotated` copy of the table, and the R3 passes
+    for j < n // 2 read those rows as they come out of it, with their low
+    index bits on top.  So every step reads runs of at least 2^(n // 2)
+    table entries, or 2^(n // 2 - 1) gain entries.
     """
     if not 0 <= n <= MAX_ELEMENTS:
         raise ValueError(f"element count must be in 0..{MAX_ELEMENTS}, got {n}")
@@ -199,30 +213,35 @@ def validate_rank_axioms(table: Sequence[int] | np.ndarray, n: int) -> AxiomViol
     if np.count_nonzero(bad):
         return AxiomViolation("R1", (int(np.argmax(bad)),))
 
-    # gains[i, k]: r(A+i) - r(A) for the k-th mask A without bit i
+    # gains[i, k]: r(A+i) - r(A) for the k-th mask A without bit i.  Row
+    # i < low is taken at bit i + n - low of the rotated table: there it
+    # comes out with its low - 1 low index bits on top (`lows`), and is
+    # rotated back into `gains`
     r = r.astype(np.int8)
-    half = size >> 1
+    half, low = size >> 1, n // 2
     gains = np.empty((n, half), dtype=np.int8)
-    for i, gain in enumerate(gains):
-        without, with_i = halves(r, i)
+    lows = np.empty((low, half), dtype=np.int8)
+    rot = rotated(r, n, low)
+    for i in range(n):
+        x, p, gain = (rot, i + n - low, lows[i]) if i < low else (r, i, gains[i])
+        without, with_i = halves(x, p)
         np.subtract(with_i, without, out=gain.reshape(with_i.shape))
+    if low:
+        gains[:low] = rotated(lows, n - 1, n - low)
     if n and gains.min() < 0:
         i, k = divmod(int(np.argmax(gains < 0)), half)
         a = _spread(k, i)
         return AxiomViolation("R2", (a, a | 1 << i))
 
     # submodularity: gain_i does not grow along bit j > i, which is bit
-    # j - 1 of its index.  While that bit is one of the index's `low` low
-    # bits, the pass reads the rows i < low with those bits moved to the
-    # top of the index, where bit j - 1 sits at j - 1 + (n - 1 - low)
-    low = max(n - 1, 0) // 2
-    rotated = gains[:low].reshape(low, half >> low, 1 << low).transpose(0, 2, 1).reshape(low, half)
+    # j - 1 of its index.  For j < low that bit is one of the low bits of
+    # `lows`, and sits at j - 1 + n - low there
     # every pass compares into one buffer: at 16 elements a fresh array
     # per pass is a fresh mapping of up to 240 KiB, paged in each time
     buffer = np.empty(gains.size >> 1, dtype=bool)
     failed = []
     for j in range(1, n):
-        rows, p = (rotated[:j], j + n - 2 - low) if j <= low else (gains[:j], j - 1)
+        rows, p = (lows[:j], j - 1 + n - low) if j < low else (gains[:j], j - 1)
         without, with_p = halves(rows, p)
         grew = np.greater(with_p, without, out=buffer[:with_p.size].reshape(with_p.shape))
         if np.count_nonzero(grew):
@@ -478,14 +497,20 @@ def prime(matroids: Iterable[Matroid], key: str) -> None:
 def _sweep(R: np.ndarray, n: int, cyclic: bool) -> np.ndarray:
     """Whether each A of a stack of tables over ``n`` elements is closed
     (adding any x outside A changes its rank: a flat) and, with
-    ``cyclic``, also cyclic (removing any x in A keeps it)."""
+    ``cyclic``, also cyclic (removing any x in A keeps it).  The low
+    n // 2 elements are swept on a :func:`rotated` copy of the stack,
+    whose marks are then rotated back, and the rest on the stack."""
+    low = n // 2
     found = np.ones(len(R), dtype=bool)
-    for i in range(n):
-        grows = np.not_equal(*halves(R, i))
-        lower, upper = halves(found, i)
-        lower &= grows
-        if cyclic:
-            upper &= ~grows
+    for table, positions in ((rotated(R, n, low), range(n - low, n)), (R, range(low, n))):
+        if table is R:
+            found = rotated(found, n, n - low)
+        for i in positions:
+            grows = np.not_equal(*halves(table, i))
+            lower, upper = halves(found, i)
+            lower &= grows
+            if cyclic:
+                upper &= ~grows
     return found
 
 
@@ -516,15 +541,21 @@ def _fill(ms: Sequence[Matroid], key: str, values: Iterable, ends: list[int]) ->
 
 def _circuit_pass(ms: Sequence[Matroid], n: int) -> None:
     """The circuit caches of a stack of tables over ``n`` elements: A is a
-    circuit when it is dependent and every A - x is independent.  The
-    Hamiltonian flats are the circuits' closures: each row's distinct
-    nonspanning closures, plus E where some circuit spans."""
+    circuit when it is dependent and every A - x is independent, the low
+    n // 2 elements x read on a :func:`rotated` copy, as :func:`_sweep`
+    reads them.  The Hamiltonian flats are the circuits' closures: each
+    row's distinct nonspanning closures, plus E where some circuit spans."""
     R = _stack(ms)
+    low = n // 2
     ind = R.reshape(-1, 1 << n) == subset_sizes(n)
-    circ = ~ind
-    for i in range(n):
-        with_i = halves(circ, i)[1]
-        with_i &= halves(ind, i)[0]
+    ind_low = rotated(ind, n, low)
+    circ = ~ind_low
+    for table, positions in ((ind_low, range(n - low, n)), (ind, range(low, n))):
+        if table is ind:
+            circ = rotated(circ, n, n - low)
+        for i in positions:
+            with_i = halves(circ, i)[1]
+            with_i &= halves(table, i)[0]
     at, ends = _in_order(circ, n, len(ms))
     E = (1 << n) - 1
     A, rA = at & E, R[at]

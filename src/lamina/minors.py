@@ -13,7 +13,8 @@ array, so each assignment is one gather from M2's table.  A search that
 has met 4n dead ends also compares pair rows, the counts over the sets
 through two elements: i -> j needs i's counts with each assigned a to
 equal j's with a's image.  Each row is built from the rank table when
-first compared, within one call; nothing is kept across calls.  The
+first compared, within one call, while the element histograms are
+kept in each matroid's cache, so a search computes its target's once.  The
 filters never reject an isomorphic candidate, so witnesses are an
 exhaustive scan's: the first in ascending mask (or image) order.
 The named excluded minors are one registry, ``NAMED_MINORS``, built at
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, _stack, build_stacks, halves, prime,
+from .core import (Matroid, MatroidError, _stack, build_stacks, halves, prime, rotated,
                    stacked_matroids, subset_index, subset_sizes)
 from .constructions import direct_sum, mn_family, named_matroid, nn_family, pn_family, uniform
 from .laminar import (
@@ -171,11 +172,18 @@ def _minor_tables(pairs: list[tuple[Matroid, MinorSpec]], m: int):
 
 def _element_histograms(M: Matroid) -> list[bytes]:
     """Per position i, the counts of (|A|, r(A)) over the sets A that
-    contain i: an invariant of i under every isomorphism."""
-    n = M.n
-    keys = _rank_keys(n, M.ranks)
-    return [np.bincount(halves(keys, i)[1].ravel(), minlength=(n + 1) ** 2).tobytes()
-            for i in range(n)]
+    contain i: an invariant of i under every isomorphism.  Kept in M's
+    cache, so a minor search computes its target's once; the low n // 2
+    positions are read from a :func:`~lamina.core.rotated` copy of the
+    keys."""
+    if "histograms" not in M._cache:
+        n, low = M.n, M.n // 2
+        keys = _rank_keys(n, M.ranks)
+        rot = rotated(keys, n, low)
+        M._cache["histograms"] = [
+            np.bincount((halves(rot, i + n - low) if i < low else halves(keys, i))[1].ravel(),
+                        minlength=(n + 1) ** 2).tobytes() for i in range(n)]
+    return M._cache["histograms"]
 
 
 # Dead ends per element that the search meets before it also compares

@@ -1542,6 +1542,32 @@ class TestStackedMinorSearch:
         # 30 candidates each in M, the first a witness, and N itself
         assert len(tested) == len(gathers) == 3
 
+    def test_the_target_histograms_are_computed_once(self, monkeypatch):
+        """The target's element histograms stay in its cache: one search
+        that tests several candidates computes them once, and each
+        candidate's mapping is still the oracle's."""
+        N = Matroid(("w", "x", "y", "z"), minors.NAMED_MINORS["u24"].rank_table)
+        computed, mappings = [], []
+        real_histograms, real_iso = minors._element_histograms, minors.find_isomorphism
+
+        def counting(M):
+            if "histograms" not in M._cache:
+                computed.append(M)
+            return real_histograms(M)
+
+        monkeypatch.setattr(minors, "_element_histograms", counting)
+        monkeypatch.setattr(minors, "find_isomorphism",
+                            lambda M1, M2: mappings.append((M1, M2, real_iso(M1, M2)))
+                            or mappings[-1][2])
+        hosts = [uniform(2, 5), named_matroid("f7"), uniform(3, 6), uniform(2, 6), uniform(3, 7)]
+        assert [spec is not None for spec in minors.find_minors(hosts, N)] == \
+            [True, False, True, True, True]
+        monkeypatch.undo()
+        assert len(mappings) == 4 and all(M2 is N for _, M2, _ in mappings)
+        assert sum(M is N for M in computed) == 1
+        assert [got for _, _, got in mappings] == \
+            [reference_find_isomorphism(M1, M2) for M1, M2, _ in mappings]
+
     def test_witness_is_built_from_its_row(self, monkeypatch):
         """No candidate goes through ``minor``; the last one a host tests
         is the minor its spec names, labels and all."""
@@ -1945,6 +1971,75 @@ class TestStackedHamiltonianFlats(_StackedFamily):
         return (_circuit_closures(M),)
 
 
+def _every_element_count() -> list[Matroid]:
+    """Two matroids of each element count 0..16, each the direct sum of two
+    seeded corpus members (or the empty matroid), in a shuffled order."""
+    by_n = {0: [uniform(0, 0)]}
+    for M in _CORPUS:
+        by_n.setdefault(M.n, []).append(M)
+    out = []
+    for n in range(MAX_ELEMENTS + 1):
+        for j in range(2):
+            a = (n + j) // 2
+            pick = [by_n[m][(n + j) % len(by_n[m])] for m in (a, n - a)]
+            out.append(direct_sum(*pick))
+    random.Random(5).shuffle(out)
+    return out
+
+
+class TestEveryElementCount:
+    """One ``prime`` call over members of every element count 0..16 runs
+    one stacked pass per count, each sweeping its low n // 2 elements on a
+    rotated copy of the stack; the oracles gather or loop per table."""
+
+    def test_circuits_match_gather_pass(self):
+        ms = _every_element_count()
+        with mock.patch.dict(core._PASSES, dict.fromkeys(_CIRCUIT_CACHES, reference_circuit_pass)):
+            want = TestStackedCircuits().primed(ms)
+        assert TestStackedCircuits().primed(ms) == want
+
+    def test_flats_match_loops(self):
+        ms = _every_element_count()
+        assert TestStackedFlats().primed(ms) == [(reference_flats(M),) for M in ms]
+
+    def test_cyclic_flats_match_loops(self):
+        ms = _every_element_count()
+        assert TestStackedCyclicFlats().primed(ms) == [(reference_cyclic_flats(M),) for M in ms]
+
+
+def _halves_runs(monkeypatch) -> list[tuple[int, int]]:
+    """(index bits of a row, bit split at) of every ``core.halves`` call
+    made after this, on one-row stacks or on stacks of 2-D rows."""
+    calls = []
+    real = core.halves
+
+    def recording(x, i):
+        calls.append((x.shape[-1].bit_length() - 1, i))
+        return real(x, i)
+
+    monkeypatch.setattr(core, "halves", recording)
+    return calls
+
+
+def test_whole_table_sweeps_read_long_runs(monkeypatch):
+    """At 16 elements every halves step of the circuit pass, the
+    cyclic-flat pass and validation reads runs of at least 2^8 table
+    entries; validation's R3 passes read its gain rows, of 15 index bits,
+    in runs of at least 2^7."""
+    M = mn_family(8, 0)
+    calls = _halves_runs(monkeypatch)
+    fresh = Matroid(M.labels, M.rank_table, validate=False)
+    prime([fresh], "circuits")
+    prime([fresh], "cyclic_flats")
+    assert validate_rank_axioms(M.rank_table, 16) is None
+    monkeypatch.undo()
+    # two views a step in each pass, and a gain row per element; one R3
+    # pass per later element
+    assert [sum(m == bits for m, _ in calls) for bits in (16, 15)] == [2 * 2 * 16 + 16, 15]
+    assert all(i >= 8 for m, i in calls if m == 16)
+    assert all(i >= 7 for m, i in calls if m == 15)
+
+
 @pytest.mark.parametrize("key", list(_ACCESSORS))
 def test_every_cached_family_has_an_accessor(key):
     """Each key of the pass table has a public accessor, and it returns
@@ -2016,6 +2111,16 @@ def _gain_two_table(n: int) -> bytes:
     return table.tobytes()
 
 
+def _lowered_loops_table(n: int, loops: int, lowered) -> bytes:
+    """r(A) = |A - L| for the mask ``loops`` L, less 1 at each of the
+    masks ``lowered``, each a nonempty set B outside L plus one loop l,
+    no two a single element apart: R1 holds and R2 breaks exactly at
+    adding l to each B."""
+    table = subset_sizes(n)[np.arange(1 << n) & ~loops].astype(np.uint8)
+    table[list(lowered)] -= 1
+    return table.tobytes()
+
+
 # name: (table, n, first violation)
 _FIXED_AXIOM_TABLES = {
     "n0": (b"\x00", 0, None),
@@ -2027,8 +2132,8 @@ _FIXED_AXIOM_TABLES = {
     "u8_16": (uniform(8, 16).rank_table, 16, None),
     "r3_bits_14_15": (_top_pair_table(), 16, AxiomViolation("R3", (1 << 14, 1 << 15))),
     "r2_top_bit": (_top_bit_drop_table(), 16, AxiomViolation("R2", (0x7FFF, 0xFFFF))),
-    # R3 passes with j <= (n - 1) // 2 read the rotated rows: j <= 1 at
-    # n = 4, j <= 7 at n = 16
+    # R3 passes with j < n // 2 read the gain rows taken from the rotated
+    # table: j <= 1 at n = 4, j <= 6 at n = 15, j <= 7 at n = 16
     "n4_r3_first_pair": (_pairs_table(4, [(0, 1)]), 4, AxiomViolation("R3", (1, 2))),
     "n4_r3_last_pair": (_pairs_table(4, [(2, 3)]), 4, AxiomViolation("R3", (4, 8))),
     "n4_r3_straddle": (_pairs_table(4, [(0, 2)]), 4, AxiomViolation("R3", (1, 4))),
@@ -2043,6 +2148,27 @@ _FIXED_AXIOM_TABLES = {
     "n16_r3_least_pair_in_later_pass": (
         _pairs_table(16, [(1, 2), (0, 12)]), 16, AxiomViolation("R3", (1, 1 << 12))),
     "n16_gain_two": (_gain_two_table(16), 16, AxiomViolation("R3", (1, 2))),
+    # rows i < n // 2 come from the rotated table; the first R2 break is
+    # the least i, then the least base mask in the unrotated order
+    "n16_r2_low_row": (_lowered_loops_table(16, 0x208, [0x108, 0x19, 0x201]), 16,
+                       AxiomViolation("R2", (0x11, 0x19))),
+    "n15_r2_low_row": (_lowered_loops_table(15, 0x208, [0x108, 0x19, 0x201]), 15,
+                       AxiomViolation("R2", (0x11, 0x19))),
+    "n16_r2_bit_0": (_lowered_loops_table(16, 0x1, [0x8001, 0x201]), 16,
+                     AxiomViolation("R2", (0x200, 0x201))),
+    # pairs i < n // 2 <= j
+    "n16_r3_pass_at_half": (
+        _pairs_table(16, [(7, 8)]), 16, AxiomViolation("R3", (1 << 7, 1 << 8))),
+    "n16_r3_first_and_last": (_pairs_table(16, [(0, 15)]), 16, AxiomViolation("R3", (1, 1 << 15))),
+    "n16_r3_straddle_before_low_pair": (
+        _pairs_table(16, [(2, 5), (1, 8)]), 16, AxiomViolation("R3", (1 << 1, 1 << 8))),
+    "n15_r3_last_rotated_pass": (
+        _pairs_table(15, [(3, 6)]), 15, AxiomViolation("R3", (1 << 3, 1 << 6))),
+    "n15_r3_pass_at_half": (
+        _pairs_table(15, [(6, 7)]), 15, AxiomViolation("R3", (1 << 6, 1 << 7))),
+    "n15_r3_first_and_last": (_pairs_table(15, [(0, 14)]), 15, AxiomViolation("R3", (1, 1 << 14))),
+    "n15_r3_straddle_before_low_pair": (
+        _pairs_table(15, [(2, 5), (1, 7)]), 15, AxiomViolation("R3", (1 << 1, 1 << 7))),
 }
 
 
