@@ -129,6 +129,8 @@ def min_closure_laminar_k(M: Matroid) -> int:
 
 
 def is_paving(M: Matroid) -> bool:
-    """Whether every circuit has size at least the rank of M."""
-    r = M.full_rank()
-    return all(C.bit_count() >= r for C in M.circuits())
+    """Whether every circuit has size at least the rank of M: read from
+    the first circuit alone, as :meth:`~lamina.core.Matroid.circuits`
+    is in (size, mask) order."""
+    circuits = M.circuits()
+    return not circuits or circuits[0].bit_count() >= M.full_rank()

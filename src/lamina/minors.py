@@ -4,25 +4,29 @@ Both searches read only rank tables, and prune by one invariant: counts
 of (|A|, r(A)) over all subsets A (the rank-generating function) or over
 those through one element.  Minor search contracts an independent set of
 size r(M) - r(N) and deletes down to |E(N)| elements, which loses no
-minor; many such candidate tables, of many hosts, are gathered at once,
-and only those with the target's counts are built and tested for
-isomorphism, in order.
+minor.  It first counts the bases of every candidate of a chunk of
+contraction sets at once, by one subset-sum pass per position; only the
+candidates with as many bases as the target are gathered, many rows of
+many hosts at once, and only those with the target's counts are built
+and tested for isomorphism, in order.
 Isomorphism assigns M1's elements in order to elements of M2 with equal
 counts, keeping the images of all subsets of the assigned prefix in one
 array, so each assignment is one gather from M2's table.  A search that
 has met 4n dead ends also compares pair rows, the counts over the sets
 through two elements: i -> j needs i's counts with each assigned a to
-equal j's with a's image.  Each row is built from the rank table when
-first compared, within one call, while the element histograms are
-kept in each matroid's cache, so a search computes its target's once.  The
-filters never reject an isomorphic candidate, so witnesses are an
-exhaustive scan's: the first in ascending mask (or image) order.
+equal j's with a's image.  The rows are read from each matroid's pair
+table, built in one pass when first needed; it and the element
+histograms are kept in each matroid's cache, so a search computes its
+target's once.  The filters never reject an isomorphic candidate, so
+witnesses are an exhaustive scan's: the first in ascending mask (or
+image) order.
 The named excluded minors are one registry, ``NAMED_MINORS``, built at
 import; binary and ternary are tuples of its names.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import re
 from dataclasses import dataclass
@@ -54,9 +58,9 @@ class MinorSpec:
             raise MatroidError("delete and contract sets must be disjoint")
 
 
-# Cells of one candidate batch in find_minors: its int64 masks, reused
-# for the keys, take 256 KiB; larger batches raise peak memory and are
-# no faster.
+# Cells of one chunk of M / C tables, or of one candidate batch, in
+# find_minors: its int64 masks (reused for a batch's keys) take 256 KiB;
+# larger batches raise peak memory and are no faster.
 _BATCH_CELLS = 1 << 15
 
 
@@ -192,20 +196,32 @@ def _element_histograms(M: Matroid) -> list[bytes]:
 _REFINE_AFTER = 4
 
 
+def _pair_table(M: Matroid) -> np.ndarray:
+    """M's pair table, kept in M's cache: entry [a, b, k] counts the sets
+    A that hold both a and b with key k = (|A|, r(A)).  The sets of one
+    key add X^T X of their membership rows X (an exact float32 product,
+    as every count is below 2^24), so the whole table is one product
+    per key."""
+    if "pairs" not in M._cache:
+        n = M.n
+        keys = _rank_keys(n, M.ranks)
+        bounds = [0, *itertools.accumulate(np.bincount(keys, minlength=(n + 1) ** 2).tolist())]
+        # the masks in key order, as two little-endian bytes each
+        masks = np.argsort(keys, kind="stable").astype("<u2").view(np.uint8).reshape(-1, 2)
+        table = np.zeros((n, n, (n + 1) ** 2), dtype=np.int32)
+        for k in np.flatnonzero(np.diff(bounds)).tolist():
+            X = np.unpackbits(masks[bounds[k]:bounds[k + 1]], axis=1, count=n,
+                              bitorder="little").astype(np.float32)
+            table[:, :, k] = X.T @ X
+        M._cache["pairs"] = table
+    return M._cache["pairs"]
+
+
 def _pair_row(M: Matroid, a: int) -> np.ndarray:
-    """Row ``a`` of M's pair table: entry b counts (|A|, r(A)) over the
-    sets A that hold both a and b, so entry a is a's element histogram."""
-    n = M.n
-    width = (n + 1) ** 2
-    keys = _rank_keys(n, M.ranks)
-    # the sets through a, by their mask with bit a taken out
-    through = halves(keys, a)[1].ravel()
-    row = np.empty((n, width), dtype=np.intp)
-    for b in range(n):
-        q = b - (b > a)
-        sets = through if b == a else halves(through, q)[1].ravel()
-        row[b] = np.bincount(sets, minlength=width)
-    return row
+    """Row ``a`` of M's :func:`_pair_table`: entry b counts (|A|, r(A))
+    over the sets A that hold both a and b, so entry a is a's element
+    histogram."""
+    return _pair_table(M)[a].astype(np.intp)
 
 
 def find_isomorphism(M1: Matroid, M2: Matroid) -> tuple[int, ...] | None:
@@ -219,10 +235,11 @@ def find_isomorphism(M1: Matroid, M2: Matroid) -> tuple[int, ...] | None:
     ``img | 1 << j``.  Once the search has met ``_REFINE_AFTER * n``
     dead ends it also needs the pair rows to agree: entry a of i's row
     must equal entry ``mapping[a]`` of j's for every assigned a.  The
-    rows are built one element at a time, when first compared.  Both
-    tests are necessary, so the returned mapping, which sends position
-    i of M1 to position ``mapping[i]`` of M2, is the lexicographically
-    first.
+    rows are read with :func:`_pair_row` from each side's
+    :func:`_pair_table`, which is built in one pass when the first row
+    is compared and kept in the matroid's cache.  Both tests are
+    necessary, so the returned mapping, which sends position i of M1 to
+    position ``mapping[i]`` of M2, is the lexicographically first.
     """
     n = M1.n
     if M2.n != n:
@@ -290,12 +307,14 @@ def find_minors(hosts: Sequence[Matroid], N: Matroid) -> list[MinorSpec | None]:
 
     Contract sets C range over independent sets of size r(M) - r(N) only,
     which loses no minors.  Hosts of one element count and rank share
-    the candidate layout, and their candidates M / C \\ D are gathered
-    many rows at a time from their tables end to end,
-    ``rt[idx | C] - rt[C]``.  A candidate goes on to the exact
-    isomorphism test, built from its gathered row, only if its multiset
-    of (|A|, r(A)) equals N's.  Isomorphic matroids have equal
-    multisets, so no minor is lost and each witness is the one an
+    the candidate layout: the tables of their M / C, ``rt[A | C] -
+    rt[C]``, are gathered a chunk of (host, C) pairs at a time from
+    their tables end to end, and :func:`_base_counts` counts the bases
+    of every candidate M / C \\ D of the chunk at once.  A candidate is
+    gathered only if it has as many bases as N, and goes on to the
+    exact isomorphism test, built from its gathered row, only if its
+    multiset of (|A|, r(A)) equals N's.  Isomorphic matroids have equal
+    counts, so no minor is lost and each witness is the one an
     exhaustive scan in (C, D) order would return.  A host stops at its
     first witness.
     """
@@ -312,8 +331,15 @@ def find_minors(hosts: Sequence[Matroid], N: Matroid) -> list[MinorSpec | None]:
 
 
 def _find_minors(hosts: list[Matroid], N: Matroid, n: int, dr: int) -> list[MinorSpec | None]:
-    """:func:`find_minors` for hosts on ``n`` elements of rank r(N) + ``dr``."""
-    m = N.n
+    """:func:`find_minors` for hosts on ``n`` elements of rank r(N) + ``dr``.
+
+    The (host, C) pairs are read a chunk of ``_BATCH_CELLS`` table
+    entries at a time, as the search reaches them, so a host found in
+    its first chunk pays for that chunk alone.  The candidates of a
+    chunk with as many bases as N are gathered from its tables
+    ``_BATCH_CELLS`` entries at a time for the histogram test.
+    """
+    m, r = N.n, N.full_rank()
     width = (m + 1) ** 2
     target = np.bincount(_rank_keys(m, N.ranks), minlength=width)
     R = _stack(hosts)
@@ -325,41 +351,81 @@ def _find_minors(hosts: list[Matroid], N: Matroid, n: int, dr: int) -> list[Mino
     # bits of the n - dr positions outside each C, ascending
     free = n - dr
     outside = 1 << _bit_positions(~Cs[c], n, free)
-    # deletion sets as ascending masks over those positions, and the
-    # positions each one keeps
-    D_local = np.flatnonzero(subset_sizes(free) == n - m - dr)
-    kept = _bit_positions(~D_local, free, m)
-    # candidate row j is pair j // len(D_local) with deletion set
-    # j % len(D_local): (host, C, D) order, each host's rows up to ends
-    ends = (np.searchsorted(h, np.arange(len(hosts)), side="right") * len(D_local)).tolist()
+    # the kept sets as masks over those positions, in ascending order of
+    # their deletion sets, and the positions each one keeps
+    kept = np.flatnonzero(subset_sizes(free) == m)[::-1]
+    kept_at = _bit_positions(kept, free, m)
+    ends = np.searchsorted(h, np.arange(len(hosts)), side="right").tolist()
     h = h.tolist()
     found: list = [None] * len(hosts)
-    rows = max(1, _BATCH_CELLS >> m)
+    chunk, rows = max(1, _BATCH_CELLS >> free), max(1, _BATCH_CELLS >> m)
     start, total = 0, ends[-1]
     while start < total:
-        p, d = np.divmod(np.arange(start, min(start + rows, total)), len(D_local))
-        bits = outside[p[:, None], kept[d]]
-        idx = subset_index(bits)
-        C = base[p, None]
-        idx += C  # in place: the index is the largest array here
-        # r(A ∪ C) >= r(C), so the uint8 difference does not wrap; each
-        # row's keys get their own band, written over the index
-        tables = R[idx] - R[C]
-        np.add(_rank_keys(m, tables), width * np.arange(len(idx))[:, None], out=idx)
-        hist = np.bincount(idx.ravel(), minlength=len(idx) * width).reshape(-1, width)
-        for i in np.flatnonzero((hist == target).all(axis=1)).tolist():
-            j = h[p[i]]
-            if found[j] is None:
-                M, K = hosts[j], int(bits[i].sum())  # the kept elements
-                Ci = int(C[i, 0]) & M.E
-                cand = stacked_matroids([M.names(K)], tables[i:i + 1], check_labels=False)[0]
-                if find_isomorphism(cand, N) is not None:
+        stop = min(start + chunk, total)
+        # entry [A, q] is the position in R of A ∪ C for pair q's C, A over
+        # the free positions, built by doubling from C: one column per
+        # pair, so each pass of _base_counts reads runs of a row or more
+        idx = np.empty((1 << free, stop - start), dtype=np.intp)
+        idx[0] = base[start:stop]
+        for i in range(free):
+            np.bitwise_or(idx[:1 << i], outside[start:stop, i], out=idx[1 << i:2 << i])
+        # r(A ∪ C) >= r(C) = dr, so the uint8 difference does not wrap
+        tables = R[idx] - dr
+        # the chunk's candidates with as many bases as N (its count of the
+        # key (|A|, r(A)) = (r, r)), in (C, D) order
+        p, d = np.nonzero((_base_counts(tables, r, kept) == target[r * (m + 2)]).T)
+        s = 0
+        while s < len(p):
+            j = h[start + p[s]]
+            if found[j] is not None:  # a found host reads no further candidates
+                s = int(np.searchsorted(p, ends[j] - start))
+                continue
+            at = slice(s, s + rows)
+            # each row's table, read from its pair's column of the chunk
+            idx = subset_index(1 << kept_at[d[at]])
+            idx *= tables.shape[1]
+            idx += p[at, None]
+            cand = tables.ravel()[idx]
+            # each row's keys get their own band, written over the index
+            np.add(_rank_keys(m, cand), width * np.arange(len(idx))[:, None], out=idx)
+            hist = np.bincount(idx.ravel(), minlength=len(idx) * width).reshape(-1, width)
+            hits = np.flatnonzero((hist == target).all(axis=1))
+            pairs = (start + p[s + hits]).tolist()
+            k = 0
+            while k < len(hits):
+                q, i = pairs[k], int(hits[k])
+                j = h[q]
+                M, K = hosts[j], int(outside[q, kept_at[d[s + i]]].sum())  # the kept elements
+                Ci = int(Cs[c[q]])
+                built = stacked_matroids([M.names(K)], cand[i:i + 1], check_labels=False)[0]
+                if find_isomorphism(built, N) is not None:
                     found[j] = MinorSpec(M.E & ~K & ~Ci, Ci)
-        start += len(idx)
-        # a host found in this batch reads no further rows
-        if start < total and found[h[start // len(D_local)]] is not None:
-            start = ends[h[start // len(D_local)]]
+                    k = bisect.bisect_left(pairs, ends[j], k)  # its first pair past j
+                else:
+                    k += 1
+            s += rows
+        start = stop
+        # a host found in this chunk reads no further pairs
+        if start < total and found[h[start]] is not None:
+            start = ends[h[start]]
     return found
+
+
+def _base_counts(tables: np.ndarray, r: int, kept: np.ndarray) -> np.ndarray:
+    """For each column of a ``(2^f, columns)`` array of rank tables, one
+    table per column, and each mask K of ``kept``, the number of bases
+    of rank ``r`` within K: the sets A within K with |A| = r(A) = r, as
+    a ``(len(kept), columns)`` array.  Each such A is marked and the
+    marks are summed over subsets, one pass per position (``upper +=
+    lower``, a zeta transform), so every K of every table is counted at
+    once."""
+    f = len(tables).bit_length() - 1
+    # at most C(16, 8) = 12870 r-sets lie within any set
+    counts = ((tables == r) & (subset_sizes(f) == r)[:, None]).astype(np.int16)
+    for i in range(f):
+        pair = counts.reshape(-1, 2, counts.shape[1] << i)
+        pair[:, 1] += pair[:, 0]
+    return counts[kept]
 
 
 # ---------------------------------------------------------------------------

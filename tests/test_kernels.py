@@ -34,6 +34,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import operator
 import random
 import re
@@ -1529,17 +1530,24 @@ class TestStackedMinorSearch:
 
     def test_a_host_stops_at_its_first_witness(self, monkeypatch):
         """Each host is tested only up to its witness, as the loop is, and
-        a batch of found hosts only is never built."""
+        a chunk or a batch of found hosts only is never built."""
         M, N = uniform(3, 6), uniform(2, 4)
-        tested, gathers = [], []
-        real_iso, real_index = minors.find_isomorphism, minors.subset_index
+        tested, gathers, chunks = [], [], []
+        real_iso, real_index, real_counts = (minors.find_isomorphism, minors.subset_index,
+                                             minors._base_counts)
         monkeypatch.setattr(minors, "find_isomorphism",
                             lambda M1, M2: tested.append(M1) or real_iso(M1, M2))
         monkeypatch.setattr(minors, "subset_index",
                             lambda bits: gathers.append(len(bits)) or real_index(bits))
-        monkeypatch.setattr(minors, "_BATCH_CELLS", 1)  # one candidate per batch
+        monkeypatch.setattr(minors, "_base_counts",
+                            lambda tables, r, kept: chunks.append(tables.shape[1])
+                            or real_counts(tables, r, kept))
+        # one pair per chunk, one candidate per batch
+        monkeypatch.setattr(minors, "_BATCH_CELLS", 1)
         assert minors.find_minors([M, M, N], N) == [MinorSpec(0b10, 0b1)] * 2 + [MinorSpec(0, 0)]
-        # 30 candidates each in M, the first a witness, and N itself
+        # 6 pairs of 5 candidates each in M, the first a witness, and N
+        # itself: one chunk of one pair and one candidate gather per host
+        assert chunks == [1] * 3
         assert len(tested) == len(gathers) == 3
 
     def test_the_target_histograms_are_computed_once(self, monkeypatch):
@@ -1587,6 +1595,104 @@ class TestStackedMinorSearch:
         assert found
         for M, spec, witness in found:
             assert witness == minor(M, spec)
+
+
+def reference_base_count(M: Matroid, r: int) -> int:
+    """The sets A of M with |A| = r(A) = r, counted one by one: M's bases
+    when r = r(M), none when r > r(M)."""
+    rt = M.rank_table
+    return sum(A.bit_count() == r == rt[A] for A in range(1 << M.n))
+
+
+@contextlib.contextmanager
+def _recorded_base_counts():
+    """Every ``_base_counts`` call inside the block, as its kept masks and
+    its result."""
+    calls = []
+    real = minors._base_counts
+
+    def recording(tables, r, kept):
+        calls.append((kept, real(tables, r, kept)))
+        return calls[-1][1]
+
+    with mock.patch.object(minors, "_base_counts", recording):
+        yield calls
+
+
+def _assert_counts_are_the_candidates_bases(M: Matroid, N: Matroid, calls) -> None:
+    """The recorded chunks' columns are M's independent sets C of size
+    r(M) - r(N), ascending (a prefix of them if M was found); entry [k,
+    q] is the number of bases of the k-th candidate M / C \\ D of column
+    q, counted over the table ``minor`` builds, with D ascending in k."""
+    dr = M.full_rank() - N.full_rank()
+    Cs = [C for C in range(1 << M.n) if C.bit_count() == dr == M.rank_table[C]]
+    columns = [(kept, out[:, q]) for kept, out in calls for q in range(out.shape[1])]
+    assert 0 < len(columns) <= len(Cs)
+    for C, (kept, counts) in zip(Cs, columns):
+        free = [p for p in range(M.n) if not C >> p & 1]
+        Ds = []
+        for K_local, got in zip(kept.tolist(), counts.tolist()):
+            K = sum(1 << p for b, p in enumerate(free) if K_local >> b & 1)
+            Ds.append(M.E & ~K & ~C)
+            assert got == reference_base_count(minor(M, MinorSpec(Ds[-1], C)), N.full_rank())
+        assert Ds == sorted(Ds) and len(Ds) == math.comb(len(free), M.n - N.n - dr)
+
+
+class TestBaseCounts:
+    """Before a candidate M / C \\ D is gathered, ``_find_minors`` counts
+    its bases, for every candidate of a chunk of contraction sets C at
+    once, and drops it unless the count is N's.  The oracle counts each
+    candidate's bases one set at a time over the table ``minor`` builds."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(_CORPUS), st.data(), st.sampled_from([None, 1, 40, 1 << 10]))
+    def test_counts_match_each_candidates_table(self, M, data, cells):
+        # a minor of M itself, a named excluded minor or another member
+        D = data.draw(st.integers(0, M.E))
+        C = data.draw(st.integers(0, M.E)) & ~D
+        N = data.draw(st.one_of(st.just(minor(M, MinorSpec(D, C))),
+                                st.sampled_from(list(minors.NAMED_MINORS.values())),
+                                st.sampled_from(_CORPUS[:20])))
+        dr = M.full_rank() - N.full_rank()
+        with mock.patch.object(minors, "_BATCH_CELLS", cells or minors._BATCH_CELLS), \
+                _recorded_base_counts() as calls:
+            spec = has_minor(M, N)
+        assert spec == reference_has_minor(M, N)
+        if 0 <= dr <= M.n - N.n:
+            _assert_counts_are_the_candidates_bases(M, N, calls)
+        else:
+            assert calls == []
+
+    @pytest.mark.parametrize("cells", [1, 40, 1 << 10])
+    @pytest.mark.parametrize("M,N", [
+        (named_matroid("f7"), uniform(0, 2)),
+        (direct_sum(uniform(0, 1), uniform(2, 4)), uniform(0, 3)),
+        (direct_sum(uniform(0, 1), uniform(3, 5)), minors.NAMED_MINORS["pavex"]),
+        (named_matroid("f7"), minors.NAMED_MINORS["pavex"]),
+        (_CORPUS[3], uniform(0, 0)),
+        (named_matroid("f7"), uniform(0, 0)),
+        (uniform(3, 3), uniform(0, 0)),
+        (uniform(0, 0), uniform(0, 0)),
+        (uniform(5, 11), uniform(5, 10)),
+        (uniform(8, 16), uniform(8, 16)),
+    ], ids=["rank-0-target", "rank-0-target-loop-host", "pavex", "pavex-absent",
+            "empty-target", "empty-target-f7", "no-free-positions", "no-free-positions-n0",
+            "252-bases", "12870-bases"])
+    def test_edge_cases(self, monkeypatch, M, N, cells):
+        monkeypatch.setattr(minors, "_BATCH_CELLS", cells)
+        with _recorded_base_counts() as calls:
+            spec = has_minor(M, N)
+        assert spec == reference_has_minor(M, N)
+        _assert_counts_are_the_candidates_bases(M, N, calls)
+
+    def test_m72_sends_no_candidate_past_the_bases_count(self, monkeypatch):
+        M, N = mn_family(7, 2), mn_family(4, 2)
+        monkeypatch.setattr(minors, "find_isomorphism", None)
+        monkeypatch.setattr(minors, "subset_index", None)  # no candidate is gathered
+        with _recorded_base_counts() as calls:
+            assert has_minor(M, N) is None
+        bases = reference_base_count(N, N.full_rank())
+        assert calls and all((out != bases).all() for _, out in calls)
 
 
 def _relabel(M: Matroid, perm) -> Matroid:
@@ -1767,6 +1873,47 @@ class TestPairRefinement:
             row = minors._pair_row(M, a)
             assert (row == want[a]).all()
             assert row[a].tobytes() == minors._element_histograms(M)[a]
+
+
+def reference_pair_row(M: Matroid, a: int) -> np.ndarray:
+    """Row ``a`` of the pair table as one bincount per b over the keys of
+    the sets through a and b, as find_isomorphism once built it."""
+    n = M.n
+    width = (n + 1) ** 2
+    keys = minors._rank_keys(n, M.ranks)
+    through = core.halves(keys, a)[1].ravel()
+    row = np.empty((n, width), dtype=np.intp)
+    for b in range(n):
+        sets = through if b == a else core.halves(through, b - (b > a))[1].ravel()
+        row[b] = np.bincount(sets, minlength=width)
+    return row
+
+
+class TestPairTable:
+    """``_pair_table(M)`` adds X^T X over the sets of each (|A|, r(A))
+    key; its rows must be the per-row bincounts it replaced."""
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(_TINY + _CORPUS))
+    def test_rows_match_the_bincount_rows(self, M):
+        table = minors._pair_table(M)
+        assert table.dtype == np.int32 and table.shape == (M.n, M.n, (M.n + 1) ** 2)
+        for a in range(M.n):
+            assert (table[a] == reference_pair_row(M, a)).all()
+            assert (minors._pair_row(M, a) == table[a]).all()
+
+    @pytest.mark.parametrize("M", [mn_family(7, 0), pn_family(7, 4), uniform(8, 16),
+                                   _loops_and_coloops(named_matroid("f7"))],
+                             ids=["m70", "p74", "u8_16", "f7-loops-coloops"])
+    def test_large_and_degenerate_members(self, M):
+        for a in range(M.n):
+            assert (minors._pair_table(M)[a] == reference_pair_row(M, a)).all()
+
+    def test_the_table_is_built_once_per_matroid(self):
+        M = mn_family(6, 2)
+        assert "pairs" not in M._cache
+        table = minors._pair_table(M)
+        assert minors._pair_table(M) is table and M._cache["pairs"] is table
 
 
 def _assert_families_match_loops(M: Matroid) -> None:

@@ -6,6 +6,7 @@ from lamina.constructions import (
     Multigraph,
     circuit_matroid,
     cycle_matroid,
+    direct_sum,
     named_matroid,
     sec1_pc_example,
     uniform,
@@ -20,7 +21,12 @@ from lamina.laminar import (
     min_closure_laminar_k,
     min_laminar_k,
 )
-from test_kernels import reference_circuit_form
+from test_kernels import _CORPUS, reference_circuit_form
+
+
+def reference_is_paving(M) -> bool:
+    """Every circuit, not only the first, has at least r(M) elements."""
+    return all(C.bit_count() >= M.full_rank() for C in M.circuits())
 
 
 class TestBasics:
@@ -111,3 +117,12 @@ class TestPaving:
         M = cycle_matroid(
             Multigraph(5, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4))))
         assert not is_paving(M)
+
+    def test_first_circuit_decides_as_every_circuit_does(self):
+        # no circuit (free), loops at rank 0 and above it, and the corpus
+        members = [uniform(3, 3), uniform(0, 2), direct_sum(uniform(0, 1), uniform(2, 3)),
+                   *_CORPUS, *(M for _, M in catalog_matroids(8))]
+        verdicts = [is_paving(M) for M in members]
+        assert verdicts == [reference_is_paving(M) for M in members]
+        assert verdicts[:3] == [True, True, False]
+        assert True in verdicts[3:] and False in verdicts[3:]
