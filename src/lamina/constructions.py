@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (MAX_ELEMENTS, Matroid, MatroidError, build_stacks, check_mask, default_labels,
-                   halves, label_mask, subset_sizes)
+                   halves, label_mask, meet_sizes, runs, subset_sizes)
 
 # ---------------------------------------------------------------------------
 # uniform
@@ -216,7 +216,10 @@ def laminar_matroids(systems: Sequence[LaminarCapacitySystem]) -> list[Matroid]:
 
 
 def _laminar_tables(systems: list[LaminarCapacitySystem], n: int):
-    """Labels and rank tables of laminar systems on at most ``n`` elements."""
+    """Labels and rank tables of laminar systems on at most ``n`` elements.
+    The |X ∩ free_t| tables of every member of every system come from one
+    :func:`~lamina.core.meet_sizes` call, as bytes, into the array that
+    then gathers each member's children."""
     rows, width = len(systems), max(len(s.family) for s in systems)
     masks, caps = [], []
     for s in systems:
@@ -240,12 +243,10 @@ def _laminar_tables(systems: list[LaminarCapacitySystem], n: int):
     parent = np.argmax(inside & np.triu(np.ones((depth, depth), dtype=bool), 1), axis=2)
     children = parent[:, :-1, None] == np.arange(depth)
     free = fam & ~np.bitwise_or.reduce(np.where(children, fam[:, :-1, None], 0), axis=1)
-    X, at = np.arange(1 << n), np.arange(rows)
-    acc = np.zeros((rows, depth, 1 << n), dtype=np.uint8)
+    # acc[:, t] starts as |X ∩ free_t| and adds the children of member t
+    acc, at = meet_sizes(free, n), np.arange(rows)
     for t in range(depth):
-        # |X ∩ free_t| one member at a time, so no index array spans the depth
         value = acc[:, t]
-        value += sizes[X & free[:, t, None]]
         np.minimum(value, cap[:, t], out=value)
         if t < width:
             acc[at, parent[:, t]] += value
@@ -301,22 +302,27 @@ def transversal_matroids(presentations: Sequence[NestedPresentation]) -> list[Ma
 
 
 def _transversal_tables(presentations: list[NestedPresentation], n: int):
-    """Labels and rank tables of chain presentations on at most ``n`` elements."""
+    """Labels and rank tables of chain presentations on at most ``n`` elements:
+    a running byte minimum over the blocks, whose |X ∩ B_j| tables come
+    from :func:`~lamina.core.meet_sizes` for one :func:`~lamina.core.runs`
+    of block positions j at a time, as a chain may have far more blocks
+    than elements."""
     width = max(len(p.blocks) for p in presentations)
     E = (1 << n) - 1
     blocks = []
     for p in presentations:
         blocks += p.blocks + (E,) * (width - len(p.blocks))
-    blocks = np.array(blocks, dtype=np.intp).reshape(len(presentations), width, 1)
+    blocks = np.array(blocks, dtype=np.intp).reshape(len(presentations), width)
     # block j (from 0) has the term m - 1 - j, and a padding block n; a
     # term above n never binds, as rank(X) <= |X ∩ B_m| <= n
     m = np.array([len(p.blocks) for p in presentations])[:, None]
     j = np.arange(width)
-    offsets = np.where(j < m, np.minimum(m - 1 - j, n), n).astype(np.int16)[:, :, None]
-    sizes, X = subset_sizes(n), np.arange(1 << n)
-    table = np.repeat(np.minimum(m, n).astype(np.int16), 1 << n, axis=1)
-    for j in range(width):
-        np.minimum(table, sizes[X & blocks[:, j]] + offsets[:, j], out=table)
+    offsets = np.where(j < m, np.minimum(m - 1 - j, n), n).astype(np.uint8)[:, :, None]
+    table = np.repeat(np.minimum(m, n).astype(np.uint8), 1 << n, axis=1)
+    for run in runs(range(width), lambda j: len(presentations) << n):
+        terms = meet_sizes(blocks[:, run], n)
+        terms += offsets[:, run]
+        np.minimum(table, terms.min(axis=1), out=table)
     return [p.labels for p in presentations], table
 
 
@@ -592,7 +598,9 @@ def from_cyclic_flats(family: CyclicFlatFamily) -> Matroid:
     """Synthesize the matroid whose cyclic flats are exactly ``family``.
 
     Validates Z0-Z3, then builds rank(X) = min over members (Z, r) of
-    r + |X - Z|.  Neither the rank axioms nor the cyclic flats of the
+    r + |X - Z|, with |X - Z| = |X ∩ (E - Z)| from
+    :func:`~lamina.core.meet_sizes` for one :func:`~lamina.core.runs` of
+    members at a time.  Neither the rank axioms nor the cyclic flats of the
     result are re-derived: the round trip is the ``thm-bdm-roundtrip``
     claim of ``lamina verify`` and a test property.
     """
@@ -601,10 +609,13 @@ def from_cyclic_flats(family: CyclicFlatFamily) -> Matroid:
         masks = [Z for Z, _ in family.entries]  # distinct, so a mask is a position
         raise ZAxiomError(v, tuple(masks.index(w) for w in v.witness))
     n = len(family.labels)
-    sizes = subset_sizes(n)
-    X = np.arange(1 << n)
-    # a running minimum, so no m tables are held at once
-    table = functools.reduce(np.minimum, (sizes[X & ~Z] + r for Z, r in family.entries))
+    E = (1 << n) - 1
+    # a running minimum over runs of members, so at most one run of
+    # tables, within the table budget, is held at once; Z2 has put
+    # every rank in 0..n, so r + |X - Z| fits a byte
+    table = functools.reduce(np.minimum, (
+        (meet_sizes([E ^ Z for Z, _ in run], n) + np.array([[r] for _, r in run], np.uint8)).min(0)
+        for run in runs(family.entries, lambda entry: 1 << n)))
     # a family satisfying Z0-Z3 is the cyclic-flat lattice of this matroid
     # (Bonin and de Mier)
     return Matroid(family.labels, table, validate=False)

@@ -44,6 +44,9 @@ for _ in range(MAX_ELEMENTS):
     _POPCOUNTS = np.concatenate((_POPCOUNTS, _POPCOUNTS + 1))
 _POPCOUNTS.flags.writeable = False
 
+# popcount of every byte, which meet_sizes reads for each byte of a mask
+_BYTE_SIZES = _POPCOUNTS[:256].astype(np.uint8)
+
 # Table entries that go through numpy together: one stacked pass, one
 # sweep chunk, one batch of graphic DPs.  A larger item is a run of its own
 _TABLE_CELLS = 1 << 17
@@ -103,6 +106,24 @@ def subset_sizes(n: int) -> np.ndarray:
     if n > MAX_ELEMENTS:
         raise MatroidError(f"ground set too large: {n} > {MAX_ELEMENTS}")
     return _POPCOUNTS[:1 << n]
+
+
+def meet_sizes(masks, n: int) -> np.ndarray:
+    """|X ∩ B| for every mask X over ``n <= MAX_ELEMENTS`` elements and
+    each mask B of ``masks`` (an int or an array of them), as uint8 of
+    shape ``masks.shape + (2^n,)``: the table of each B indexed by X.
+    X is its low byte plus 2^8 times the rest, so a table is the outer
+    sum of |X ∩ B| over the 2^(n - 8) high parts and over the
+    2^min(n, 8) low bytes: two gathers from a 256-entry popcount table
+    and one add, the same for every n, and no 2^n index array."""
+    subset_sizes(n)  # refuses more than MAX_ELEMENTS elements
+    B = np.asarray(masks, dtype=np.intp)[..., None]
+    low = min(n, 8)
+    # each byte of B, cast with wraparound, against a byte index: take
+    # reads these small byte indices about twice as fast as indexing
+    lows = _BYTE_SIZES.take(B.astype(np.uint8) & np.arange(1 << low, dtype=np.uint8))
+    highs = _BYTE_SIZES.take((B >> 8).astype(np.uint8) & np.arange(1 << n - low, dtype=np.uint8))
+    return (highs[..., None] + lows[..., None, :]).reshape(B.shape[:-1] + (1 << n,))
 
 
 def default_labels(n: int) -> tuple[str, ...]:

@@ -44,6 +44,11 @@ class ClassVerdict:
         return self.holds
 
 
+# the verdict of every predicate that holds: a frozen verdict can be
+# shared, and the scans return thousands of them
+_HOLDS = ClassVerdict(True)
+
+
 def _unnested_pairs(M: Matroid) -> Iterator[tuple[int, int]]:
     """Every pair of nonspanning circuits, in (i, j) order, with neither
     circuit inside the other's closure."""
@@ -85,7 +90,7 @@ def is_k_laminar(M: Matroid, k: int) -> ClassVerdict:
     for C1, C2 in _unnested_pairs(M):
         if (C1 & C2).bit_count() >= k:
             return ClassVerdict(False, (C1, C2))
-    return ClassVerdict(True)
+    return _HOLDS
 
 
 def is_k_closure_laminar(M: Matroid, k: int) -> ClassVerdict:
@@ -100,7 +105,7 @@ def is_k_closure_laminar(M: Matroid, k: int) -> ClassVerdict:
     for F1, F2 in _incomparable(M.hamiltonian_flats()):
         if rt[F1 & F2] >= k:
             return ClassVerdict(False, (_least_independent(M, F1 & F2, k), F1, F2))
-    return ClassVerdict(True)
+    return _HOLDS
 
 
 def is_nested(M: Matroid) -> ClassVerdict:

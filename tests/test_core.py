@@ -389,3 +389,47 @@ def test_no_module_calls_np_unique(path):
             assert ast.unparse(node.value) not in ("np", "numpy"), f"line {node.lineno}"
         if isinstance(node, ast.ImportFrom) and node.module == "numpy":
             assert "unique" not in {a.name for a in node.names}, f"line {node.lineno}"
+
+
+def _meet_gathers(tree: ast.AST) -> list[int]:
+    """Lines that index ``subset_sizes(...)``, or a name bound to it alone
+    or in a tuple, by an ``&`` expression: the ``sizes[X & B]`` gather."""
+    def calls(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "subset_sizes"
+
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                names |= {t.id for t, v in pairs
+                          if isinstance(t, ast.Name) and any(map(calls, ast.walk(v)))}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.BinOp)
+            and isinstance(node.slice.op, ast.BitAnd)
+            and (calls(node.value) or getattr(node.value, "id", None) in names)]
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(lamina.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_gathers_subset_sizes_at_a_meet(path):
+    """|X ∩ B| over every X is ``core.meet_sizes``: outside ``core`` no
+    module indexes ``subset_sizes(...)``, or a name bound to it, by an
+    ``&`` expression, the gather through a 2^n index array."""
+    if path.name != "core.py":
+        assert _meet_gathers(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("src, lines", [
+    ("sizes = subset_sizes(n)\nt = sizes[X & B]", [2]),
+    ("sizes, X = subset_sizes(n), np.arange(1 << n)\nt = sizes[X & B]", [2]),
+    ("sizes = core.subset_sizes(n).astype(np.uint8)\nt = sizes[X & free[:, t]]", [2]),
+    ("t = subset_sizes(n)[X & ~Z] + r", [1]),
+    ("sizes = subset_sizes(n)\nt = sizes[Z & Y ^ M]", []),
+])
+def test_meet_gather_lint_sees_the_old_forms(src, lines):
+    """The forms the constructors wrote before ``meet_sizes`` are flagged,
+    and a pair table whose index only contains an ``&`` is not."""
+    assert _meet_gathers(ast.parse(src)) == lines

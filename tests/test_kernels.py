@@ -51,6 +51,7 @@ from lamina.core import (
     MAX_ELEMENTS,
     AxiomViolation,
     Matroid,
+    meet_sizes,
     prime,
     subset_index,
     subset_sizes,
@@ -396,6 +397,71 @@ def reference_cyclic_flat_table(family: CyclicFlatFamily) -> bytes:
     """min over members (Z, r) of r + |X - Z|, one subset at a time."""
     return bytes(min(r + (X & ~Z).bit_count() for Z, r in family.entries)
                  for X in range(1 << len(family.labels)))
+
+
+def reference_meet_sizes(B: int, n: int) -> np.ndarray:
+    """|X ∩ B| for every X, gathered through the 2^n index array X & B."""
+    return subset_sizes(n)[np.arange(1 << n) & B]
+
+
+def reference_laminar_tables(systems: list[LaminarCapacitySystem], n: int):
+    """``_laminar_tables`` before ``meet_sizes``: the same forest, with
+    |X ∩ free_t| gathered through ``X & free_t`` one member at a time."""
+    rows, width = len(systems), max(len(s.family) for s in systems)
+    masks, caps = [], []
+    for s in systems:
+        pad = (0,) * (width - len(s.family))
+        masks += s.family + pad
+        caps += [c if c < n else n for c in s.capacities] + list(pad)
+    sizes = subset_sizes(n).astype(np.uint8)
+    fam = np.array(masks, dtype=np.intp).reshape(rows, width)
+    order = np.argsort(sizes[fam], axis=1, kind="stable")
+    fam = np.take_along_axis(fam, order, axis=1)
+    cap = np.take_along_axis(np.array(caps, dtype=np.uint8).reshape(rows, width), order, axis=1)
+    fam = np.concatenate((fam, np.full((rows, 1), (1 << n) - 1)), axis=1)
+    cap = np.concatenate((np.minimum(cap, sizes[fam[:, :-1]]), np.full((rows, 1), n, np.uint8)),
+                         axis=1)[:, :, None]
+    depth = width + 1
+    inside = (fam[:, :, None] & ~fam[:, None, :]) == 0
+    parent = np.argmax(inside & np.triu(np.ones((depth, depth), dtype=bool), 1), axis=2)
+    children = parent[:, :-1, None] == np.arange(depth)
+    free = fam & ~np.bitwise_or.reduce(np.where(children, fam[:, :-1, None], 0), axis=1)
+    X, at = np.arange(1 << n), np.arange(rows)
+    acc = np.zeros((rows, depth, 1 << n), dtype=np.uint8)
+    for t in range(depth):
+        value = acc[:, t]
+        value += sizes[X & free[:, t, None]]
+        np.minimum(value, cap[:, t], out=value)
+        if t < width:
+            acc[at, parent[:, t]] += value
+    return [s.labels for s in systems], acc[:, -1]
+
+
+def reference_transversal_tables(presentations: list[NestedPresentation], n: int):
+    """``_transversal_tables`` before ``meet_sizes``: a running minimum
+    over the blocks, each |X ∩ B_j| gathered through ``X & B_j``."""
+    width = max(len(p.blocks) for p in presentations)
+    E = (1 << n) - 1
+    blocks = []
+    for p in presentations:
+        blocks += p.blocks + (E,) * (width - len(p.blocks))
+    blocks = np.array(blocks, dtype=np.intp).reshape(len(presentations), width, 1)
+    m = np.array([len(p.blocks) for p in presentations])[:, None]
+    j = np.arange(width)
+    offsets = np.where(j < m, np.minimum(m - 1 - j, n), n).astype(np.int16)[:, :, None]
+    sizes, X = subset_sizes(n), np.arange(1 << n)
+    table = np.repeat(np.minimum(m, n).astype(np.int16), 1 << n, axis=1)
+    for j in range(width):
+        np.minimum(table, sizes[X & blocks[:, j]] + offsets[:, j], out=table)
+    return [p.labels for p in presentations], table
+
+
+def reference_cyclic_flat_synthesis(family: CyclicFlatFamily) -> np.ndarray:
+    """The table of ``from_cyclic_flats`` before ``meet_sizes``: a running
+    minimum of r + |X - Z|, gathered through ``X & ~Z`` one member at a time."""
+    n = len(family.labels)
+    sizes, X = subset_sizes(n), np.arange(1 << n)
+    return functools.reduce(np.minimum, (sizes[X & ~Z] + r for Z, r in family.entries))
 
 
 def reference_circuit_table(n: int, circuits) -> bytes:
@@ -846,11 +912,11 @@ def multigraphs(draw):
 
 
 @st.composite
-def laminar_systems(draw):
+def laminar_systems(draw, counts=st.integers(0, 12)):
     """Members cut from E or from earlier members, kept when laminar with
     all earlier ones: duplicates, empty members, capacities 0 and above
-    |A|, and elements in no member all occur."""
-    n = draw(st.integers(0, 12))
+    |A|, and elements in no member all occur.  ``counts`` draws n."""
+    n = draw(counts)
     full = (1 << n) - 1
     family = []
     for p, cut in draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, full)),
@@ -865,9 +931,10 @@ def laminar_systems(draw):
 
 
 @st.composite
-def nested_presentations(draw):
-    """B_j = B_{j-1} | d_j, so empty and repeated blocks occur, and m = 0."""
-    n = draw(st.integers(0, 12))
+def nested_presentations(draw, counts=st.integers(0, 12)):
+    """B_j = B_{j-1} | d_j, so empty and repeated blocks occur, and m = 0.
+    ``counts`` draws n."""
+    n = draw(counts)
     adds = draw(st.lists(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)),
                          max_size=6))
     blocks = list(itertools.accumulate(adds, lambda B, d: B | d))
@@ -1098,6 +1165,116 @@ class TestPresentationRankFormulas:
         assert laminar_matroid(system) == uniform(3, 3)
         chain = NestedPresentation(labels, (0b111,) * 40000)
         assert transversal_matroid(chain) == uniform(3, 3)
+
+
+# element counts on both sides of the byte split of meet_sizes, and any other
+_BYTE_SPLIT_COUNTS = st.one_of(st.sampled_from((0, 8, 9, MAX_ELEMENTS)),
+                               st.integers(0, MAX_ELEMENTS))
+
+
+@st.composite
+def mask_stacks(draw):
+    """An element count and an array of masks over it, of shape (), (0,),
+    (3,) or (2, 3): any masks, masks of the low byte only and masks of
+    the high bits only."""
+    n = draw(_BYTE_SPLIT_COUNTS)
+    full = (1 << n) - 1
+    mask = st.one_of(st.integers(0, full), st.integers(0, 0xFF).map(lambda B: B & full),
+                     st.integers(0, full >> 8).map(lambda B: B << 8))
+    shape = draw(st.sampled_from([(), (0,), (3,), (2, 3)]))
+    masks = draw(st.lists(mask, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return n, np.array(masks, dtype=np.intp).reshape(shape)
+
+
+def _sparse_paving_family() -> CyclicFlatFamily:
+    """The 232 cyclic flats of a 16-element rank-5 sparse paving matroid
+    whose circuit-hyperplanes are 5-sets meeting in at most 3 elements."""
+    sets = [sum(1 << i for i in s) for s in itertools.combinations(range(16), 5)]
+    random.Random(1).shuffle(sets)
+    kept = []
+    for s in sets:
+        if all((s & k).bit_count() <= 3 for k in kept):
+            kept.append(s)
+    M = constructions._sparse_paving(core.default_labels(16), 5, kept)
+    return CyclicFlatFamily(M.labels, M.cyclic_flats())
+
+
+class TestMeetSizes:
+    """``meet_sizes`` against the 2^n index gather it replaced, and the
+    three builders that read it against the builders they were, table
+    for table, on stacks of mixed element counts in 0..16."""
+
+    @settings(PROPERTY, max_examples=200)
+    @given(mask_stacks())
+    def test_matches_the_index_gather(self, case):
+        n, masks = case
+        got = meet_sizes(masks, n)
+        assert got.dtype == np.uint8 and got.shape == masks.shape + (1 << n,)
+        for at in np.ndindex(masks.shape):
+            assert np.array_equal(got[at], reference_meet_sizes(int(masks[at]), n))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16])
+    def test_masks_on_each_side_of_the_byte_split(self, n):
+        full = (1 << n) - 1
+        masks = [0, full, full & 0xFF, full & ~0xFF, full & 0x0F0F, full & 0x8001, 1 << n >> 1]
+        got = meet_sizes(masks, n)
+        for B, row in zip(masks, got):
+            assert np.array_equal(row, reference_meet_sizes(B, n)), hex(B)
+        assert np.array_equal(meet_sizes(full, n), subset_sizes(n))
+
+    def test_refuses_17_elements(self):
+        with pytest.raises(core.MatroidError, match=r"^ground set too large: 17 > 16$"):
+            meet_sizes([1], 17)
+
+    @settings(PROPERTY, max_examples=60)
+    @given(st.lists(laminar_systems(_BYTE_SPLIT_COUNTS), min_size=1, max_size=4))
+    def test_laminar_tables(self, systems):
+        n = max(len(s.labels) for s in systems)
+        labels, got = constructions._laminar_tables(systems, n)
+        want_labels, want = reference_laminar_tables(systems, n)
+        assert labels == want_labels and got.dtype == np.uint8 and np.array_equal(got, want)
+
+    @settings(PROPERTY, max_examples=60)
+    @given(st.lists(nested_presentations(_BYTE_SPLIT_COUNTS), min_size=1, max_size=4),
+           st.sampled_from([1, 1 << 12, core._TABLE_CELLS]))
+    def test_transversal_tables(self, presentations, cells):
+        """Wherever the runs of block positions are cut."""
+        n = max(len(p.labels) for p in presentations)
+        with mock.patch.object(core, "_TABLE_CELLS", cells):
+            labels, got = constructions._transversal_tables(presentations, n)
+        want_labels, want = reference_transversal_tables(presentations, n)
+        assert labels == want_labels and got.dtype == np.uint8 and np.array_equal(got, want)
+
+    @settings(PROPERTY, max_examples=100)
+    @given(st.one_of(laminar_systems(_BYTE_SPLIT_COUNTS).map(laminar_matroid),
+                     st.tuples(st.sampled_from(_CORPUS), st.sampled_from(_CORPUS)).map(
+                         lambda pair: direct_sum(*pair))),
+           st.sampled_from([1, 1 << 9, core._TABLE_CELLS]))
+    def test_cyclic_flat_synthesis(self, M, cells):
+        """Wherever the runs of members are cut: one member a run, a few,
+        or the whole family.  A sum of two corpus members, of up to 16
+        elements, has as many cyclic flats as its parts' product."""
+        family = CyclicFlatFamily(M.labels, M.cyclic_flats())
+        with mock.patch.object(core, "_TABLE_CELLS", cells):
+            got = from_cyclic_flats(family)
+        assert got.rank_table == reference_cyclic_flat_synthesis(family).astype(np.uint8).tobytes()
+        assert got == M
+
+    def test_large_cyclic_flat_synthesis_holds_one_run_of_tables(self):
+        """The 232 members' tables at 16 elements are 14.5 MiB at once: the
+        running minimum holds one run of them, under the table budget, and
+        the build peaks where the Z-axiom check does (2.64 MiB)."""
+        family = _sparse_paving_family()
+        assert len(family.entries) == 232
+        want = reference_cyclic_flat_synthesis(family).astype(np.uint8).tobytes()
+        assert from_cyclic_flats(family).rank_table == want
+        tracemalloc.start()
+        try:
+            from_cyclic_flats(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20, peak
 
 
 class TestPairScans:
@@ -2719,9 +2896,10 @@ class TestStackedBuilds:
             laminar_matroids([LaminarCapacitySystem(("a", "a"), (), ())])
 
     def test_sixteen_element_laminar_build_stays_small_in_memory(self):
-        """|X ∩ free_t| is gathered one member at a time: an index array
-        over every member of a 9-deep family at 16 elements would peak
-        near 5 MiB; the one-table build peaked at 1.8 MiB."""
+        """Every member's |X ∩ free_t| comes from one ``meet_sizes`` call,
+        a byte per entry through no index array: 576 KiB for a 9-deep
+        family at 16 elements, where an intp index array over every member
+        would peak near 5 MiB; the one-table build peaked at 1.8 MiB."""
         labels = tuple(f"x{i}" for i in range(16))
         system = LaminarCapacitySystem(
             labels, (0xFFFF, 0x00FF, 0x000F, 0x0F00, 0x3000, 0x0003, 0x00F0, 0xF000),

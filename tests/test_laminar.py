@@ -13,6 +13,7 @@ from lamina.constructions import (
 )
 from lamina.corpus import catalog_matroids
 from lamina.laminar import (
+    ClassVerdict,
     is_k_closure_laminar,
     is_k_laminar,
     is_laminar,
@@ -79,6 +80,22 @@ class TestBasics:
     def test_vacuous_beyond_rank(self):
         M = named_matroid("mk23")
         assert is_k_closure_laminar(M, M.full_rank() + 1)
+
+    def test_true_verdicts_are_one_shared_verdict(self):
+        """Every predicate that holds returns one frozen verdict, equal to
+        a fresh ``ClassVerdict(True)``, true and without a witness; a
+        false verdict is still made per call."""
+        M = named_matroid("mk23")
+        verdicts = [is_k_laminar(M, 3), is_k_closure_laminar(M, 4), is_nested(uniform(2, 4)),
+                    is_laminar(circuit_matroid(5)), is_k_laminar(uniform(0, 0), 0)]
+        assert all(v is verdicts[0] for v in verdicts)
+        assert verdicts[0] == ClassVerdict(True) and verdicts[0].witness is None
+        assert bool(verdicts[0]) is True and verdicts[0].holds is True
+        with pytest.raises(AttributeError):
+            verdicts[0].holds = False
+        false = is_k_laminar(M, 2)
+        assert not false and false == ClassVerdict(False, false.witness)
+        assert false is not is_k_laminar(M, 2) and false == is_k_laminar(M, 2)
 
 
 class TestStrictSeparation:
