@@ -294,9 +294,9 @@ class Matroid:
     Instances are safe to share since nothing mutates after construction.
 
     The rank axioms are checked only where a table comes from outside
-    the library: by default here, when a caller supplies the table, and
-    in :func:`lamina.formats.parse_matroid`.  Library constructors whose
-    output is a matroid by theorem pass ``validate=False``.
+    the library: by default here, when a caller supplies the table or
+    :func:`lamina.formats.parse_matroid` reads a circuit family.  Library
+    constructors whose output is a matroid by theorem pass ``validate=False``.
     """
 
     __slots__ = ("labels", "n", "rank_table", "E", "_cache")

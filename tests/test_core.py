@@ -391,6 +391,20 @@ def test_no_module_calls_np_unique(path):
             assert "unique" not in {a.name for a in node.names}, f"line {node.lineno}"
 
 
+@pytest.mark.parametrize("path", sorted(pathlib.Path(lamina.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_names_validate_rank_axioms(path):
+    """R1-R3 run only where a table comes from outside the library, through
+    ``Matroid(labels, table)``: outside ``core`` and the re-export in
+    ``__init__`` no module names ``validate_rank_axioms``, so every other
+    check of parsed or built input is its constructor's own."""
+    if path.name in ("core.py", "__init__.py"):
+        return
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        names = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        assert "validate_rank_axioms" not in names, f"line {node.lineno}"
+
+
 def _meet_gathers(tree: ast.AST) -> list[int]:
     """Lines that index ``subset_sizes(...)``, or a name bound to it alone
     or in a tuple, by an ``&`` expression: the ``sizes[X & B]`` gather."""

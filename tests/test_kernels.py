@@ -46,7 +46,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lamina import checks, cli, constructions, core, corpus, formats
+from lamina import checks, cli, constructions, core, corpus
 from lamina.core import (
     MAX_ELEMENTS,
     AxiomViolation,
@@ -87,7 +87,7 @@ from lamina.constructions import (
     validate_z_axioms,
 )
 from lamina.corpus import CorpusSpec, catalog_matroids, generate_corpus
-from lamina.formats import parse_matroid
+from lamina.formats import parse_matroid, serialize_matroid
 from lamina.laminar import (
     is_k_closure_laminar,
     is_k_laminar,
@@ -944,6 +944,41 @@ def nested_presentations(draw, counts=st.integers(0, 12)):
 _CORPUS = generate_corpus(CorpusSpec(seed=21, count=120, max_elements=8))
 
 
+def _text(labels, kind: str, lines) -> str:
+    """A ``%matroid v1`` file of ``kind`` over ``labels`` with body ``lines``."""
+    head = ["%matroid v1", f"n {len(labels)}", " ".join(("labels", *labels)), f"repr {kind}"]
+    return "\n".join([*head, *lines]) + "\n"
+
+
+def _braced(labels, mask: int) -> str:
+    return "{" + " ".join(lab for i, lab in enumerate(labels) if mask >> i & 1) + "}"
+
+
+def _graph_text(G: Multigraph) -> tuple[str, Matroid]:
+    lines = [f"vertices {G.vertex_count}"]
+    lines += [f"edge {lab} {u} {v}" for lab, (u, v) in zip(G.labels, G.edges)]
+    return _text(G.labels, "graph", lines), cycle_matroid(G)
+
+
+def _laminar_text(system: LaminarCapacitySystem) -> tuple[str, Matroid]:
+    lines = [f"cap {_braced(system.labels, A)} {c}"
+             for A, c in zip(system.family, system.capacities)]
+    return _text(system.labels, "laminar", lines), laminar_matroid(system)
+
+
+def _transversal_text(presentation: NestedPresentation) -> tuple[str, Matroid]:
+    lines = [f"block {_braced(presentation.labels, B)}" for B in presentation.blocks]
+    return _text(presentation.labels, "transversal", lines), transversal_matroid(presentation)
+
+
+@st.composite
+def uniform_texts(draw):
+    """A uniform file on 0..12 elements, any rank from 0 to n."""
+    n = draw(st.integers(0, 12))
+    r = draw(st.integers(0, n))
+    return _text(core.default_labels(n), "uniform", [f"r {r}"]), uniform(r, n)
+
+
 def small_matroids():
     """Matroids on 0..12 elements: laminar, graphic and seeded-corpus ones."""
     return st.one_of(laminar_systems().map(laminar_matroid),
@@ -1131,6 +1166,24 @@ class TestTheoremBackedConstructors:
             for r in range(n + 1):
                 M = uniform(r, n)
                 assert validate_rank_axioms(M.rank_table, n) is None
+
+    def test_parsed_corpus_members(self):
+        # the parser checks a cyclic-flat file by Z0-Z3 alone
+        for M in _CORPUS:
+            N = parse_matroid(serialize_matroid(M))
+            assert N == M
+            assert reference_validate_rank_axioms(N.rank_table, N.n) is None
+
+    @PROPERTY
+    @given(st.one_of(multigraphs().map(_graph_text), laminar_systems().map(_laminar_text),
+                     nested_presentations().map(_transversal_text), uniform_texts()))
+    def test_parsed_texts(self, case):
+        """A graph, laminar, transversal or uniform file is checked only by
+        its constructor's input check."""
+        text, want = case
+        M = parse_matroid(text)
+        assert M == want
+        assert reference_validate_rank_axioms(M.rank_table, M.n) is None
 
 
 class TestPresentationRankFormulas:
@@ -1492,7 +1545,6 @@ class TestTrustBoundary:
             return real(table, n)
 
         monkeypatch.setattr(core, "validate_rank_axioms", counting)
-        monkeypatch.setattr(formats, "validate_rank_axioms", counting)
         return calls
 
     def test_glued_catalog_is_not_revalidated(self, validations):
@@ -2156,7 +2208,7 @@ class TestFamilyScans:
             raise AssertionError("flats() computed while serializing")
 
         monkeypatch.setattr(Matroid, "flats", forbidden)
-        assert parse_matroid(formats.serialize_matroid(mn_family(5, 1))) == mn_family(5, 1)
+        assert parse_matroid(serialize_matroid(mn_family(5, 1))) == mn_family(5, 1)
         out = tmp_path / "corpus"
         assert cli.main(["corpus", "--seed", "3", "--count", "20", "-o", str(out)]) == 0
         assert len(list(out.iterdir())) > 20
@@ -2573,6 +2625,13 @@ _FIXED_Z_FAMILIES = {
 }
 
 
+def _with_fixed_z_families(test):
+    """``test`` with every fixed family as an explicit example."""
+    for family, _ in _FIXED_Z_FAMILIES.values():
+        test = example(family)(test)
+    return test
+
+
 class TestZAxioms:
     """Meets and joins come from products over the member-inclusion
     matrix and Z1-Z3 from elementwise pair matrices; the oracle scans
@@ -2587,6 +2646,19 @@ class TestZAxioms:
                              ids=list(_FIXED_Z_FAMILIES))
     def test_fixed_families(self, family, want):
         assert validate_z_axioms(family) == reference_validate_z_axioms(family) == want
+
+    @PROPERTY
+    @given(edited_families())
+    @_with_fixed_z_families
+    def test_accepted_families_synthesize_matroids(self, family):
+        """What the parser trusts of a cyclic-flat file: a family passing
+        Z0-Z3 synthesizes a matroid whose cyclic flats are the family."""
+        if validate_z_axioms(family) is not None:
+            return
+        M = from_cyclic_flats(family)
+        assert reference_validate_rank_axioms(M.rank_table, M.n) is None
+        assert M.cyclic_flats() == tuple(sorted(family.entries,
+                                                key=lambda e: (e[0].bit_count(), e[0])))
 
     @pytest.mark.parametrize("cells", [1, 1 << 9])
     def test_chunks(self, monkeypatch, cells):
